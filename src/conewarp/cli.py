@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import construct as cn
-from .certify import Grid, certify_psd
-from .curvature import ricci_cone_berger, ricci_local_glue, ricci_torus_invariant
+from .certify import AtlasRegion, Grid, recertify, scalar_q_inequality
+from .curvature import ricci_cone_berger
 from .errors import ConewarpError
 from .groups import (
     cyclic_group,
@@ -33,7 +32,7 @@ from .groups import (
     resolution_tree,
 )
 from .pipeline import PipelineConfig, run_full_resolution
-from .warpfn import WarpFunction
+from .warpfn import _sample_open
 
 
 def _parse_group(args):
@@ -99,112 +98,35 @@ def _load_atlas(path):
     return json.loads(Path(path).read_text())
 
 
-def _warps_of(region):
-    return {k: WarpFunction.deserialize(v) for k, v in region["warps"].items()}
-
-
 def cmd_certify(args) -> int:
-    data = _load_atlas(args.atlas)
-    n_grid = args.grid
-    tol = args.tol
-    reports = []
-    regions = {r["id"]: r for r in data["regions"]}
-    if "edge_body" in regions:
-        reg = regions["edge_body"]
-        w = _warps_of(reg)
-        rho, phi, f = w["rho"], w["phi"], w["f"]
-        grid = Grid([(0.0, reg["data"]["r_out"]), (0.0, np.pi / 2)], [n_grid, n_grid])
-
-        def fn(pts):
-            return ricci_cone_berger(rho, phi, f, pts[:, 0], pts[:, 1]).entries
-
-        reports.append(certify_psd(fn, grid, tol, target="edge body Ricci >= 0"))
-    if "glue_collar" in regions:
-        reg = regions["glue_collar"]
-        w = _warps_of(reg)
-        d = reg["data"]
-        from .curvature import LocalGlue
-        glue = LocalGlue(rho=w["rho"], n=int(d["n"]), eta1=w["eta1"], eta2=w["eta2"],
-                         sigma1=d["sigma1"], sigma2=d["sigma2"], xi0=d["xi0"])
-        half = d["xi0"] / 2
-        ax_r = np.sort(np.concatenate([cn._sample_open(0, half, n_grid),
-                                       cn._sample_open(0, min(2.2 * d["sigma1"], half), n_grid // 2)]))
-        ax_x = np.sort(np.concatenate([cn._sample_open(0, half, n_grid),
-                                       cn._sample_open(0, min(2.2 * d["sigma2"], half), n_grid // 2)]))
-        R, X = np.meshgrid(ax_r, ax_x, indexing="ij")
-        eigs = np.linalg.eigvalsh(ricci_local_glue(glue, R.ravel(), X.ravel()).entries)
-        from .certify import CertificationReport
-        rep = CertificationReport(target="glue collar Ricci >= 0",
-                                  grid={"axes": [len(ax_r), len(ax_x)]},
-                                  tolerance=tol, min_margin=float(np.min(eigs)),
-                                  argmin=[])
-        rep.passed = rep.min_margin >= -tol
-        reports.append(rep)
-    if "conical_cap" in regions:
-        reg = regions["conical_cap"]
-        w = _warps_of(reg)
-        d = reg["data"]
-        fams1 = cn.make_cap_families(w["phi1"], None, w["rho_cap"], int(d["n"]), d["zeta"])
-        fams2 = cn.make_cap_families(w["phi1"], w["eta_delta"], w["rho_cap"],
-                                     int(d["n"]), d["zeta"])
-        worst = np.inf
-        for fams, hi in ((fams1, d["r0"]), (fams2, d["r0"] / 2)):
-            grid = Grid([(d["r0"] * 1e-3, hi), (0.0, np.pi / 2)], [n_grid, n_grid])
-            pts = grid.points()
-            E = ricci_torus_invariant(*fams, pts[:, 0], pts[:, 1]).entries
-            worst = min(worst, float(np.min(cn._block_margins(E))))
-        from .certify import CertificationReport
-        rep = CertificationReport(target="cap blocks >= 0", grid={"n": n_grid},
-                                  tolerance=tol, min_margin=worst, argmin=[])
-        rep.passed = worst >= -tol
-        reports.append(rep)
-    if "berger_body" in regions:
-        reg = regions["berger_body"]
-        w = _warps_of(reg)
-        from .curvature import ricci_berger_general
-        r = cn._sample_open(0.0, w["rho"].b, 4096)
-        vals = ricci_berger_general(w["rho"], w["phi"], r)
-        worst = min(float(np.min(v)) for v in vals)
-        from .certify import CertificationReport
-        rep = CertificationReport(target="round-base body Ricci >= 0",
-                                  grid={"n": 4096}, tolerance=tol,
-                                  min_margin=worst, argmin=[])
-        rep.passed = worst >= -tol
-        reports.append(rep)
-    ok = True
-    for rep in reports:
-        print(rep.summary())
-        ok = ok and rep.passed
+    """Re-run the region Ricci checks of resolve on a written atlas file."""
+    reports = recertify(_load_atlas(args.atlas), n_2d=args.grid, tol=args.tol)
     if not reports:
         print("no recertifiable regions found in atlas", file=sys.stderr)
         return 2
-    return 0 if ok else 1
+    for rep in reports.values():
+        print(rep.summary())
+    return 0 if all(rep.passed for rep in reports.values()) else 1
 
 
 def cmd_plot_data(args) -> int:
-    data = _load_atlas(args.atlas)
-    regions = {r["id"]: r for r in data["regions"]}
+    regions = {r["id"]: r for r in _load_atlas(args.atlas)["regions"]}
+    edge = AtlasRegion.from_json(regions["edge_body"])
+    w, r_out = edge.warps, edge.data["r_out"]
     out = Path(args.out)
     if args.field == "ricci-min":
-        reg = regions["edge_body"]
-        w = _warps_of(reg)
-        grid = Grid([(0.0, reg["data"]["r_out"]), (0.0, np.pi / 2)], [96, 96])
+        grid = Grid([(0.0, r_out), (0.0, np.pi / 2)], [96, 96])
         pts = grid.points()
         eigs = np.linalg.eigvalsh(
             ricci_cone_berger(w["rho"], w["phi"], w["f"], pts[:, 0], pts[:, 1]).entries)
         rows = np.column_stack([pts, eigs[:, 0]])
         header = "r,xi,min_eigenvalue"
     elif args.field == "warp":
-        reg = regions["edge_body"]
-        w = _warps_of(reg)
-        r = np.linspace(1e-6, reg["data"]["r_out"], 2048)
+        r = np.linspace(1e-6, r_out, 2048)
         rows = np.column_stack([r, w["rho"](r), w["phi"](r)])
         header = "r,rho,phi"
     elif args.field == "margin":
-        reg = regions["edge_body"]
-        w = _warps_of(reg)
-        xi = cn._sample_open(0.0, np.pi / 2, 2048)
-        from .certify import scalar_q_inequality
+        xi = _sample_open(0.0, np.pi / 2, 2048)
         q = scalar_q_inequality(w["f"], xi)
         rows = np.column_stack([xi, -1.0 - q])
         header = "xi,margin_to_bound_-1"

@@ -32,16 +32,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .certify import Grid, scalar_q_inequality
-from .curvature import BivariateFn, LocalGlue, TorusInvariant, ricci_torus_invariant
+from .certify import cap_block_margins, scalar_q_inequality
+from .curvature import LocalGlue, TorusInvariant, cap_parts
+from .curvature import make_cap_families  # noqa: F401  (kept importable from here)
 from .errors import (
     ConstructionFailure,
     DomainError,
     ParameterError,
     UnderflowError_,
 )
-from .jets import Jet, j2cos, j2sin, j2sinc, j2warp, jet_var
-from .warpfn import WarpFunction, build_cutoff, mollify_join
+from .jets import jet_var
+from .warpfn import WarpFunction, _sample_open, build_cutoff, mollify_join
 
 __all__ = [
     "ConstructionParams",
@@ -195,15 +196,6 @@ class FKappa:
     t_kappa: float = 0.0
     eps_kappa: float = 0.0
     params: ConstructionParams = field(default_factory=ConstructionParams)
-
-    def piecewise_samples(self, n_per_piece: int = 192) -> np.ndarray:
-        """Offset samples of every analytic piece of f (resolves micro-pieces)."""
-        edges = [self.f.a, *self.f.breakpoints, self.f.b]
-        out = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            h = (hi - lo) / n_per_piece
-            out.append(lo + h * (np.arange(n_per_piece) + 0.5))
-        return np.concatenate(out)
 
 
 BETA_MAX = 0.30        # pure-power drift budget; the inequality allows 3/7
@@ -587,11 +579,8 @@ def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
 
 def _per_piece_samples(f: WarpFunction, n_per_piece: int) -> np.ndarray:
     edges = [f.a, *f.breakpoints, f.b]
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        h = (hi - lo) / n_per_piece
-        out.append(lo + h * (np.arange(n_per_piece) + 0.5))
-    return np.concatenate(out)
+    return np.concatenate([_sample_open(lo, hi, n_per_piece)
+                           for lo, hi in zip(edges[:-1], edges[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -781,11 +770,6 @@ def _certify_edge_bullets(prof: EdgeProfile, pk: float, n_grid: int):
         raise ConstructionFailure("phi tail is not the exact linear function")
 
 
-def _sample_open(lo, hi, n):
-    h = (hi - lo) / n
-    return lo + h * (np.arange(n) + 0.5)
-
-
 # ---------------------------------------------------------------------------
 # glue field
 # ---------------------------------------------------------------------------
@@ -856,30 +840,6 @@ def build_glue_field(xi0: float, n: int, rho_mu: WarpFunction,
 # ---------------------------------------------------------------------------
 
 
-def make_cap_families(phi1: WarpFunction, eta_delta: WarpFunction | None,
-                      rho_cap: WarpFunction, n: int, zeta: float):
-    """(Phi, Psi, Ups) for the cap; eta_delta = None gives the part-1 family."""
-
-    def Phi_fn(g, t):
-        if eta_delta is None:
-            return j2warp(phi1, g)
-        return (1.0 - zeta) * g
-
-    def Psi_fn(g, t):
-        c = j2cos(t)
-        arg_base = j2warp(eta_delta, g) if eta_delta is not None else g
-        pref = j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
-        return pref * c * j2sinc(2.0 * arg_base * c)
-
-    def Ups_fn(g, t):
-        s = j2sin(t)
-        arg_base = j2warp(eta_delta, g) if eta_delta is not None else g
-        pref = j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
-        return pref * j2warp(rho_cap, arg_base * s) / (float(n) * arg_base)
-
-    return BivariateFn(Phi_fn, "Phi"), BivariateFn(Psi_fn, "Psi"), BivariateFn(Ups_fn, "Ups")
-
-
 @dataclass
 class ConicalCap:
     part1: TorusInvariant
@@ -941,38 +901,13 @@ def _build_rho_cap(r0: float, mu: float, n: int, kappa: float = 2.0,
     return mollify_join(rho, mu_hat, mu_hat / 4, constraints=[("d2", -1), ("monotone", +1)])
 
 
-def _cap_field(ti: TorusInvariant):
-    def fn(pts):
-        return ricci_torus_invariant(ti.Phi, ti.Psi, ti.Ups, pts[:, 0], pts[:, 1]).entries
-    return fn
-
-
-def _block_margins(entries: np.ndarray) -> np.ndarray:
-    """min of (Y1,Y2)-block eigenvalues and the Y3, Y4 diagonal entries."""
-    block = entries[:, :2, :2]
-    eig = np.linalg.eigvalsh(block)[:, 0]
-    return np.minimum(np.minimum(eig, entries[:, 2, 2]), entries[:, 3, 3])
-
-
-def _cap_certifies(r0, mu, zeta, n, n_grid=40, tol=1e-8, eps_target=None) -> bool:
-    try:
-        cap = _assemble_cap(r0, mu, zeta, n, eps_target=eps_target)
-    except (ConstructionFailure, ParameterError, UnderflowError_):
-        return False
-    return _certify_cap(cap, n_grid=n_grid, tol=tol, raise_on_fail=False)
-
-
 def _assemble_cap(r0, mu, zeta, n, eps_target=None):
     sigma_hat = r0 / 20.0
     delta = sigma_hat / 10.0
     rho_cap = _build_rho_cap(r0, mu, n, eps_target=eps_target)
     phi1 = _build_phi1(r0, zeta)
     eta_delta = _build_eta_delta(r0, sigma_hat, delta)
-    P1 = make_cap_families(phi1, None, rho_cap, n, zeta)
-    P2 = make_cap_families(phi1, eta_delta, rho_cap, n, zeta)
-    th_box = (1e-3, PIH - 1e-3)
-    part1 = TorusInvariant(*P1, box=[(r0 * 1e-3, r0), th_box])
-    part2 = TorusInvariant(*P2, box=[(r0 * 1e-3, r0 / 2), th_box])
+    part1, part2 = cap_parts(phi1, eta_delta, rho_cap, n, zeta, r0)
     return ConicalCap(part1=part1, part2=part2, phi1=phi1, eta_delta=eta_delta,
                       rho_cap=rho_cap, n=n, r0=r0, mu=mu, zeta=zeta,
                       sigma_hat=sigma_hat, delta=delta, sigma=sigma_hat - delta,
@@ -1034,26 +969,31 @@ def _interp_BC(cap: ConicalCap, s: float):
             _ComposedC(s, cap.sigma_link, cap.rho_cap, cap.n))
 
 
-def _certify_cap(cap: ConicalCap, n_grid=128, tol=1e-8, raise_on_fail=True) -> bool:
-    ok = True
-    for ti, lo_hi, tag in ((cap.part1, (cap.r0 * 1e-3, cap.r0), "part1"),
-                           (cap.part2, (cap.r0 * 1e-3, cap.r0 / 2), "part2")):
-        grid = Grid([lo_hi, (0.0, PIH)], [n_grid, n_grid])
-        pts = grid.points()
-        entries = _cap_field(ti)(pts)
-        margins = _block_margins(entries)
-        if np.min(margins) < -tol:
-            ok = False
-            if raise_on_fail:
-                i = int(np.argmin(margins))
-                raise ConstructionFailure(
-                    f"cap {tag} certification failed: min margin {margins[i]:.3e} "
-                    f"at {pts[i].tolist()}")
-    if cap_link_ricci_margin(cap) < -tol:
-        ok = False
-        if raise_on_fail:
-            raise ConstructionFailure("cap link Ricci >= (2 + zeta/100) g failed")
-    return ok
+def _cap_failure(cap: ConicalCap, parts, n_grid: int, link_grid: int | None,
+                 tol: float) -> str | None:
+    """Why the cap fails its block check on the given parts (0: part 1,
+    1: part 2; n_grid^2 points each) or, when link_grid is set, its link
+    bound; None when it passes."""
+    for i in parts:
+        _, pts, margins = cap_block_margins((cap.part1, cap.part2)[i], n_grid)
+        k = int(np.argmin(margins))
+        if not margins[k] >= -tol:
+            return (f"cap part{i + 1} certification failed: min margin "
+                    f"{margins[k]:.3e} at {pts[k].tolist()}")
+    if link_grid and not cap_link_ricci_margin(cap, link_grid) >= -tol:
+        return "cap link Ricci >= (2 + zeta/100) g failed"
+    return None
+
+
+def _cap_passes(r0, mu, zeta, n, parts, link_grid, eps_target=None) -> bool:
+    """Search predicate: the cap assembled at these constants passes
+    ``_cap_failure`` on coarse 40 x 40 probe grids; a cap that cannot be
+    assembled does not pass."""
+    try:
+        cap = _assemble_cap(r0, mu, zeta, n, eps_target=eps_target)
+        return _cap_failure(cap, parts, 40, link_grid, 1e-8) is None
+    except (ConstructionFailure, ParameterError, UnderflowError_):
+        return False
 
 
 def build_conical_cap(r0: float, mu: float, n: int,
@@ -1070,7 +1010,6 @@ def build_conical_cap(r0: float, mu: float, n: int,
     """
     if not (0 < mu < 0.1):
         raise ParameterError("mu must lie in (0, 1/10)")
-    budget_log = []
     if zeta is None:
         lo, hi = 0.0, min(0.1, r0 * r0 / 8.0)
         # find the largest zeta that still certifies with mu-headroom: the
@@ -1080,12 +1019,11 @@ def build_conical_cap(r0: float, mu: float, n: int,
         zeta = None
         for _ in range(search_budget):
             mid = 0.5 * (lo + hi)
-            if _cap_certifies(r0, mu_search, mid, n, eps_target=eps_target):
+            if _cap_passes(r0, mu_search, mid, n, (0, 1), 256, eps_target=eps_target):
                 lo = mid
                 zeta = mid
             else:
                 hi = mid
-            budget_log.append(mid)
         if zeta is None:
             raise ConstructionFailure("no certifiable zeta found for this (r0, mu, n)")
 
@@ -1101,9 +1039,9 @@ def build_conical_cap(r0: float, mu: float, n: int,
                 hi = mid
         return best
 
-    mu1 = probe(lambda m: _cap_part_certifies(r0, m, zeta, n, "part1", eps_target=eps_target))
-    mu2 = probe(lambda m: _cap_part_certifies(r0, m, zeta, n, "part2", eps_target=eps_target))
-    mu3 = probe(lambda m: _cap_link_certifies(r0, m, zeta, n, eps_target=eps_target))
+    mu1 = probe(lambda m: _cap_passes(r0, m, zeta, n, (0,), None, eps_target=eps_target))
+    mu2 = probe(lambda m: _cap_passes(r0, m, zeta, n, (1,), None, eps_target=eps_target))
+    mu3 = probe(lambda m: _cap_passes(r0, m, zeta, n, (), 96, eps_target=eps_target))
     mu0 = 0.5 * min(mu1, mu2, mu3)
     if mu >= mu0:
         raise ParameterError(
@@ -1112,7 +1050,9 @@ def build_conical_cap(r0: float, mu: float, n: int,
     cap = _assemble_cap(r0, mu, zeta, n, eps_target=eps_target)
     cap.mu0 = mu0
     cap.mu123 = (mu1, mu2, mu3)
-    _certify_cap(cap, n_grid=n_grid, tol=tol)
+    failure = _cap_failure(cap, (0, 1), n_grid, 256, tol)
+    if failure:
+        raise ConstructionFailure(failure)
     cap.params.set("zeta", zeta, f"bisection on certification, budget {search_budget}")
     cap.params.set("mu0", mu0, "half the min of the three certified mu bounds")
     cap.params.set("mu1", mu1, "bisection: part-1 certification")
@@ -1122,30 +1062,6 @@ def build_conical_cap(r0: float, mu: float, n: int,
     cap.params.set("sigma_link", cap.sigma_link, "frozen link argument sigma_hat - delta/2")
     cap.params.set("eps_cap", cap.eps_cap, "round link radius 1 - 999 zeta/1000")
     return cap
-
-
-def _cap_part_certifies(r0, mu, zeta, n, which, n_grid=40, tol=1e-8, eps_target=None):
-    try:
-        cap = _assemble_cap(r0, mu, zeta, n, eps_target=eps_target)
-    except (ConstructionFailure, ParameterError, UnderflowError_):
-        return False
-    ti = cap.part1 if which == "part1" else cap.part2
-    lo_hi = (cap.r0 * 1e-3, cap.r0 if which == "part1" else cap.r0 / 2)
-    grid = Grid([lo_hi, (0.0, PIH)], [n_grid, n_grid])
-    pts = grid.points()
-    try:
-        entries = _cap_field(ti)(pts)
-    except Exception:
-        return False
-    return bool(np.min(_block_margins(entries)) >= -tol)
-
-
-def _cap_link_certifies(r0, mu, zeta, n, tol=1e-8, eps_target=None):
-    try:
-        cap = _assemble_cap(r0, mu, zeta, n, eps_target=eps_target)
-        return cap_link_ricci_margin(cap, n_grid=96) >= -tol
-    except (ConstructionFailure, ParameterError, UnderflowError_):
-        return False
 
 
 # ---------------------------------------------------------------------------

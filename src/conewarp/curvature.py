@@ -36,7 +36,7 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-from .jets import Jet2, jet2_var_x, jet2_var_y
+from .jets import Jet2, j2cos, j2sin, j2sinc, j2warp, jet2_var_x, jet2_var_y
 from .warpfn import WarpFunction
 
 __all__ = [
@@ -48,6 +48,8 @@ __all__ = [
     "LocalGlue",
     "TorusInvariant",
     "BergerGeneral",
+    "make_cap_families",
+    "cap_parts",
     "ansatz_to_chart",
     "ricci_berger_sphere",
     "ricci_cone_berger",
@@ -239,6 +241,41 @@ class BergerGeneral:
     phi: WarpFunction
     n: int
     r_range: tuple | None = None
+
+
+def make_cap_families(phi1: WarpFunction, eta_delta: WarpFunction | None,
+                      rho_cap: WarpFunction, n: int, zeta: float):
+    """(Phi, Psi, Ups) for the cap; eta_delta = None gives the part-1 family."""
+
+    def Phi_fn(g, t):
+        if eta_delta is None:
+            return j2warp(phi1, g)
+        return (1.0 - zeta) * g
+
+    def Psi_fn(g, t):
+        c = j2cos(t)
+        arg_base = j2warp(eta_delta, g) if eta_delta is not None else g
+        pref = j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
+        return pref * c * j2sinc(2.0 * arg_base * c)
+
+    def Ups_fn(g, t):
+        s = j2sin(t)
+        arg_base = j2warp(eta_delta, g) if eta_delta is not None else g
+        pref = j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
+        return pref * j2warp(rho_cap, arg_base * s) / (float(n) * arg_base)
+
+    return BivariateFn(Phi_fn, "Phi"), BivariateFn(Psi_fn, "Psi"), BivariateFn(Ups_fn, "Ups")
+
+
+def cap_parts(phi1: WarpFunction, eta_delta: WarpFunction, rho_cap: WarpFunction,
+              n: int, zeta: float, r0: float):
+    """The cap's two families on their certified boxes: part 1 on gamma in
+    (r0/1000, r0), part 2 (with the frozen inner cone) on (r0/1000, r0/2)."""
+    th_box = (1e-3, np.pi / 2 - 1e-3)
+    return (TorusInvariant(*make_cap_families(phi1, None, rho_cap, n, zeta),
+                           box=[(r0 * 1e-3, r0), th_box]),
+            TorusInvariant(*make_cap_families(phi1, eta_delta, rho_cap, n, zeta),
+                           box=[(r0 * 1e-3, r0 / 2), th_box]))
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,6 @@ class ConditioningError(ConewarpError):
     """Finite-difference oracle rejected a nearly singular metric."""
 
 
-class AtlasError(ConewarpError):
-    """Atlas structure invalid (unmatched interface, bad region data)."""
-
-
 class NotFreeError(ConewarpError):
     """Group action has a fixed point on the unit sphere."""
 

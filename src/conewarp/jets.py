@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Jet", "Jet2", "jet_var", "jet_const", "jet2_var_x", "jet2_var_y", "jet2_const"]
+__all__ = ["Jet", "Jet2", "jet_var", "jet_const", "jet2_var_x", "jet2_var_y"]
 
 
 @dataclass
@@ -370,10 +370,6 @@ def jet2_var_y(x, y) -> Jet2:
     one = np.ones_like(v)
     z = np.zeros_like(v)
     return Jet2(v, z, one, z.copy(), z.copy(), z.copy())
-
-
-def jet2_const(c, like: Jet2) -> Jet2:
-    return _as_jet2(c, like)
 
 
 def j2sin(u: Jet2) -> Jet2:

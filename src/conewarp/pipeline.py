@@ -23,20 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import construct as cn
-from .certify import (
-    DEFAULT_TOL,
-    CertificationReport,
-    Grid,
-    certify_inequality,
-    certify_interface,
-    certify_psd,
-)
-from .curvature import (
-    ricci_berger_general,
-    ricci_cone_berger,
-    ricci_local_glue,
-    ricci_torus_invariant,
-)
+from .certify import DEFAULT_TOL, AtlasRegion, bound_report, run_checks
 from .errors import NotFreeError, ParameterError, PipelineError
 from .groups import (
     GroupDescriptor,
@@ -52,8 +39,7 @@ from .groups import (
 from .warpfn import WarpFunction
 
 __all__ = ["PipelineConfig", "SurgeryAtlas", "ResolutionRun",
-           "assemble_atlas", "run_full_resolution", "mu_floor",
-           "certify_gluing"]
+           "assemble_atlas", "run_full_resolution", "mu_floor"]
 
 
 @dataclass
@@ -92,15 +78,6 @@ def mu_floor(n: int, mu_min: float = 0.012) -> float:
         if (2.0 / mu) * abs(math.log10(eps)) <= 280.0:
             return mu
     raise ParameterError(f"no representable band exponent for n = {n}")
-
-
-@dataclass
-class AtlasRegion:
-    id: str
-    kind: str
-    description: str
-    data: dict = field(default_factory=dict)
-    warps: dict = field(default_factory=dict)   # name -> WarpFunction
 
 
 @dataclass
@@ -207,20 +184,20 @@ def assemble_atlas(group: GroupDescriptor, epsilon: float = 0.05,
     return _noncyclic_atlas(group, epsilon, cfg)
 
 
+def _certify_regions(atlas: SurgeryAtlas, cfg: PipelineConfig):
+    """Run every region check of the certification table on the atlas."""
+    atlas.reports.update(run_checks({r.id: r for r in atlas.regions},
+                                    n_1d=cfg.grid_1d, n_2d=cfg.grid_2d, tol=cfg.tol))
+
+
 def _trivial_atlas(group, epsilon, cfg) -> SurgeryAtlas:
     t0 = time.perf_counter()
     atlas = SurgeryAtlas(group=group, n=1, p=1, requested_epsilon=epsilon)
-    atlas.regions.append(AtlasRegion("flat", "euclidean",
-                                     "flat R^4; the resolution leaf"))
-    grid = Grid([(0.1, 2.0), (0.0, math.pi / 2)], [32, 32])
     lin = _linear_warp()
-    f_round = _round_warp()
-
-    def field_fn(pts):
-        return ricci_cone_berger(lin, lin, f_round, pts[:, 0], pts[:, 1]).entries
-
-    rep = certify_psd(field_fn, grid, cfg.tol, target="flat leaf Ricci = 0")
-    atlas.reports["leaf_flat"] = rep
+    atlas.regions.append(AtlasRegion("flat", "euclidean",
+                                     "flat R^4; the resolution leaf",
+                                     warps={"rho": lin, "phi": lin, "f": _round_warp()}))
+    _certify_regions(atlas, cfg)
     atlas.cone_at_infinity = {"link": "round S^3", "delta_cone": 1.0,
                               "round": True}
     atlas.wall_time = time.perf_counter() - t0
@@ -245,68 +222,30 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
                      if cfg.mu is None else "config override")
     atlas.params.set("tau", cfg.tau, "config")
 
-    # 1. base-sphere profile and its certified inequality --------------------
+    # 1. base-sphere profile; f_hat is not stored, so its inequality is
+    # certified here, per piece ------------------------------------------------
     fk = cn.build_f_kappa(n, p, tau=cfg.tau, kappa=cfg.kappa)
     atlas.params.values.update(fk.params.values)
     atlas.params.provenance.update(fk.params.provenance)
-    rep = certify_inequality(fk.f, -1.0, Grid([(0.0, math.pi / 2)], [cfg.grid_1d]),
-                             cfg.tol, target=f"f inequality <= -1 ({n},{p})")
-    atlas.reports["f_inequality_smoothed"] = rep
     wl, wr = cn._bilateral_worst_q(fk.f_hat, 256)
-    rep_hat = CertificationReport(
-        target=f"f_hat inequality <= -2 ({n},{p})",
-        grid={"per_piece": 256, "conditioning": "bilateral"},
-        tolerance=cfg.tol, min_margin=-2.0 - max(wl, wr), argmin=[],
-    )
-    rep_hat.passed = max(wl, wr) <= -2.0
-    atlas.reports["f_inequality_presmooth"] = rep_hat
+    atlas.reports["f_inequality_presmooth"] = bound_report(
+        f"f_hat inequality <= -2 ({n},{p})", max(wl, wr), -2.0,
+        grid={"per_piece": 256, "conditioning": "bilateral"})
 
     # 2. edge body -----------------------------------------------------------
     prof = cn.build_edge_profile(cfg.kappa, mu, n, fk)
     atlas.params.values.update(prof.params.values)
     atlas.params.provenance.update(prof.params.provenance)
 
-    def edge_field(pts):
-        return ricci_cone_berger(prof.rho, prof.phi, fk.f, pts[:, 0], pts[:, 1]).entries
-
-    grid2 = Grid([(0.0, prof.r_out), (0.0, math.pi / 2)], [cfg.grid_2d, cfg.grid_2d])
-    atlas.reports["edge_ricci_psd"] = certify_psd(
-        edge_field, grid2, cfg.tol, target="edge body Ricci >= 0")
-    atlas.reports["tail_exact_linear"] = _tail_identity_report(prof)
-
     # 3. glue collar -----------------------------------------------------------
     glue = cn.build_glue_field(fk.xi0, n, prof.rho)
     atlas.params.values.update(glue.params.values)
     atlas.params.provenance.update(glue.params.provenance)
-    atlas.reports["glue_mixed_bound"] = _bound_report(
+    atlas.reports["glue_mixed_bound"] = bound_report(
         "glue mixed term <= 1/100", glue.mixed_bound, 0.01)
-    atlas.reports["glue_psi_r_bound"] = _bound_report(
+    atlas.reports["glue_psi_r_bound"] = bound_report(
         "glue |psi_r/sin 2xi| <= 2 n sigma2/sigma1", glue.psi_r_bound,
         2 * n * glue.sigma2 / glue.sigma1 * (1 + 1e-12))
-
-    def glue_fn(pts):
-        return ricci_local_glue(glue.glue, pts[:, 0], pts[:, 1]).entries
-
-    half = fk.xi0 / 2
-    s1, s2 = glue.sigma1, glue.sigma2
-    ax_r = np.sort(np.concatenate([
-        cn._sample_open(0.0, half, cfg.grid_2d),
-        cn._sample_open(0.0, min(2.2 * s1, half), cfg.grid_2d // 2)]))
-    ax_x = np.sort(np.concatenate([
-        cn._sample_open(0.0, half, cfg.grid_2d),
-        cn._sample_open(0.0, min(2.2 * s2, half), cfg.grid_2d // 2)]))
-    R, X = np.meshgrid(ax_r, ax_x, indexing="ij")
-    pts = np.stack([R.ravel(), X.ravel()], axis=-1)
-    mats = glue_fn(pts)
-    eigs = np.linalg.eigvalsh(mats)
-    rep = CertificationReport(
-        target="glue collar Ricci >= 0 (refined cutoff bands)",
-        grid={"axes": [len(ax_r), len(ax_x)], "refined": True},
-        tolerance=cfg.tol, min_margin=float(np.min(eigs)),
-        argmin=pts[int(np.argmin(eigs[:, 0]))].tolist(),
-    )
-    rep.passed = rep.min_margin >= -cfg.tol
-    atlas.reports["glue_ricci_psd"] = rep
 
     # 4. conical cap and interpolation family --------------------------------
     cap = cn.build_conical_cap(cfg.r0_cap, mu, n, eps_target=prof.eps,
@@ -314,19 +253,18 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
                                search_budget=cfg.cap_search_budget)
     atlas.params.values.update(cap.params.values)
     atlas.params.provenance.update(cap.params.provenance)
-    atlas.reports["cap_blocks_psd"] = _cap_report(cap, cfg)
-    atlas.reports["cap_link_bound"] = _bound_report(
+    atlas.reports["cap_link_bound"] = bound_report(
         "cap link Ric >= (2 + zeta/100) g", -cn.cap_link_ricci_margin(cap, 256), 0.0,
         tol=cfg.tol)
     fam = cn.build_interpolation_family(cap, n_theta=cfg.grid_2d)
-    atlas.reports["family_ricci"] = _bound_report(
+    atlas.reports["family_ricci"] = bound_report(
         "interpolation family Ric >= 2 ghat", -fam.min_ricci_margin, 0.0, tol=cfg.tol)
-    atlas.reports["family_volumes"] = _bound_report(
+    atlas.reports["family_volumes"] = bound_report(
         "normalized family volumes constant", fam.vol_norm_residual, 1e-8)
-    atlas.reports["family_moser"] = _bound_report(
+    atlas.reports["family_moser"] = bound_report(
         "Moser density s-independent", fam.moser_density_residual, 1e-6)
 
-    # 5. regions, interfaces, bookkeeping -------------------------------------
+    # 5. regions and their certification, interfaces, bookkeeping --------------
     quotient = (f"residual torus action: deck translations "
                 f"(alpha, beta) -> (alpha + 2 pi/{n}, beta + 2 pi ({p}-1)/{n})")
     atlas.regions.extend([
@@ -357,10 +295,7 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
                            "eta_delta": cap.eta_delta}),
     ])
 
-    atlas.reports["iface_edge_glue"] = _edge_glue_interface(prof, glue, fk, n, cfg)
-    atlas.reports["iface_glue_product"] = _glue_product_identity(glue, prof, n, cfg)
-    atlas.reports["iface_cap_collar"] = _cap_collar_identity(cap, cfg)
-    atlas.reports["iface_cap_cone"] = _cap_inner_cone_identity(cap, cfg)
+    _certify_regions(atlas, cfg)
     atlas.interfaces.extend([
         Interface("cone_tail", "edge_body", "same chart; tails are the exact "
                   "linear functions beyond R_mu", True, "tail_exact_linear"),
@@ -399,212 +334,6 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
     return atlas
 
 
-def _bound_report(target, value, bound, tol=0.0) -> CertificationReport:
-    rep = CertificationReport(target=target, grid={}, tolerance=tol,
-                              min_margin=float(bound - value), argmin=[])
-    rep.passed = value <= bound + tol
-    rep.details["value"] = float(value)
-    rep.details["bound"] = float(bound)
-    return rep
-
-
-def _tail_identity_report(prof) -> CertificationReport:
-    r = cn._sample_open(prof.R_mu, prof.r_out, 1024)
-    lin_r = prof.c1 * (r + prof.c3)
-    lin_p = prof.c2 * (r + prof.c3)
-    dev = max(float(np.max(np.abs(prof.rho(r) - lin_r) / lin_r)),
-              float(np.max(np.abs(prof.phi(r) - lin_p) / lin_p)))
-    return _bound_report("tail region is the exact cone (closed form)", dev, 1e-12)
-
-
-def _cap_report(cap, cfg) -> CertificationReport:
-    worst = math.inf
-    arg = []
-    for ti, lo_hi, tag in ((cap.part1, (cap.r0 * 1e-3, cap.r0), "part1"),
-                           (cap.part2, (cap.r0 * 1e-3, cap.r0 / 2), "part2")):
-        grid = Grid([lo_hi, (0.0, math.pi / 2)], [cfg.grid_2d, cfg.grid_2d])
-        pts = grid.points()
-        entries = ricci_torus_invariant(ti.Phi, ti.Psi, ti.Ups,
-                                        pts[:, 0], pts[:, 1]).entries
-        m = cn._block_margins(entries)
-        i = int(np.argmin(m))
-        if m[i] < worst:
-            worst, arg = float(m[i]), [tag] + pts[i].tolist()
-    rep = CertificationReport(
-        target="cap (Y1,Y2)-block and Y3, Y4 diagonals >= 0",
-        grid={"n": cfg.grid_2d}, tolerance=cfg.tol, min_margin=worst, argmin=arg)
-    rep.passed = worst >= -cfg.tol
-    return rep
-
-
-def _edge_glue_interface(prof, glue, fk, n, cfg) -> CertificationReport:
-    """Exact identification on the overlap where the twist is fully on."""
-    from .curvature import Chart
-
-    half = fk.xi0 / 2
-
-    def edge_metric(Xp):
-        r, xi = Xp[:, 0], Xp[:, 1]
-        rv = prof.rho.jet(r).f
-        pv = prof.phi.jet(r).f
-        fv = fk.f.jet(xi).f
-        c2 = np.cos(xi) ** 2
-        g = np.zeros((Xp.shape[0], 4, 4))
-        g[:, 0, 0] = 1.0
-        g[:, 1, 1] = pv ** 2
-        g[:, 2, 2] = rv ** 2
-        g[:, 2, 3] = g[:, 3, 2] = rv ** 2 * c2
-        g[:, 3, 3] = rv ** 2 * c2 ** 2 + pv ** 2 * fv ** 2
-        return g
-
-    def glue_metric(Xp):
-        r, xi = Xp[:, 0], Xp[:, 1]
-        A = glue.glue.rho.jet(r).f / n
-        B = np.sin(2 * xi) / 2.0
-        psi = glue.glue.psi_jets(r, xi)[0]
-        g = np.zeros((Xp.shape[0], 4, 4))
-        g[:, 0, 0] = 1.0
-        g[:, 1, 1] = 1.0
-        g[:, 2, 2] = A ** 2
-        g[:, 2, 3] = g[:, 3, 2] = A ** 2 * psi
-        g[:, 3, 3] = B ** 2 + A ** 2 * psi ** 2
-        return g
-
-    chart_e = Chart([(0, half), (0, half), (0, 7), (0, 7)], edge_metric)
-    chart_g = Chart([(0, half), (0, half), (0, 7), (0, 7)], glue_metric)
-    # overlap where both cutoffs vanish: twist fully on
-    lo_r = 2.2 * glue.sigma1
-    lo_x = 2.2 * glue.sigma2
-    m = 24
-    rs = np.linspace(lo_r, half * 0.95, m)
-    xs = np.linspace(max(lo_x, half * 0.3), half * 0.95, m)
-    Rg, Xg = np.meshgrid(rs, xs, indexing="ij")
-    pts_glue = np.stack([Rg.ravel(), Xg.ravel(),
-                         np.full(m * m, 1.0), np.full(m * m, 1.0)], axis=-1)
-    pts_edge = pts_glue.copy()
-    pts_edge[:, 2] = pts_glue[:, 2] / n - pts_glue[:, 3]
-    # Jacobian d(edge)/d(glue): alpha = alpha_hat/n - beta_hat, beta = beta_hat
-    jac = np.zeros((m * m, 4, 4))
-    jac[:, 0, 0] = 1.0
-    jac[:, 1, 1] = 1.0
-    jac[:, 2, 2] = 1.0 / n
-    jac[:, 2, 3] = -1.0
-    jac[:, 3, 3] = 1.0
-    dr = np.zeros(4)
-    dr[0] = 1.0
-    return certify_interface("edge <-> glue collar", pts_edge, pts_glue,
-                             chart_e, chart_g, jac, tol=1e-9,
-                             radial_dir=(dr, dr))
-
-
-def _glue_product_identity(glue, prof, n, cfg) -> CertificationReport:
-    """In the corner the glue metric is exactly the surface product."""
-    s1, s2 = glue.sigma1, glue.sigma2
-    r = cn._sample_open(0.0, s1, 48)
-    xi = cn._sample_open(0.0, s2, 48)
-    R, X = np.meshgrid(r, xi, indexing="ij")
-    psi = glue.glue.psi_jets(R.ravel(), X.ravel())[0]
-    dev = float(np.max(np.abs(psi)))
-    return _bound_report("glue corner equals the surface product (psi = 0)", dev, 0.0,
-                         tol=1e-15)
-
-
-def _cap_collar_identity(cap, cfg) -> CertificationReport:
-    """Near gamma = r0 the cap families equal the unmodified product metric."""
-    g0 = np.linspace(0.985 * cap.r0, 0.999 * cap.r0, 16)
-    th = cn._sample_open(0.0, math.pi / 2, 64)
-    G, T = np.meshgrid(g0, th, indexing="ij")
-    P = cap.part1.Phi(G.ravel(), T.ravel())
-    S = cap.part1.Psi(G.ravel(), T.ravel())
-    U = cap.part1.Ups(G.ravel(), T.ravel())
-    jr = cap.rho_cap.jet(G.ravel() * np.sin(T.ravel()))
-    dev = max(
-        float(np.max(np.abs(P / G.ravel() - 1.0))),
-        float(np.max(np.abs(S / (np.sin(2 * G.ravel() * np.cos(T.ravel())) / 2) - 1.0))),
-        float(np.max(np.abs(U / (jr.f / cap.n) - 1.0))),
-    )
-    return _bound_report("cap collar equals the product model at gamma ~ r0",
-                         dev, 1e-8)
-
-
-def _cap_inner_cone_identity(cap, cfg) -> CertificationReport:
-    g0 = np.linspace(0.02 * cap.sigma, 0.98 * cap.sigma, 24)
-    th = cn._sample_open(0.0, math.pi / 2, 48)
-    G, T = np.meshgrid(g0, th, indexing="ij")
-    P = cap.part2.Phi(G.ravel(), T.ravel())
-    S = cap.part2.Psi(G.ravel(), T.ravel())
-    U = cap.part2.Ups(G.ravel(), T.ravel())
-    z = 1 - cap.zeta
-    sl = cap.sigma_link
-    jr = cap.rho_cap.jet(sl * np.sin(T.ravel()))
-    dev = max(
-        float(np.max(np.abs(P / (z * G.ravel()) - 1.0))),
-        float(np.max(np.abs(S / (z * G.ravel() * np.sin(2 * sl * np.cos(T.ravel())) / (2 * sl)) - 1.0))),
-        float(np.max(np.abs(U / (z * G.ravel() * jr.f / (cap.n * sl)) - 1.0))),
-    )
-    return _bound_report("cap inner ball is the exact frozen cone", dev, 1e-12)
-
-
-def certify_gluing(atlas: SurgeryAtlas, tol: float = DEFAULT_TOL) -> dict:
-    """Re-run the interface checks of a built atlas from its region data.
-
-    Exact identifications (linear tail, glue corner = surface product, cap
-    inner cone) are re-verified at their closed-form tolerances; every
-    declared interface must resolve to a report or the atlas is rejected.
-    """
-    regions = {r.id: r for r in atlas.regions}
-    out = {}
-    if "cone_tail" in regions and "edge_body" in regions:
-        d = regions["cone_tail"].data
-        e = regions["edge_body"]
-        r = np.linspace(d["R_mu"], e.data["r_out"], 1024)
-        lin_r = d["c1"] * (r + d["c3"])
-        lin_p = d["c2"] * (r + d["c3"])
-        dev = max(float(np.max(np.abs(e.warps["rho"](r) - lin_r) / lin_r)),
-                  float(np.max(np.abs(e.warps["phi"](r) - lin_p) / lin_p)))
-        out["tail_exact_linear"] = _bound_report(
-            "tail region is the exact cone (closed form)", dev, 1e-12)
-    if "glue_collar" in regions:
-        g = regions["glue_collar"]
-        from .curvature import LocalGlue
-        glue = LocalGlue(rho=g.warps["rho"], n=int(g.data["n"]),
-                         eta1=g.warps["eta1"], eta2=g.warps["eta2"],
-                         sigma1=g.data["sigma1"], sigma2=g.data["sigma2"],
-                         xi0=g.data["xi0"])
-        r = cn._sample_open(0.0, g.data["sigma1"], 48)
-        xi = cn._sample_open(0.0, g.data["sigma2"], 48)
-        R, X = np.meshgrid(r, xi, indexing="ij")
-        psi = glue.psi_jets(R.ravel(), X.ravel())[0]
-        out["iface_glue_product"] = _bound_report(
-            "glue corner equals the surface product (psi = 0)",
-            float(np.max(np.abs(psi))), 0.0, tol=1e-15)
-    if "conical_cap" in regions:
-        c = regions["conical_cap"]
-        fam2 = cn.make_cap_families(c.warps["phi1"], c.warps["eta_delta"],
-                                    c.warps["rho_cap"], int(c.data["n"]),
-                                    c.data["zeta"])
-        sigma, sl = c.data["sigma"], c.data["sigma_link"]
-        g0 = np.linspace(0.02 * sigma, 0.98 * sigma, 24)
-        th = cn._sample_open(0.0, math.pi / 2, 48)
-        G, T = np.meshgrid(g0, th, indexing="ij")
-        P = fam2[0](G.ravel(), T.ravel())
-        S = fam2[1](G.ravel(), T.ravel())
-        U = fam2[2](G.ravel(), T.ravel())
-        z = 1 - c.data["zeta"]
-        jr = c.warps["rho_cap"].jet(sl * np.sin(T.ravel()))
-        dev = max(
-            float(np.max(np.abs(P / (z * G.ravel()) - 1.0))),
-            float(np.max(np.abs(S / (z * G.ravel() * np.sin(2 * sl * np.cos(T.ravel())) / (2 * sl)) - 1.0))),
-            float(np.max(np.abs(U / (z * G.ravel() * jr.f / (int(c.data["n"]) * sl)) - 1.0))))
-        out["iface_cap_cone"] = _bound_report(
-            "cap inner ball is the exact frozen cone", dev, 1e-12)
-    for iface in atlas.interfaces:
-        if iface.report_name not in out and iface.report_name not in atlas.reports:
-            raise PipelineError(f"unmatched interface: {iface.report_name}")
-        out.setdefault(iface.report_name, atlas.reports[iface.report_name])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # non-cyclic atlas
 # ---------------------------------------------------------------------------
@@ -621,20 +350,13 @@ def _noncyclic_atlas(group, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
     prof = cn.build_general_profiles(order, mu, fk)
     atlas.params.values.update(prof.params.values)
     atlas.params.provenance.update(prof.params.provenance)
-    r = cn._sample_open(0.0, prof.r_out, 4096)
-    vals = ricci_berger_general(prof.rho, prof.phi, r)
-    worst = min(float(np.min(v)) for v in vals)
-    rep = CertificationReport(
-        target="round-base body: four diagonal Ricci values >= 0",
-        grid={"n": 4096}, tolerance=cfg.tol, min_margin=worst, argmin=[])
-    rep.passed = worst >= -cfg.tol
-    atlas.reports["body_ricci_psd"] = rep
-    atlas.reports["body_tail_exact"] = _tail_identity_report(prof)
     atlas.regions.append(AtlasRegion(
         "berger_body", "berger_general",
         "round-base Berger body over the projectivized quotient",
-        data={"order": order, "mu": mu},
+        data={"order": order, "mu": mu, "r_out": prof.r_out, "R_mu": prof.R_mu,
+              "c1": prof.c1, "c2": prof.c2, "c3": prof.c3},
         warps={"rho": prof.rho, "phi": prof.phi}))
+    _certify_regions(atlas, cfg)
 
     tree = resolution_tree(group)
     for i, child_node in enumerate(tree.children):

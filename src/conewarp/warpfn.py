@@ -179,10 +179,6 @@ class WarpFunction:
     def check_joins(self, tol: float = TOL_JOIN) -> bool:
         return all(np.all(m <= tol) for m in self.breakpoint_mismatch())
 
-    def positive_on(self, n: int = 2048, open_ends: bool = True) -> bool:
-        xs = _sample_grid(self.a, self.b, n, open_ends)
-        return bool(np.all(self.jet(xs).f > 0))
-
     # -- serialization --------------------------------------------------------
 
     def serialize(self) -> str:
@@ -233,13 +229,10 @@ class WarpFunction:
                    parity_left=pl, parity_right=pr, name=name)
 
 
-def _sample_grid(a: float, b: float, n: int, open_ends: bool) -> np.ndarray:
-    if n < 2:
-        raise DomainError("grid needs n >= 2")
-    if open_ends:
-        h = (b - a) / n
-        return a + h * (np.arange(n) + 0.5)
-    return np.linspace(a, b, n)
+def _sample_open(lo: float, hi: float, n: int) -> np.ndarray:
+    """The n cell midpoints of [lo, hi]; open sample grids never touch an end."""
+    h = (hi - lo) / n
+    return lo + h * (np.arange(n) + 0.5)
 
 
 # -- smoothsteps --------------------------------------------------------------
@@ -256,12 +249,6 @@ def smoothstep_deg9(u: ex.Expr) -> ex.Expr:
         u * u * u * u * u
         * (ex.Const(126.0) + u * (ex.Const(-420.0) + u * (ex.Const(540.0) + u * (ex.Const(-315.0) + ex.Const(70.0) * u))))
     )
-
-
-def _clamped_step(x0: float, x1: float, step_builder) -> "WarpFunction":
-    """Step function equal to 0 left of x0, 1 right of x1, monotone between."""
-    u = (ex.X - ex.Const(x0)) / ex.Const(x1 - x0)
-    return step_builder(u)
 
 
 # -- mollified joins -----------------------------------------------------------
@@ -339,7 +326,7 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=(),
                        parity_left=f.parity_left, parity_right=f.parity_right,
                        name=f.name)
 
-    xs = _sample_grid(x0 - w, x0 + w, n_check, open_ends=False)
+    xs = np.linspace(x0 - w, x0 + w, n_check)
     j = out.jet(xs)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(j.f))))
     for c in constraints:
@@ -436,9 +423,12 @@ def grid_extremum(fn, intervals, n: int, mode: str = "min", open_ends: bool = Tr
     """
     if isinstance(intervals[0], (int, float)):
         intervals = [intervals]
+    if n < 2:
+        raise DomainError("grid needs n >= 2")
     best_val, best_arg = None, None
     for (lo, hi) in intervals:
-        xs = _sample_grid(float(lo), float(hi), n, open_ends)
+        lo, hi = float(lo), float(hi)
+        xs = _sample_open(lo, hi, n) if open_ends else np.linspace(lo, hi, n)
         vals = np.asarray(fn(xs), dtype=float)
         if not np.all(np.isfinite(vals)):
             bad = xs[~np.isfinite(vals)][0]
