@@ -1,8 +1,10 @@
 """One certification layer: resolve, conewarp certify and certify_gluing
 build their reports through the same region checks."""
 
+import importlib.util
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,3 +80,29 @@ def test_margin_report_matches_sorted_loop_reference():
     assert rep.violations == [{"point": pts[i].tolist(), "value": float(margins[i])}
                               for i in viol]
     assert not rep.passed
+
+
+def _golden_module():
+    path = Path(__file__).parent / "golden" / "regen_margins.py"
+    spec = importlib.util.spec_from_file_location("regen_margins", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_margins_match_golden_file(run_513):
+    """Every margin, ledger value and warp text equals the committed golden
+    file exactly; regenerate it with tests/golden/regen_margins.py."""
+    gm = _golden_module()
+    golden = json.loads(gm.GOLDEN.read_text())
+    env = gm.environment()
+    if env != golden["environment"]:
+        pytest.skip(f"golden margins recorded on {golden['environment']}, "
+                    f"running on {env}")
+    atlases = gm.cyclic_entries(run_full_resolution(cyclic_group(2, 1, 1), 0.05, FAST),
+                                 "2,1,1")
+    atlases.update(gm.cyclic_entries(run_513, "5,1,3"))
+    atlases.update(gm.noncyclic_entry(FAST))
+    assert sorted(atlases) == sorted(golden["atlases"])
+    for name, entry in atlases.items():
+        assert entry == golden["atlases"][name], name
