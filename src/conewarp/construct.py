@@ -42,7 +42,16 @@ from .errors import (
     UnderflowError_,
 )
 from .jets import jet_var
-from .warpfn import WarpFunction, _sample_open, build_cutoff, mollify_join
+from .warpfn import (
+    ScalarJet,
+    WarpFunction,
+    _hermite_quintic_piece,
+    _sample_open,
+    build_cutoff,
+    mollify_join,
+    smoothstep_quintic,
+    smoothstep_quintic_integral,
+)
 
 __all__ = [
     "ConstructionParams",
@@ -174,12 +183,6 @@ def solve_kappa_prime(xi0: float, kappa: float, p: int, tau: float) -> KappaPrim
     return KappaPrime(log_kp, val, res)
 
 
-def _step_expr(x0: float, x1: float) -> ex.Expr:
-    """Quintic smoothstep in x, rising 0 -> 1 on [x0, x1] (expression form)."""
-    u = (ex.X - ex.Const(x0)) / ex.Const(x1 - x0)
-    return u * u * u * (ex.Const(10.0) + u * (ex.Const(-15.0) + ex.Const(6.0) * u))
-
-
 @dataclass
 class FKappa:
     f: WarpFunction            # smoothed profile (C^2)
@@ -286,7 +289,39 @@ def _integrate_descent(beta: float, xd: float, tau: float, n_grid: int = 16000):
     return xs, Ds, Dps, W
 
 
-def _right_side_pieces(p, tau, beta, c_mid, kappa_a=SEAL_KAPPA, knot_stride=80):
+@dataclass
+class _MirrorSide:
+    """Seal, drift and descent data of the mirror profile at one beta."""
+
+    c_mid: float
+    beta: float
+    kappa_a: float
+    x1: float                  # seal/drift junction in xi' = pi/2 - x
+    descent: tuple             # (xs, Ds, Dps, W) from _integrate_descent
+    Kd: float                  # drift constant exp(W(xd)) xd^beta
+    A_s: float                 # seal amplitude, from value continuity at x1
+    resid: float               # slope residual A_s kappa_a / p - 1
+
+
+def _mirror_side(p, tau, beta, c_mid, kappa_a=SEAL_KAPPA) -> _MirrorSide:
+    """The mirror side's data at one beta (structure at ``_mirror_pieces``).
+
+    The beta search reads only the slope residual, which vanishes when the
+    seal carries exactly slope -p; no expression tree is built here.
+    """
+    th_s = _seal_phase(beta, kappa_a)
+    x1 = th_s / kappa_a
+    xs, Ds, Dps, W = _integrate_descent(beta, X_DESCENT, tau)
+    xd = xs[0]
+    if x1 * 1.5 >= xd:
+        raise ConstructionFailure("seal phase leaves no room for the drift piece")
+    Kd = math.exp(W[0]) * xd ** beta
+    A_s = c_mid * Kd * math.sin(2 * x1) * x1 ** (-beta) / math.sin(th_s)
+    return _MirrorSide(c_mid, beta, kappa_a, x1, (xs, Ds, Dps, W), Kd, A_s,
+                       A_s * kappa_a / p - 1.0)
+
+
+def _mirror_pieces(m: _MirrorSide, knot_stride=80):
     """Pieces (in x) of the mirror profile carrying the slope -p at pi/2.
 
     Structure in the reflected variable xi' = pi/2 - x:
@@ -297,56 +332,21 @@ def _right_side_pieces(p, tau, beta, c_mid, kappa_a=SEAL_KAPPA, knot_stride=80):
     * descent [xd, x_end]:  c_mid sin(2 xi') exp(W(xi')) with W from the
       maximal-rate descent, realized as quintic-Hermite spline pieces in W;
     * beyond x_end the profile is exactly c_mid sin(2 xi').
-
-    Returns (pieces, seal_amplitude_residual).
     """
-    th_s = _seal_phase(beta, kappa_a)
-    x1 = th_s / kappa_a
-    xs, Ds, Dps, W = _integrate_descent(beta, X_DESCENT, tau)
-    xd, x_end = xs[0], xs[-1]
-    if x1 * 1.5 >= xd:
-        raise ConstructionFailure("seal phase leaves no room for the drift piece")
-
+    xs, Ds, Dps, W = m.descent
     xp = ex.Const(PIH) - ex.X
     sin2 = ex.sin(2.0 * ex.X)
-
-    # knots for the spline pieces (always include the taper region boundaries)
-    idx = sorted(set(list(range(0, len(xs) - 1, knot_stride)) + [len(xs) - 65, len(xs) - 1]))
-    idx = [i for i in idx if 0 <= i < len(xs)]
+    # spline knots every knot_stride steps, plus both ends of the 64-step taper
+    idx = sorted(set(range(0, len(xs) - 1, knot_stride)) | {len(xs) - 65, len(xs) - 1})
     pieces = []
-    for a_i, b_i in zip(idx[:-1], idx[1:]):
-        if b_i <= a_i:
-            continue
-        xa, xb = xs[a_i], xs[b_i]
-        h = xb - xa
-        # quintic Hermite for W on [xa, xb] in the xi' variable
-        v0, v0p, v0pp = W[a_i], -Ds[a_i], -Dps[a_i]
-        v1, v1p, v1pp = W[b_i], -Ds[b_i], -Dps[b_i]
-        a0, a1c, a2 = v0, v0p * h, 0.5 * v0pp * h * h
-        A = v1 - (a0 + a1c + a2)
-        B = v1p * h - (a1c + 2 * a2)
-        C = v1pp * h * h - 2 * a2
-        a3 = 10 * A - 4 * B + 0.5 * C
-        a4 = -15 * A + 7 * B - C
-        a5 = 6 * A - 3 * B + 0.5 * C
-        u = (xp - ex.Const(xa)) / ex.Const(h)
-        poly = ex.Const(a5)
-        for cc in (a4, a3, a2, a1c, a0):
-            poly = poly * u + ex.Const(cc)
-        pieces.append((PIH - xb, PIH - xa, ex.Const(c_mid) * sin2 * ex.exp(poly)))
-
-    # drift piece
-    Kd = math.exp(W[0]) * xd ** beta
-    drift = ex.Const(c_mid * Kd) * sin2 * xp ** (-beta)
-    pieces.append((PIH - xd, PIH - x1, drift))
-
-    # seal piece: amplitude from value continuity; records how far the end
-    # slope is from exactly -p (the beta bisection drives this to zero)
-    drift_val_x1 = c_mid * Kd * math.sin(2 * x1) * x1 ** (-beta)
-    A_s = drift_val_x1 / math.sin(th_s)
-    pieces.append((PIH - x1, PIH, ex.Const(A_s) * ex.sin(ex.Const(kappa_a) * xp)))
-    slope_residual = A_s * kappa_a / p - 1.0
-    return pieces, x_end, slope_residual
+    for a, b in zip(idx[:-1], idx[1:]):
+        W_ab = _hermite_quintic_piece(ScalarJet(W[a], -Ds[a], -Dps[a], 0.0),
+                                      ScalarJet(W[b], -Ds[b], -Dps[b], 0.0), xs[a], xs[b], xp)
+        pieces.append((PIH - xs[b], PIH - xs[a], ex.Const(m.c_mid) * sin2 * ex.exp(W_ab)))
+    pieces.append((PIH - xs[0], PIH - m.x1,
+                   ex.Const(m.c_mid * m.Kd) * sin2 * xp ** (-m.beta)))
+    pieces.append((PIH - m.x1, PIH, ex.Const(m.A_s) * ex.sin(ex.Const(m.kappa_a) * xp)))
+    return pieces
 
 
 def _left_side_pieces(xi0, kappa, tau, alpha, q_b):
@@ -359,9 +359,7 @@ def _left_side_pieces(xi0, kappa, tau, alpha, q_b):
                 (b, 2 * tau / 3, sin2 * ex.Const(q_b))]
     pow_nat = (ex.X / ex.Const(b)) ** (-alpha)
     frozen = ((tau / 2) / b) ** (-alpha)
-    ue = (ex.X - ex.Const(tau / 3)) / ex.Const(tau / 3)
-    S = ue * ue * ue * (ex.Const(10.0) + ue * (ex.Const(-15.0) + ex.Const(6.0) * ue))
-    eta = ex.Const(1.0) - S
+    eta = ex.Const(1.0) - smoothstep_quintic((ex.X - ex.Const(tau / 3)) / ex.Const(tau / 3))
     mix = pow_nat * eta + ex.Const(frozen) * (ex.Const(1.0) - eta)
     return [
         (0.0, b, ex.sin(ex.Const(kappa) * ex.X) / kappa),
@@ -453,7 +451,6 @@ def _try_build_f(n, p, tau, kappa, xi0, n_grid, params) -> FKappa:
     if p == 1:
         # mirror the left side; the middle piece spans the bridge
         pieces.append((2 * tau / 3, PIH - 2 * tau / 3, ex.Const(c_mid) * ex.sin(2.0 * ex.X)))
-        xp = ex.Const(PIH) - ex.X
         for (lo, hi, e) in left:
             pieces.append((PIH - hi, PIH - lo, _reflect_expr(e)))
         beta = 0.0
@@ -462,29 +459,34 @@ def _try_build_f(n, p, tau, kappa, xi0, n_grid, params) -> FKappa:
     else:
         # drift exponent solved so the seal amplitude carries exactly slope -p
         lo_b, hi_b = 1e-4, BETA_MAX
-        r_lo = _right_side_pieces(p, tau, lo_b, c_mid)[2]
+        r_lo = _mirror_side(p, tau, lo_b, c_mid).resid
         r_hi = None
         while hi_b > lo_b:
             try:
-                r_hi = _right_side_pieces(p, tau, hi_b, c_mid)[2]
+                r_hi = _mirror_side(p, tau, hi_b, c_mid).resid
                 break
             except ConstructionFailure:
                 hi_b *= 0.95
         if r_hi is None or r_lo > 0 or r_hi < 0:
             raise ConstructionFailure(
                 f"drift budget cannot reach slope -{p} (residuals {r_lo:.3f}, {r_hi})")
+        # an update that leaves the bracket unchanged would repeat forever
         for _ in range(80):
             mid = 0.5 * (lo_b + hi_b)
-            if _right_side_pieces(p, tau, mid, c_mid)[2] < 0:
-                lo_b = mid
+            if _mirror_side(p, tau, mid, c_mid).resid < 0:
+                bracket = (mid, hi_b)
             else:
-                hi_b = mid
+                bracket = (lo_b, mid)
+            if bracket == (lo_b, hi_b):
+                break
+            lo_b, hi_b = bracket
         beta = 0.5 * (lo_b + hi_b)
-        right, x_end_r, resid = _right_side_pieces(p, tau, beta, c_mid)
-        if abs(resid) > 1e-9:
-            raise ConstructionFailure(f"drift bisection residual too large: {resid:.2e}")
+        side = _mirror_side(p, tau, beta, c_mid)
+        if abs(side.resid) > 1e-9:
+            raise ConstructionFailure(f"drift bisection residual too large: {side.resid:.2e}")
+        x_end_r = side.descent[0][-1]
         pieces.append((2 * tau / 3, PIH - x_end_r, ex.Const(c_mid) * ex.sin(2.0 * ex.X)))
-        pieces.extend(right)
+        pieces.extend(_mirror_pieces(side))
         kp_eff = SEAL_KAPPA
     f_hat = _assemble(pieces)
 
@@ -561,20 +563,15 @@ def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
 
     Returns (worst over pieces left of pi/4, worst over pieces right of pi/4).
     """
-    fr = reflect_warp(f)
     edges = [f.a, *f.breakpoints, f.b]
-    worst_l, worst_r = -np.inf, -np.inf
+    left, right = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        if mid <= np.pi / 4:
-            xs = _sample_open(lo, hi, n_per_piece)
-            q = float(np.max(scalar_q_inequality(f, xs)))
-            worst_l = max(worst_l, q)
+        if 0.5 * (lo + hi) <= np.pi / 4:
+            left.append(_sample_open(lo, hi, n_per_piece))
         else:
-            xs = _sample_open(PIH - hi, PIH - lo, n_per_piece)
-            q = float(np.max(scalar_q_inequality(fr, xs)))
-            worst_r = max(worst_r, q)
-    return worst_l, worst_r
+            right.append(_sample_open(PIH - hi, PIH - lo, n_per_piece))
+    return (float(np.max(scalar_q_inequality(f, np.concatenate(left)))),
+            float(np.max(scalar_q_inequality(reflect_warp(f), np.concatenate(right)))))
 
 
 def _per_piece_samples(f: WarpFunction, n_per_piece: int) -> np.ndarray:
@@ -705,7 +702,8 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
     d2_scale = max(abs(jL.d2), 1e-30)
     for factor in np.linspace(1.02, 1.35, 34):
         c1_try = float(factor) * v / (c3 + tail_lo)
-        hermite = _tail_hermite(jL, tail_lo, tail_hi, c1_try, c3)
+        hermite = _hermite_quintic_piece(
+            jL, ScalarJet(c1_try * (tail_hi + c3), c1_try, 0.0, 0.0), tail_lo, tail_hi)
         xs = np.linspace(tail_lo, tail_hi, 512)
         jj = hermite.jet(jet_var(xs))
         if np.max(jj.f2) <= 1e-9 * d2_scale and np.min(jj.f1) >= -1e-9 * d1_scale:
@@ -732,12 +730,6 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
                        bump_const=A, params=params)
     _certify_edge_bullets(prof, pk, n_grid)
     return prof
-
-
-def _tail_hermite(jL, lo, hi, c1, c3):
-    from .warpfn import _hermite_quintic_piece, ScalarJet
-    rj = ScalarJet(c1 * (hi + c3), c1, 0.0, 0.0)
-    return _hermite_quintic_piece(jL, rj, lo, hi)
 
 
 def _certify_edge_bullets(prof: EdgeProfile, pk: float, n_grid: int):
@@ -865,7 +857,7 @@ def _build_phi1(r0: float, zeta: float) -> WarpFunction:
     # the blend takes the full available width: its curvature cost scales
     # like zeta / width^2 against the order-4 base curvature
     a, b = r0 / 2, 0.98 * r0
-    S = _step_expr(a, b)
+    S = smoothstep_quintic((ex.X - ex.Const(a)) / ex.Const(b - a))
     mid = ex.X * (ex.Const(1.0) - ex.Const(zeta) * (ex.Const(1.0) - S))
     return WarpFunction(0.0, r0, [a, b],
                         [ex.Const(1 - zeta) * ex.X, mid, ex.X],
@@ -874,8 +866,7 @@ def _build_phi1(r0: float, zeta: float) -> WarpFunction:
 
 def _build_eta_delta(r0: float, sigma_hat: float, delta: float) -> WarpFunction:
     u = (ex.X - ex.Const(sigma_hat - delta)) / ex.Const(delta)
-    P = u * u * u * u * (ex.Const(2.5) + u * (ex.Const(-3.0) + u))  # int of quintic step
-    mid = ex.Const(sigma_hat - delta / 2) + ex.Const(delta) * P
+    mid = ex.Const(sigma_hat - delta / 2) + ex.Const(delta) * smoothstep_quintic_integral(u)
     return WarpFunction(0.0, r0 / 2, [sigma_hat - delta, sigma_hat],
                         [ex.Const(sigma_hat - delta / 2), mid, ex.X],
                         continuity_class=2, name="eta_delta")

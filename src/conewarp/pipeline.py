@@ -271,8 +271,7 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
         AtlasRegion("cone_tail", "cone_over_berger",
                     f"exact cone r >= {prof.R_mu}: rho = c1 (r+c3), phi = c2 (r+c3)",
                     data={"R_mu": prof.R_mu, "c1": prof.c1, "c2": prof.c2,
-                          "c3": prof.c3},
-                    warps={"f": fk.f}),
+                          "c3": prof.c3}),
         AtlasRegion("edge_body", "cone_over_berger",
                     "cone over the warped Berger sphere with the edge-flattening dip",
                     data={"n": n, "p": p, "mu": mu, "eps": prof.eps,

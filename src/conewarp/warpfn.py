@@ -26,7 +26,7 @@ __all__ = [
     "check_parity",
     "grid_extremum",
     "smoothstep_quintic",
-    "smoothstep_deg9",
+    "smoothstep_quintic_integral",
     "TOL_JOIN",
     "TOL_PARITY",
 ]
@@ -147,8 +147,7 @@ class WarpFunction:
             # piece whose closed interval has x as its right end
             hits = np.where(np.isclose(self._edges[1:], x, rtol=0, atol=1e-14))[0]
             idx = int(hits[0]) if len(hits) else idx
-        j = self.pieces[idx].jet(jet_var(np.array([x])))
-        return ScalarJet(*(float(c[0]) for c in j.as_tuple()))
+        return _piece_jet(self.pieces[idx], x)
 
     def __call__(self, x):
         return self.jet(x).f
@@ -229,6 +228,15 @@ class WarpFunction:
                    parity_left=pl, parity_right=pr, name=name)
 
 
+def _piece_jet(piece: ex.Expr, x: float) -> ScalarJet:
+    """Jet of one piece at one point.  As in ``WarpFunction.jet``, steep power
+    pieces may overflow in the third derivative; here it stays inf, so a
+    parity check that reads order 3 cannot pass on it."""
+    with np.errstate(over="ignore"):
+        j = piece.jet(jet_var(np.array([x])))
+    return ScalarJet(*(float(c[0]) for c in j.as_tuple()))
+
+
 def _sample_open(lo: float, hi: float, n: int) -> np.ndarray:
     """The n cell midpoints of [lo, hi]; open sample grids never touch an end."""
     h = (hi - lo) / n
@@ -243,19 +251,19 @@ def smoothstep_quintic(u: ex.Expr) -> ex.Expr:
     return u * u * u * (ex.Const(10.0) + u * (ex.Const(-15.0) + ex.Const(6.0) * u))
 
 
-def smoothstep_deg9(u: ex.Expr) -> ex.Expr:
-    """Degree-9 step: derivative 630 u^4 (1-u)^4, so orders 1..4 vanish at ends."""
-    return (
-        u * u * u * u * u
-        * (ex.Const(126.0) + u * (ex.Const(-420.0) + u * (ex.Const(540.0) + u * (ex.Const(-315.0) + ex.Const(70.0) * u))))
-    )
+def smoothstep_quintic_integral(u: ex.Expr) -> ex.Expr:
+    """u^6 - 3u^5 + 5u^4/2: the antiderivative of smoothstep_quintic from 0."""
+    return u * u * u * u * (ex.Const(2.5) + u * (ex.Const(-3.0) + u))
 
 
 # -- mollified joins -----------------------------------------------------------
 
 
-def _hermite_quintic_piece(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float) -> ex.Expr:
-    """Quintic polynomial matching value/d1/d2 of lj at e0 and rj at e1."""
+def _hermite_quintic_piece(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float,
+                           var: ex.Expr = ex.X) -> ex.Expr:
+    """Quintic polynomial in ``var`` matching value/d1/d2 of lj at var = e0
+    and rj at var = e1 (``var`` = pi/2 - x gives a reflected piece whose
+    Horner steps share one subtree for u)."""
     w = e1 - e0
     v0, v0p, v0pp = lj.value, lj.d1 * w, lj.d2 * w * w
     v1, v1p, v1pp = rj.value, rj.d1 * w, rj.d2 * w * w
@@ -266,7 +274,7 @@ def _hermite_quintic_piece(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float) -
     a3 = 10.0 * A - 4.0 * B + 0.5 * C
     a4 = -15.0 * A + 7.0 * B - C
     a5 = 6.0 * A - 3.0 * B + 0.5 * C
-    u = (ex.X - ex.Const(e0)) / ex.Const(w)
+    u = (var - ex.Const(e0)) / ex.Const(w)
     poly = ex.Const(a5)
     for c in (a4, a3, a2, a1, a0):
         poly = poly * u + ex.Const(c)
@@ -314,9 +322,7 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=(),
             raise JoinFailure("derivative jump has the wrong sign for a convex join")
 
     e0, e1 = x0 - w, x0 + w
-    lj_edge = ScalarJet(*(float(c[0]) for c in left.jet(jet_var(np.array([e0]))).as_tuple()))
-    rj_edge = ScalarJet(*(float(c[0]) for c in right.jet(jet_var(np.array([e1]))).as_tuple()))
-    blended = _hermite_quintic_piece(lj_edge, rj_edge, e0, e1)
+    blended = _hermite_quintic_piece(_piece_jet(left, e0), _piece_jet(right, e1), e0, e1)
     new_bps = f.breakpoints[:k] + [e0, e1] + f.breakpoints[k + 1:]
     new_pieces = f.pieces[:k] + [left, blended, right] + f.pieces[k + 2:]
     # the smoothed corner is C^2; remaining corners must already be at least C^2
