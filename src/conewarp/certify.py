@@ -497,22 +497,9 @@ def _edge_glue_interface(regions, n_1d, n_2d, tol):
     glue = _local_glue(g)
     n = glue.n
     half = glue.xi0 / 2
-
-    def glue_metric(Xp):
-        r, xi = Xp[:, 0], Xp[:, 1]
-        A = glue.rho.jet(r).f / n
-        B = np.sin(2 * xi) / 2.0
-        psi = glue.psi_jets(r, xi)[0]
-        gm = np.zeros((Xp.shape[0], 4, 4))
-        gm[:, 0, 0] = 1.0
-        gm[:, 1, 1] = 1.0
-        gm[:, 2, 2] = A ** 2
-        gm[:, 2, 3] = gm[:, 3, 2] = A ** 2 * psi
-        gm[:, 3, 3] = B ** 2 + A ** 2 * psi ** 2
-        return gm
-
     chart_e = ansatz_to_chart(ConeOverBerger(e.warps["rho"], e.warps["phi"], e.warps["f"]))
-    chart_g = Chart([(0, half), (0, half), (0, 7), (0, 7)], glue_metric)
+    chart_g = Chart([(0, half), (0, half), (0, 7), (0, 7)],
+                    lambda Xp: glue.metric(Xp[:, 0], Xp[:, 1]))
     # overlap where both cutoffs vanish: twist fully on
     m = 24
     rs = np.linspace(2.2 * glue.sigma1, half * 0.95, m)

@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
     UnderflowError_,
 )
-from .jets import jet_var
+from .jets import Jet, jet_var
 from .warpfn import (
     ScalarJet,
     WarpFunction,
@@ -141,6 +141,20 @@ def tail_coefficient_log(xi0: float, tau: float, log_kappa: float) -> float:
         math.log(4 * xi0 / tau) - log_kappa)
 
 
+def _bisect(pred, lo: float, hi: float, steps: int) -> tuple:
+    """At most ``steps`` halvings of [lo, hi]: the bracket becomes (mid, hi)
+    where pred(mid) holds, else (lo, mid).  An update that leaves the bracket
+    unchanged would repeat at every later step, so the search stops there
+    with the bracket a full fixed-count loop would reach."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        bracket = (mid, hi) if pred(mid) else (lo, mid)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
+    return lo, hi
+
+
 @dataclass
 class KappaPrime:
     log_value: float
@@ -171,12 +185,7 @@ def solve_kappa_prime(xi0: float, kappa: float, p: int, tau: float) -> KappaPrim
         hi *= 2.0
         if hi > 1e9:
             raise ConstructionFailure("tail coefficient does not drop to target/p")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail_coefficient_log(xi0, tau, mid) > target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda m: tail_coefficient_log(xi0, tau, m) > target, lo, hi, 200)
     log_kp = 0.5 * (lo + hi)
     res = abs(tail_coefficient_log(xi0, tau, log_kp) - target) / max(1.0, abs(target))
     val = math.exp(log_kp) if log_kp < 700 else float("inf")
@@ -196,6 +205,7 @@ class FKappa:
     tau: float
     beta: float                # extra tilt closing the coefficient gap
     c_mid: float               # coefficient of sin(2 xi) on the middle region
+    presmooth_worst: float     # max of f_hat's inequality, 256 points per piece
     t_kappa: float = 0.0
     eps_kappa: float = 0.0
     params: ConstructionParams = field(default_factory=ConstructionParams)
@@ -219,14 +229,10 @@ def _seal_phase(beta: float, kappa_a: float) -> float:
         x = th / kappa_a
         return kappa_a / math.tan(th) - (2.0 / math.tan(2 * x) - beta / x)
     lo, hi = 3e-3, 2.9
-    if mm(lo) * mm(hi) > 0:
+    m_lo = mm(lo)
+    if m_lo * mm(hi) > 0:
         raise ConstructionFailure("no C1 seal phase for the drift exponent")
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if mm(lo) * mm(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda th: m_lo * mm(th) > 0, lo, hi, 90)
     return 0.5 * (lo + hi)
 
 
@@ -349,46 +355,24 @@ def _mirror_pieces(m: _MirrorSide, knot_stride=80):
     return pieces
 
 
-def _left_side_pieces(xi0, kappa, tau, alpha, q_b):
-    """Pieces of the profile near 0 (no extra tilt on this side)."""
+def _left_side_pieces(xi0, kappa, tau, alpha, q_b, var: ex.Expr = ex.X):
+    """Pieces of the profile near 0 (no extra tilt on this side), as
+    functions of ``var``; the intervals are in ``var``."""
     b = 2 * xi0 / kappa
-    sin2 = ex.sin(2.0 * ex.X)
+    sin2 = ex.sin(2.0 * var)
     if alpha == 0.0:
         # sin(kappa x)/kappa happens to be C^infty-compatible with q_b sin 2x
-        return [(0.0, b, ex.sin(ex.Const(kappa) * ex.X) / kappa),
+        return [(0.0, b, ex.sin(ex.Const(kappa) * var) / kappa),
                 (b, 2 * tau / 3, sin2 * ex.Const(q_b))]
-    pow_nat = (ex.X / ex.Const(b)) ** (-alpha)
+    pow_nat = (var / ex.Const(b)) ** (-alpha)
     frozen = ((tau / 2) / b) ** (-alpha)
-    eta = ex.Const(1.0) - smoothstep_quintic((ex.X - ex.Const(tau / 3)) / ex.Const(tau / 3))
+    eta = ex.Const(1.0) - smoothstep_quintic((var - ex.Const(tau / 3)) / ex.Const(tau / 3))
     mix = pow_nat * eta + ex.Const(frozen) * (ex.Const(1.0) - eta)
     return [
-        (0.0, b, ex.sin(ex.Const(kappa) * ex.X) / kappa),
+        (0.0, b, ex.sin(ex.Const(kappa) * var) / kappa),
         (b, tau / 3, sin2 * ex.Const(q_b) * pow_nat),
         (tau / 3, 2 * tau / 3, sin2 * ex.Const(q_b) * mix),
     ]
-
-
-def _reflect_expr(e):
-    """Substitute x -> pi/2 - x in an expression tree."""
-    if isinstance(e, ex.Const):
-        return e
-    if isinstance(e, ex.Var):
-        return ex.Const(PIH) - ex.X
-    if isinstance(e, ex.Add):
-        return ex.Add(_reflect_expr(e.a), _reflect_expr(e.b))
-    if isinstance(e, ex.Sub):
-        return ex.Sub(_reflect_expr(e.a), _reflect_expr(e.b))
-    if isinstance(e, ex.Mul):
-        return ex.Mul(_reflect_expr(e.a), _reflect_expr(e.b))
-    if isinstance(e, ex.Div):
-        return ex.Div(_reflect_expr(e.a), _reflect_expr(e.b))
-    if isinstance(e, ex.Neg):
-        return ex.Neg(_reflect_expr(e.a))
-    if isinstance(e, ex.Pow):
-        return ex.Pow(_reflect_expr(e.a), e.p)
-    if isinstance(e, ex.Fun):
-        return ex.Fun(e.name, _reflect_expr(e.a))
-    raise DomainError(f"cannot reflect node {type(e).__name__}")
 
 
 def _assemble(pieces) -> WarpFunction:
@@ -401,8 +385,7 @@ def _assemble(pieces) -> WarpFunction:
                         name="f_hat")
 
 
-def build_f_kappa(n: int, p: int, tau: float, kappa: float = 2.0,
-                  n_grid: int = 10_000) -> FKappa:
+def build_f_kappa(n: int, p: int, tau: float, kappa: float = 2.0) -> FKappa:
     """Base-sphere profile with f'(0) = 1, f'(pi/2) = -p, certified inequality.
 
     The pre-smoothing profile must satisfy the inequality with bound -2
@@ -425,7 +408,7 @@ def build_f_kappa(n: int, p: int, tau: float, kappa: float = 2.0,
     last_fail = ""
     for halving in range(41):
         try:
-            fk = _try_build_f(n, p, tau, kappa, xi0, n_grid, params)
+            fk = _try_build_f(n, p, tau, kappa, xi0, params)
             params.set("xi0", xi0, f"search: tau/20 halved {halving} times until the "
                                    "regional estimates hold with margin 0.5")
             params.set("xi0_halvings", halving, "search budget used")
@@ -436,7 +419,7 @@ def build_f_kappa(n: int, p: int, tau: float, kappa: float = 2.0,
     raise ConstructionFailure(f"xi0 search exhausted 40 halvings: {last_fail}")
 
 
-def _try_build_f(n, p, tau, kappa, xi0, n_grid, params) -> FKappa:
+def _try_build_f(n, p, tau, kappa, xi0, params) -> FKappa:
     aL = alpha_c1(xi0, kappa)
     if abs(aL) < 1e-15:
         aL = 0.0
@@ -451,8 +434,9 @@ def _try_build_f(n, p, tau, kappa, xi0, n_grid, params) -> FKappa:
     if p == 1:
         # mirror the left side; the middle piece spans the bridge
         pieces.append((2 * tau / 3, PIH - 2 * tau / 3, ex.Const(c_mid) * ex.sin(2.0 * ex.X)))
-        for (lo, hi, e) in left:
-            pieces.append((PIH - hi, PIH - lo, _reflect_expr(e)))
+        for (lo, hi, e) in _left_side_pieces(xi0, kappa, tau, aL, q_bL,
+                                             var=ex.Const(PIH) - ex.X):
+            pieces.append((PIH - hi, PIH - lo, e))
         beta = 0.0
         kp_eff = kappa
         x_end_r = 2 * tau / 3
@@ -470,16 +454,8 @@ def _try_build_f(n, p, tau, kappa, xi0, n_grid, params) -> FKappa:
         if r_hi is None or r_lo > 0 or r_hi < 0:
             raise ConstructionFailure(
                 f"drift budget cannot reach slope -{p} (residuals {r_lo:.3f}, {r_hi})")
-        # an update that leaves the bracket unchanged would repeat forever
-        for _ in range(80):
-            mid = 0.5 * (lo_b + hi_b)
-            if _mirror_side(p, tau, mid, c_mid).resid < 0:
-                bracket = (mid, hi_b)
-            else:
-                bracket = (lo_b, mid)
-            if bracket == (lo_b, hi_b):
-                break
-            lo_b, hi_b = bracket
+        lo_b, hi_b = _bisect(lambda b: _mirror_side(p, tau, b, c_mid).resid < 0,
+                             lo_b, hi_b, 80)
         beta = 0.5 * (lo_b + hi_b)
         side = _mirror_side(p, tau, beta, c_mid)
         if abs(side.resid) > 1e-9:
@@ -490,7 +466,7 @@ def _try_build_f(n, p, tau, kappa, xi0, n_grid, params) -> FKappa:
         kp_eff = SEAL_KAPPA
     f_hat = _assemble(pieces)
 
-    worst_left, worst_right = _bilateral_worst_q(f_hat, 192)
+    worst_left, worst_right = _bilateral_worst_q(f_hat, 256)
     if worst_left > -2.5:
         raise ConstructionFailure(
             f"pre-smoothing regional estimates failed (max {worst_left:.3f} > -2.5)")
@@ -541,19 +517,21 @@ def _try_build_f(n, p, tau, kappa, xi0, n_grid, params) -> FKappa:
                "squared branch added so Ric >= eps (t dalpha^2 + h_f) certifies")
     return FKappa(f=f, f_hat=f_hat, n=n, p=p, kappa=kappa, kappa_prime=kp,
                   kappa_prime_eff=kp_eff, xi0=xi0, tau=tau, beta=beta,
-                  c_mid=c_mid, t_kappa=t_kappa, eps_kappa=eps_kappa, params=params)
+                  c_mid=c_mid, presmooth_worst=max(worst_left, worst_right),
+                  t_kappa=t_kappa, eps_kappa=eps_kappa, params=params)
 
 
-def reflect_warp(f: WarpFunction) -> WarpFunction:
-    """The function x -> f(pi/2 - x), pieces reflected and reordered."""
-    edges = [f.a, *f.breakpoints, f.b]
-    pieces = []
-    for i, e in enumerate(f.pieces):
-        pieces.append((PIH - edges[i + 1], PIH - edges[i], _reflect_expr(e)))
-    pieces.sort(key=lambda t: t[0])
-    return WarpFunction(PIH - f.b, PIH - f.a, [hi for (_, hi, _) in pieces[:-1]],
-                        [e for (_, _, e) in pieces], continuity_class=f.continuity_class,
-                        name=f.name + "_reflected")
+class _Reflected:
+    """x -> f(pi/2 - x), evaluated through f: the odd derivatives change
+    sign, which is exact, so every value equals that of f's pieces with
+    x replaced by pi/2 - x."""
+
+    def __init__(self, f: WarpFunction):
+        self.f = f
+
+    def jet(self, x) -> Jet:
+        j = self.f.jet(PIH - np.asarray(x, dtype=float))
+        return Jet(j.f, -j.f1, j.f2, -j.f3)
 
 
 def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
@@ -571,7 +549,7 @@ def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
         else:
             right.append(_sample_open(PIH - hi, PIH - lo, n_per_piece))
     return (float(np.max(scalar_q_inequality(f, np.concatenate(left)))),
-            float(np.max(scalar_q_inequality(reflect_warp(f), np.concatenate(right)))))
+            float(np.max(scalar_q_inequality(_Reflected(f), np.concatenate(right)))))
 
 
 def _per_piece_samples(f: WarpFunction, n_per_piece: int) -> np.ndarray:
@@ -616,10 +594,7 @@ def _dip_mu_hat(kappa: float, mu: float, eps_target: float) -> float:
 
 
 def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
-                       eps_target: float | None = None,
-                       positions_kappa: float | None = None,
-                       r_out: float | None = None,
-                       n_grid: int = 4096) -> EdgeProfile:
+                       positions_kappa: float | None = None) -> EdgeProfile:
     """Radial profiles: rho dips to a thin cone, phi bends to a linear tail.
 
     rho is n sin(kappa r)/kappa near 0, then the power-law
@@ -636,14 +611,13 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
     pk = positions_kappa if positions_kappa is not None else kappa
     params = ConstructionParams()
 
-    if eps_target is None:
-        # dip depth: at most 2 mu; below the Berger-parameter bound
-        # rho/phi < sqrt(t_kappa); and small enough that the glue box mixed
-        # term stays inside the dip-curvature PSD band (the quartic cutoff
-        # second derivative against sqrt(d22 d44), certified again on grids)
-        eps_target = min(2 * mu,
-                         0.8 * kappa * math.sqrt(fk.t_kappa) / (0.1987 * n),
-                         29.5 * math.sqrt(mu) / n ** 3)
+    # dip depth: at most 2 mu; below the Berger-parameter bound
+    # rho/phi < sqrt(t_kappa); and small enough that the glue box mixed
+    # term stays inside the dip-curvature PSD band (the quartic cutoff
+    # second derivative against sqrt(d22 d44), certified again on grids)
+    eps_target = min(2 * mu,
+                     0.8 * kappa * math.sqrt(fk.t_kappa) / (0.1987 * n),
+                     29.5 * math.sqrt(mu) / n ** 3)
     mu_hat = _dip_mu_hat(kappa, mu, eps_target)
     eps = math.sin(kappa * mu_hat) ** (mu / 2)
     mu_hat_strict_log10 = (2.0 / mu) * math.log10(fk.t_kappa / (100.0 * n * kappa))
@@ -676,7 +650,7 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
     params.set("c3", c3, "C1-consistent tail offset (nominal value recorded separately)")
     params.set("c3_nominal", c3_nominal, "nominal closed form, inconsistent with C1 joins")
 
-    R_out = r_out if r_out is not None else tail_hi + 2.0
+    R_out = tail_hi + 2.0
     phi_pieces = [
         (0.0, b_lo, ex.Const(1.0)),
         (b_lo, b_hi, ex.Const(1.0) + ex.Const(A) * (ex.X - ex.Const(b_lo)) ** 4.0),
@@ -728,15 +702,15 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
                        mu_hat=mu_hat, mu_hat_strict_log10=mu_hat_strict_log10,
                        c1=c1, c2=c2, c3=c3, R_mu=tail_hi, r_out=R_out,
                        bump_const=A, params=params)
-    _certify_edge_bullets(prof, pk, n_grid)
+    _certify_edge_bullets(prof, pk)
     return prof
 
 
-def _certify_edge_bullets(prof: EdgeProfile, pk: float, n_grid: int):
+def _certify_edge_bullets(prof: EdgeProfile, pk: float):
     """The stated profile properties, checked where they are claimed."""
     rho, n, kappa, mu = prof.rho, prof.n, prof.kappa, prof.mu
     band_hi = 1.0 / (10.0 * pk)
-    xs = _sample_open(1e-6 * band_hi, band_hi, n_grid)
+    xs = _sample_open(1e-6 * band_hi, band_hi, 4096)
     # include per-piece samples so the sub-grid dip corner is also checked
     edges = [e for e in [rho.a, *rho.breakpoints, rho.b] if e <= band_hi]
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -779,18 +753,14 @@ class GlueField:
     params: ConstructionParams = field(default_factory=ConstructionParams)
 
 
-def build_glue_field(xi0: float, n: int, rho_mu: WarpFunction,
-                     sigma1: float | None = None, sigma2: float | None = None,
-                     n_grid: int = 192) -> GlueField:
+def build_glue_field(xi0: float, n: int, rho_mu: WarpFunction) -> GlueField:
     """Twist field psi and the glue ansatz on the box [0, xi0/2]^2.
 
     Certifies |psi_r / sin 2xi| <= 2 n sigma2 / sigma1 and the mixed-term
     bound <= 1/100 on an offset grid.
     """
-    s1 = sigma1 if sigma1 is not None else xi0 / 200.0
-    s2 = sigma2 if sigma2 is not None else s1 / (200.0 * n * n)
-    if not (0 < s1 < xi0 / 100.0) or not (0 < s2 < xi0 / 100.0):
-        raise ParameterError("cutoff scales must lie in (0, xi0/100)")
+    s1 = xi0 / 200.0
+    s2 = s1 / (200.0 * n * n)
     eta1 = build_cutoff(s1, 2 * s1, domain_end=xi0, name="eta_sigma1")
     eta2 = build_cutoff(s2, 2 * s2, domain_end=xi0, name="eta_sigma2")
     glue = LocalGlue(rho=rho_mu, n=n, eta1=eta1, eta2=eta2,
@@ -798,10 +768,10 @@ def build_glue_field(xi0: float, n: int, rho_mu: WarpFunction,
 
     half = xi0 / 2
     # composite axes: the cutoff windows are far below the uniform spacing
-    r = np.concatenate([_sample_open(0.0, half, n_grid),
-                        _sample_open(0.0, min(2.2 * s1, half), n_grid // 2)])
-    xi = np.concatenate([_sample_open(0.0, half, n_grid),
-                         _sample_open(0.0, min(2.2 * s2, half), n_grid // 2)])
+    r = np.concatenate([_sample_open(0.0, half, 192),
+                        _sample_open(0.0, min(2.2 * s1, half), 96)])
+    xi = np.concatenate([_sample_open(0.0, half, 192),
+                         _sample_open(0.0, min(2.2 * s2, half), 96)])
     r.sort()
     xi.sort()
     R, XI = np.meshgrid(r, xi, indexing="ij")
@@ -818,8 +788,8 @@ def build_glue_field(xi0: float, n: int, rho_mu: WarpFunction,
     if mixed_max > 0.01:
         raise ConstructionFailure(f"mixed-term bound 1/100 violated: {mixed_max:.3e}")
     params = ConstructionParams()
-    params.set("sigma1", s1, "xi0/200 unless overridden")
-    params.set("sigma2", s2, "sigma1/(200 n^2) unless overridden")
+    params.set("sigma1", s1, "xi0/200")
+    params.set("sigma2", s2, "sigma1/(200 n^2)")
     params.set("psi_r_bound", float(np.max(ratio)), "certified on grid")
     params.set("mixed_bound", mixed_max, "certified on grid against the 1/100 bound")
     return GlueField(glue=glue, sigma1=s1, sigma2=s2, xi0=xi0, n=n,
@@ -1002,37 +972,21 @@ def build_conical_cap(r0: float, mu: float, n: int,
     if not (0 < mu < 0.1):
         raise ParameterError("mu must lie in (0, 1/10)")
     if zeta is None:
-        lo, hi = 0.0, min(0.1, r0 * r0 / 8.0)
         # find the largest zeta that still certifies with mu-headroom: the
         # gate mu0 halves the admissible-mu minimum, so searching at the
         # input mu itself would always leave mu0 below it
         mu_search = min(2.2 * mu, 0.095)
-        zeta = None
-        for _ in range(search_budget):
-            mid = 0.5 * (lo + hi)
-            if _cap_passes(r0, mu_search, mid, n, (0, 1), 256, eps_target=eps_target):
-                lo = mid
-                zeta = mid
-            else:
-                hi = mid
-        if zeta is None:
+        zeta = _bisect(lambda z: _cap_passes(r0, mu_search, z, n, (0, 1), 256,
+                                             eps_target=eps_target),
+                       0.0, min(0.1, r0 * r0 / 8.0), search_budget)[0]
+        if zeta == 0.0:
             raise ConstructionFailure("no certifiable zeta found for this (r0, mu, n)")
 
-    def probe(pred):
-        lo, hi = 0.0, 0.1
-        best = 0.0
-        for _ in range(search_budget):
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                best = mid
-                lo = mid
-            else:
-                hi = mid
-        return best
-
-    mu1 = probe(lambda m: _cap_passes(r0, m, zeta, n, (0,), None, eps_target=eps_target))
-    mu2 = probe(lambda m: _cap_passes(r0, m, zeta, n, (1,), None, eps_target=eps_target))
-    mu3 = probe(lambda m: _cap_passes(r0, m, zeta, n, (), 96, eps_target=eps_target))
+    # the largest passing probe, or 0.0 when none passes
+    mu1, mu2, mu3 = (
+        _bisect(lambda m: _cap_passes(r0, m, zeta, n, parts, link, eps_target=eps_target),
+                0.0, 0.1, search_budget)[0]
+        for parts, link in (((0,), None), ((1,), None), ((), 96)))
     mu0 = 0.5 * min(mu1, mu2, mu3)
     if mu >= mu0:
         raise ParameterError(
@@ -1074,8 +1028,8 @@ class InterpolationFamily:
     params: ConstructionParams = field(default_factory=ConstructionParams)
 
 
-def build_interpolation_family(cap: ConicalCap, n_s: int = 5, n_theta: int = 128,
-                               tol: float = 1e-8) -> InterpolationFamily:
+def build_interpolation_family(cap: ConicalCap, n_s: int = 5,
+                               n_theta: int = 128) -> InterpolationFamily:
     """The link family from the frozen cap link (s=1) to the round sphere (s=0).
 
     Certifies Ric >= 2 ghat on the (s, theta) grid, volume monotonicity, the
@@ -1092,7 +1046,7 @@ def build_interpolation_family(cap: ConicalCap, n_s: int = 5, n_theta: int = 128
         m = _link_ricci_threeD(cap, s, th)
         margins.append(np.min(m - 2.0 * lam * lam))
     min_margin = float(np.min(margins))
-    if min_margin < -tol:
+    if min_margin < -1e-8:
         raise ConstructionFailure(f"interpolated link fails Ric >= 2 ghat: {min_margin:.3e}")
 
     # volumes on a fine grid (trapezoid; relative accuracy ~ (1/nf)^2)
@@ -1155,14 +1109,13 @@ def build_interpolation_family(cap: ConicalCap, n_s: int = 5, n_theta: int = 128
 # ---------------------------------------------------------------------------
 
 
-def build_general_profiles(n: int, mu: float, fk: FKappa,
-                           n_grid: int = 4096) -> EdgeProfile:
+def build_general_profiles(n: int, mu: float, fk: FKappa) -> EdgeProfile:
     """Profiles for the round-base Berger body: same shapes at unit positions.
 
     phi = 1 on (0, 1/10) and both tails exactly linear; certified through
     the round-base Ricci evaluator by the caller.
     """
-    prof = build_edge_profile(2.0, mu, n, fk, positions_kappa=1.0, n_grid=n_grid)
+    prof = build_edge_profile(2.0, mu, n, fk, positions_kappa=1.0)
     r = _sample_open(1e-4, 0.1, 512)
     if np.max(np.abs(prof.phi(r) - 1.0)) > 0.0:
         raise ConstructionFailure("phi must be identically 1 on (0, 1/10)")

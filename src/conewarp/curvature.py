@@ -207,6 +207,18 @@ class LocalGlue:
         psi_xixi = self.n * (j1.f * j2.f2 * s * s + 2.0 * j1.f * j2.f1 * s2 + 2.0 * e * c2)
         return psi, psi_r, psi_xi, psi_rr, psi_xixi
 
+    def metric(self, r, xi):
+        """The metric (N, 4, 4) in coordinates (r, xi, alpha, beta)."""
+        A = self.rho.jet(r).f / self.n
+        B = np.sin(2 * xi) / 2.0
+        psi = self.psi_jets(r, xi)[0]
+        g = np.zeros((len(r), 4, 4))
+        g[:, 0, 0] = g[:, 1, 1] = 1.0
+        g[:, 2, 2] = A ** 2
+        g[:, 2, 3] = g[:, 3, 2] = A ** 2 * psi
+        g[:, 3, 3] = B ** 2 + A ** 2 * psi ** 2
+        return g
+
 
 class BivariateFn:
     """Bivariate function built from a Jet2-level callable."""
@@ -631,16 +643,8 @@ def ansatz_to_chart(ansatz) -> Chart:
         # normalized coordinates (u, v) with r = half*u, xi = half*v keep the
         # finite-difference oracle at O(1) scale on the tiny glue box
         def metric(X):
-            r, xi = half * X[:, 0], half * X[:, 1]
-            A = glue.rho.jet(r).f / glue.n
-            B = np.sin(2 * xi) / 2.0
-            psi = glue.psi_jets(r, xi)[0]
-            g = np.zeros((X.shape[0], 4, 4))
-            g[:, 0, 0] = half ** 2
-            g[:, 1, 1] = half ** 2
-            g[:, 2, 2] = A ** 2
-            g[:, 2, 3] = g[:, 3, 2] = A ** 2 * psi
-            g[:, 3, 3] = B ** 2 + A ** 2 * psi ** 2
+            g = glue.metric(half * X[:, 0], half * X[:, 1])
+            g[:, 0, 0] = g[:, 1, 1] = half ** 2
             return g
 
         def frame(X):
@@ -698,21 +702,6 @@ def ansatz_to_chart(ansatz) -> Chart:
                      avoid=dict(ti.avoid))
 
     raise DomainError(f"no chart for ansatz {type(ansatz).__name__}")
-
-
-def dump_chart_csv(chart: Chart, grid_counts, path, tensor_fn=None):
-    """Write chart coordinates plus metric (or tensor) components as CSV."""
-    axes = [np.linspace(lo + (hi - lo) / (2 * n), hi - (hi - lo) / (2 * n), n)
-            for (lo, hi), n in zip(chart.box, grid_counts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    mats = tensor_fn(pts) if tensor_fn is not None else chart.metric_batch(pts)
-    k = mats.shape[-1]
-    cols = [pts] + [mats[:, i, j][:, None] for i in range(k) for j in range(i, k)]
-    header = ",".join([f"x{i}" for i in range(pts.shape[1])]
-                      + [f"g{i}{j}" for i in range(k) for j in range(i, k)])
-    np.savetxt(path, np.concatenate(cols, axis=1), delimiter=",",
-               header=header, comments="")
 
 
 def chart_frame_gram(chart: Chart, X) -> np.ndarray:

@@ -222,14 +222,13 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
                      if cfg.mu is None else "config override")
     atlas.params.set("tau", cfg.tau, "config")
 
-    # 1. base-sphere profile; f_hat is not stored, so its inequality is
-    # certified here, per piece ------------------------------------------------
+    # 1. base-sphere profile; f_hat is not stored, so the report carries the
+    # build's own per-piece sweep of its inequality ----------------------------
     fk = cn.build_f_kappa(n, p, tau=cfg.tau, kappa=cfg.kappa)
     atlas.params.values.update(fk.params.values)
     atlas.params.provenance.update(fk.params.provenance)
-    wl, wr = cn._bilateral_worst_q(fk.f_hat, 256)
     atlas.reports["f_inequality_presmooth"] = bound_report(
-        f"f_hat inequality <= -2 ({n},{p})", max(wl, wr), -2.0,
+        f"f_hat inequality <= -2 ({n},{p})", fk.presmooth_worst, -2.0,
         grid={"per_piece": 256, "conditioning": "bilateral"})
 
     # 2. edge body -----------------------------------------------------------

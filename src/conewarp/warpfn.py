@@ -281,8 +281,7 @@ def _hermite_quintic_piece(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float,
     return poly
 
 
-def mollify_join(f: WarpFunction, x0: float, width: float, constraints=(),
-                 n_check: int = 512) -> WarpFunction:
+def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> WarpFunction:
     """Replace the corner of ``f`` at breakpoint ``x0`` by a smooth spline.
 
     On [x0 - width, x0 + width] the function is replaced by the quintic
@@ -292,9 +291,8 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=(),
     expression objects, hence bit-identical values).  Each requested
     constraint is verified on a grid over the window:
 
-    * ``("d2", sign)``       -- sign * f'' >= -tol on the window
-    * ``("monotone", sign)`` -- sign * f' >= -tol
-    * ``("band", lo, hi)``   -- lo - tol <= f <= hi + tol
+    * ``("d2", sign)``       -- sign * f'' >= -1e-7 max(1, |f''|) on the window
+    * ``("monotone", sign)`` -- sign * f' >= -1e-7 max(1, |f'|)
 
     Large constraint families (curvature inequalities) are re-certified by the
     caller; this routine only guards the local join.
@@ -332,9 +330,7 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=(),
                        parity_left=f.parity_left, parity_right=f.parity_right,
                        name=f.name)
 
-    xs = np.linspace(x0 - w, x0 + w, n_check)
-    j = out.jet(xs)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(j.f))))
+    j = out.jet(np.linspace(x0 - w, x0 + w, 512))
     for c in constraints:
         if c[0] == "d2":
             if np.min(c[1] * j.f2) < -1e-7 * max(1.0, float(np.max(np.abs(j.f2)))):
@@ -342,10 +338,6 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=(),
         elif c[0] == "monotone":
             if np.min(c[1] * j.f1) < -1e-7 * max(1.0, float(np.max(np.abs(j.f1)))):
                 raise JoinFailure(f"monotonicity constraint violated at join {x0}")
-        elif c[0] == "band":
-            lo, hi = c[1], c[2]
-            if np.min(j.f) < lo - tol or np.max(j.f) > hi + tol:
-                raise JoinFailure(f"value band [{lo}, {hi}] violated at join {x0}")
         else:
             raise JoinFailure(f"unknown constraint {c!r}")
     return out

@@ -1,7 +1,11 @@
 """Write tests/golden/margins.json: the exact margins, ledgers and warp texts
 of a fixed set of atlases, for the golden-margin test.
 
-    PYTHONPATH=src python tests/golden/regen_margins.py
+    PYTHONPATH=src python tests/golden/regen_margins.py [--diff]
+
+With ``--diff`` it writes nothing: it prints every key whose value differs
+from the committed file (``path: committed -> recomputed``) and exits 1 if
+any does.
 
 Per atlas the file holds every report's repr(min_margin), argmin and
 passed, every ledger value's repr, and the sorted set of sha256 hashes of
@@ -14,6 +18,7 @@ margins on purpose (then list every moved key with the change).
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -75,7 +80,29 @@ def noncyclic_entry(config) -> dict:
             atlas_entry(assemble_atlas(binary_dihedral_12(), 0.05, config))}
 
 
-def main() -> int:
+def _flat(d, prefix=""):
+    """Nested dicts as {"a/b/c": leaf}."""
+    out = {}
+    for k, v in d.items():
+        if isinstance(v, dict):
+            out.update(_flat(v, f"{prefix}{k}/"))
+        else:
+            out[f"{prefix}{k}"] = v
+    return out
+
+
+def diff_keys(committed: dict, recomputed: dict) -> list:
+    """Lines ``key: committed -> recomputed`` for every differing leaf."""
+    old, new = _flat(committed), _flat(recomputed)
+    return [f"{k}: {old.get(k, '<absent>')!r} -> {new.get(k, '<absent>')!r}"
+            for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--diff", action="store_true",
+                    help="print the keys that differ from the committed file; write nothing")
+    args = ap.parse_args(argv)
     sys.path.insert(0, str(HERE.parent))
     from test_certification_layer import FAST
 
@@ -87,8 +114,13 @@ def main() -> int:
         run = run_full_resolution(cyclic_group(n, k, l), 0.05, FAST)
         atlases.update(cyclic_entries(run, f"{n},{k},{l}"))
     atlases.update(noncyclic_entry(FAST))
-    GOLDEN.write_text(json.dumps({"environment": environment(), "atlases": atlases},
-                                 indent=1, sort_keys=True) + "\n")
+    golden = {"environment": environment(), "atlases": atlases}
+    if args.diff:
+        lines = diff_keys(json.loads(GOLDEN.read_text()), golden)
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} ({len(atlases)} atlases)")
     return 0
 

@@ -15,9 +15,10 @@ from conewarp.construct import (
     build_general_profiles,
     build_glue_field,
     build_interpolation_family,
-    reflect_warp,
     solve_kappa_prime,
     _bilateral_worst_q,
+    _bisect,
+    _Reflected,
     _sample_open,
 )
 from conewarp.curvature import (
@@ -131,9 +132,31 @@ def test_solve_kappa_prime():
 
 def test_reflect_warp():
     fk = fk_for(5, 3)
-    fr = reflect_warp(fk.f)
     xs = np.linspace(0.0, math.pi / 2, 777)
-    np.testing.assert_allclose(fr(xs), fk.f(math.pi / 2 - xs), rtol=1e-12, atol=1e-300)
+    jr, j = _Reflected(fk.f).jet(xs), fk.f.jet(math.pi / 2 - xs)
+    assert np.array_equal(jr.f, j.f) and np.array_equal(jr.f1, -j.f1)
+    assert np.array_equal(jr.f2, j.f2)
+
+
+def test_bisect_equals_the_fixed_step_loop():
+    root = 1.0 / 3.0
+    for lo0, hi0, steps in ((0.0, 1.0, 80), (-2.0, 5.0, 200), (0.25, 0.5, 10)):
+        calls = []
+
+        def pred(m):
+            calls.append(m)
+            return m < root
+
+        lo, hi = lo0, hi0
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if mid < root:
+                lo = mid
+            else:
+                hi = mid
+        assert [repr(v) for v in _bisect(pred, lo0, hi0, steps)] == [repr(lo), repr(hi)]
+        # 10 halvings stay far above double resolution; 80 and 200 do not
+        assert len(calls) < steps if steps > 10 else len(calls) == steps
 
 
 # ------------------------------------------------------------------ edge profile

@@ -1,6 +1,6 @@
 """The f_kappa build computes each quantity once: the beta search reads a
-scalar residual, the inequality sweep is one call per side, and an atlas
-stores f once."""
+scalar residual, the inequality sweep is one call per side and is not
+repeated by the atlas, and an atlas stores f once."""
 
 import json
 import warnings
@@ -13,7 +13,9 @@ from conewarp import construct
 from conewarp import expr as ex
 from conewarp.certify import AtlasRegion, certify_gluing, scalar_q_inequality
 from conewarp.cli import main as cli_main
-from conewarp.construct import PIH, _bilateral_worst_q, reflect_warp
+from conewarp.construct import PIH, _bilateral_worst_q
+from conewarp.groups import cyclic_group
+from conewarp.pipeline import PipelineConfig, assemble_atlas
 from conewarp.warpfn import WarpFunction, _sample_open
 
 
@@ -27,6 +29,32 @@ def fk53():
                    lambda *a, **k: calls.append(a) or integrate(*a, **k))
         fk = construct.build_f_kappa(5, 3, 0.099)
     return fk, len(calls)
+
+
+def _reflect_expr(e):
+    """Reference: substitute x -> pi/2 - x in an expression tree."""
+    if isinstance(e, ex.Const):
+        return e
+    if isinstance(e, ex.Var):
+        return ex.Const(PIH) - ex.X
+    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        return type(e)(_reflect_expr(e.a), _reflect_expr(e.b))
+    if isinstance(e, ex.Neg):
+        return ex.Neg(_reflect_expr(e.a))
+    if isinstance(e, ex.Pow):
+        return ex.Pow(_reflect_expr(e.a), e.p)
+    if isinstance(e, ex.Fun):
+        return ex.Fun(e.name, _reflect_expr(e.a))
+    raise TypeError(f"cannot reflect node {type(e).__name__}")
+
+
+def reflect_warp(f):
+    """Reference: the function x -> f(pi/2 - x) as reflected expression trees."""
+    edges = [f.a, *f.breakpoints, f.b]
+    pieces = sorted(((PIH - edges[i + 1], PIH - edges[i], _reflect_expr(e))
+                     for i, e in enumerate(f.pieces)), key=lambda t: t[0])
+    return WarpFunction(PIH - f.b, PIH - f.a, [hi for (_, hi, _) in pieces[:-1]],
+                        [e for (_, _, e) in pieces], continuity_class=f.continuity_class)
 
 
 def _worst_q_per_piece(f, n_per_piece):
@@ -58,6 +86,32 @@ def test_beta_search_stops_when_the_bracket_stops_moving(fk53):
     fk, calls = fk53
     assert fk.p == 3 and 0.0 < fk.beta < construct.BETA_MAX
     assert calls <= 60
+
+
+def test_kappa_prime_solve_stops_when_the_bracket_stops_moving():
+    """The 200-step budget is far past double resolution of log kappa'."""
+    calls = []
+    tail = construct.tail_coefficient_log
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "tail_coefficient_log",
+                   lambda *a: calls.append(a) or tail(*a))
+        kp = construct.solve_kappa_prime(0.099 / 20, 2.0, 3, 0.099)
+    assert kp.residual <= 1e-10
+    assert len(calls) < 100
+
+
+def test_atlas_reports_the_builds_presmoothing_sweep():
+    """f_inequality_presmooth is the build's own sweep of f_hat, not a second one."""
+    sweeps = []
+    sweep = construct._bilateral_worst_q
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_bilateral_worst_q",
+                   lambda *a: sweeps.append(sweep(*a)) or sweeps[-1])
+        atlas = assemble_atlas(cyclic_group(3, 1, 2), 0.05,
+                               PipelineConfig(grid_1d=4096, grid_2d=64, cap_search_budget=8))
+    assert len(sweeps) == 2
+    rep = atlas.reports["f_inequality_presmooth"]
+    assert rep.details["value"] == max(sweeps[0]) and rep.passed
 
 
 def test_overflowing_third_derivative_is_quiet_and_stays_inf():

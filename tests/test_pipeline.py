@@ -1,7 +1,6 @@
 """Atlas assembly, resolution runs, serialization, and the CLI."""
 
 import json
-import math
 import warnings
 
 import numpy as np
@@ -168,18 +167,6 @@ def test_tree_machine_readable():
     from conewarp.groups import resolution_tree
     d = resolution_tree(cyclic_group(5, 1, 3)).as_dict()
     assert d["order"] == 5 and d["children"][0]["order"] == 3
-
-
-def test_chart_csv_dump(tmp_path):
-    from conewarp.curvature import BergerSphere, ansatz_to_chart, dump_chart_csv
-    from conewarp.warpfn import WarpFunction
-    from conewarp import expr as ex
-    f = WarpFunction(0.0, math.pi / 2, [], [ex.sin(2.0 * ex.X) / 2.0])
-    chart = ansatz_to_chart(BergerSphere(f, 1.0))
-    out = tmp_path / "chart.csv"
-    dump_chart_csv(chart, (8, 4, 4), out)
-    rows = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert rows.shape[0] == 8 * 4 * 4
 
 
 def test_certify_gluing_op():
