@@ -69,9 +69,14 @@ def cmd_resolve(args) -> int:
     run = run_full_resolution(group, epsilon=args.epsilon, config=cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    texts = {}     # first build's name -> (atlas JSON, ledger); shared atlases reuse it
     for name, atlas in run.atlases:
-        (out / f"atlas_{name}.json").write_text(atlas.to_json())
-        (out / f"params_{name}.txt").write_text(atlas.params.ledger_text())
+        first = run.reused.get(name, name)
+        if first not in texts:
+            texts[first] = (atlas.to_json(), atlas.params.ledger_text())
+        atlas_json, ledger = texts[first]
+        (out / f"atlas_{name}.json").write_text(atlas_json)
+        (out / f"params_{name}.txt").write_text(ledger)
     (out / "run_summary.txt").write_text(run.summary() + "\n")
     (out / "reports.json").write_text(json.dumps(
         {name: {k: json.loads(r.to_json()) for k, r in atlas.reports.items()}

@@ -236,38 +236,64 @@ def _seal_phase(beta: float, kappa_a: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _integrate_descent(beta: float, xd: float, tau: float, n_grid: int = 16000):
+DESCENT_STEPS = 16000  # geometric steps from X_DESCENT to 0.99 tau
+
+
+@dataclass
+class _DescentGrid:
+    """The beta-independent part of the descent: the geometric grid from xd
+    to 0.99 tau (each x the previous one times r) and 3 cot(2x) on it,
+    shared by every beta the search tries."""
+
+    x_cap: float
+    r: float
+    xs: list                   # xd, xd r, xd r^2, ...: DESCENT_STEPS + 1 values
+    cot3: list                 # 3/tan(2x) at xs[:-1]
+
+
+def _descent_grid(xd: float, tau: float) -> _DescentGrid:
+    x_cap = 0.99 * tau
+    r = (x_cap / xd) ** (1.0 / DESCENT_STEPS)
+    xs = [xd]
+    for _ in range(DESCENT_STEPS):
+        xs.append(xs[-1] * r)
+    return _DescentGrid(x_cap, r, xs, [3.0 / math.tan(2 * x) for x in xs[:-1]])
+
+
+def _integrate_descent(beta: float, grid: _DescentGrid):
     """Maximal-rate descent of the drift D from beta/xd to zero.
 
-    Integrates -D' = frac * (4/3)(slack + 3 cot(2x) D - 7/4 D^2) on a
+    Integrates -D' = frac * (4/3)(slack + 3 cot(2x) D - 7/4 D^2) on the
     geometric grid (stable through the stiff start), then a quintic taper
     once D <= D_KILL.  Returns arrays (x, D, Dp, W) with W(x) = int_x^end D,
     or raises when the descent cannot finish before 0.99 tau.
     """
-    x_cap = 0.99 * tau
-    r = (x_cap / xd) ** (1.0 / n_grid)
-    xs = [xd]
-    Ds = [beta / xd]
+    xd = grid.xs[0]
+    x_cap = grid.x_cap
+    D = beta / xd
+    Ds = [D]
     Dps = []
     taper_at = None
     prev_rate = beta / (xd * xd)   # the plateau's own descent rate: C^2 handoff
-    growth = r ** 40.0             # growth-limited ramp toward the design rate
-    for i in range(n_grid):
-        x, D = xs[-1], Ds[-1]
-        design = DESCENT_FRAC * (4.0 / 3.0) * (
-            DESCENT_SLACK + 3.0 / math.tan(2 * x) * D - 1.75 * D * D)
+    growth = grid.r ** 40.0        # growth-limited ramp toward the design rate
+    frac = DESCENT_FRAC * (4.0 / 3.0)
+    rm1 = grid.r - 1.0
+    for x, cot3 in zip(grid.xs, grid.cot3):
+        design = frac * (DESCENT_SLACK + cot3 * D - 1.75 * D * D)
         if design <= 0:
             raise ConstructionFailure(f"drift descent stalled at x={x:.5f}")
-        rate = min(design, prev_rate * growth)
+        ramp = prev_rate * growth
+        rate = ramp if ramp < design else design     # min(design, ramp), NaN alike
         prev_rate = rate
+        Dps.append(-rate)
         if D <= D_KILL:
             taper_at = (x, D, rate)
-            Dps.append(-rate)
             break
-        h = x * (r - 1.0)
-        Dps.append(-rate)
-        xs.append(x * r)
-        Ds.append(max(D - h * rate, 0.0))
+        D -= x * rm1 * rate
+        if D < 0.0:                                  # max(D, 0.0), NaN alike
+            D = 0.0
+        Ds.append(D)
+    xs = grid.xs[:len(Ds)]
     if taper_at is None:
         raise ConstructionFailure("drift descent does not finish before tau")
     # cubic Hermite taper matching the arrival slope: D from (Dk, -rate_k) to (0, 0)
@@ -309,7 +335,7 @@ class _MirrorSide:
     resid: float               # slope residual A_s kappa_a / p - 1
 
 
-def _mirror_side(p, tau, beta, c_mid, kappa_a=SEAL_KAPPA) -> _MirrorSide:
+def _mirror_side(p, beta, c_mid, grid: _DescentGrid, kappa_a=SEAL_KAPPA) -> _MirrorSide:
     """The mirror side's data at one beta (structure at ``_mirror_pieces``).
 
     The beta search reads only the slope residual, which vanishes when the
@@ -317,7 +343,7 @@ def _mirror_side(p, tau, beta, c_mid, kappa_a=SEAL_KAPPA) -> _MirrorSide:
     """
     th_s = _seal_phase(beta, kappa_a)
     x1 = th_s / kappa_a
-    xs, Ds, Dps, W = _integrate_descent(beta, X_DESCENT, tau)
+    xs, Ds, Dps, W = _integrate_descent(beta, grid)
     xd = xs[0]
     if x1 * 1.5 >= xd:
         raise ConstructionFailure("seal phase leaves no room for the drift piece")
@@ -405,7 +431,7 @@ def build_f_kappa(n: int, p: int, tau: float, kappa: float = 2.0) -> FKappa:
 
     params = ConstructionParams()
     xi0 = tau / 20.0
-    last_fail = ""
+    fails = []
     for halving in range(41):
         try:
             fk = _try_build_f(n, p, tau, kappa, xi0, params)
@@ -414,9 +440,10 @@ def build_f_kappa(n: int, p: int, tau: float, kappa: float = 2.0) -> FKappa:
             params.set("xi0_halvings", halving, "search budget used")
             return fk
         except ConstructionFailure as e:
-            last_fail = str(e)
+            fails.append(str(e))
             xi0 *= 0.5
-    raise ConstructionFailure(f"xi0 search exhausted 40 halvings: {last_fail}")
+    raise ConstructionFailure(f"xi0 search exhausted 40 halvings: first cause (at "
+                              f"xi0 = tau/20): {fails[0]}; last cause: {fails[-1]}")
 
 
 def _try_build_f(n, p, tau, kappa, xi0, params) -> FKappa:
@@ -442,22 +469,23 @@ def _try_build_f(n, p, tau, kappa, xi0, params) -> FKappa:
         x_end_r = 2 * tau / 3
     else:
         # drift exponent solved so the seal amplitude carries exactly slope -p
+        grid = _descent_grid(X_DESCENT, tau)
         lo_b, hi_b = 1e-4, BETA_MAX
-        r_lo = _mirror_side(p, tau, lo_b, c_mid).resid
+        r_lo = _mirror_side(p, lo_b, c_mid, grid).resid
         r_hi = None
         while hi_b > lo_b:
             try:
-                r_hi = _mirror_side(p, tau, hi_b, c_mid).resid
+                r_hi = _mirror_side(p, hi_b, c_mid, grid).resid
                 break
             except ConstructionFailure:
                 hi_b *= 0.95
         if r_hi is None or r_lo > 0 or r_hi < 0:
             raise ConstructionFailure(
                 f"drift budget cannot reach slope -{p} (residuals {r_lo:.3f}, {r_hi})")
-        lo_b, hi_b = _bisect(lambda b: _mirror_side(p, tau, b, c_mid).resid < 0,
+        lo_b, hi_b = _bisect(lambda b: _mirror_side(p, b, c_mid, grid).resid < 0,
                              lo_b, hi_b, 80)
         beta = 0.5 * (lo_b + hi_b)
-        side = _mirror_side(p, tau, beta, c_mid)
+        side = _mirror_side(p, beta, c_mid, grid)
         if abs(side.resid) > 1e-9:
             raise ConstructionFailure(f"drift bisection residual too large: {side.resid:.2e}")
         x_end_r = side.descent[0][-1]

@@ -30,6 +30,7 @@ from .groups import (
     ResolutionNode,
     acts_freely,
     cyclic_group,
+    element_set_key,
     generate_elements,
     normalize_cyclic,
     resolution_step,
@@ -385,6 +386,7 @@ class ResolutionRun:
     group: GroupDescriptor
     tree: ResolutionNode
     atlases: list = field(default_factory=list)      # (name, SurgeryAtlas)
+    reused: dict = field(default_factory=dict)       # name -> name of its atlas's first build
     matchings: list = field(default_factory=list)    # per-edge dicts
     wall_time: float = 0.0
 
@@ -399,7 +401,10 @@ class ResolutionRun:
                  f"({len(self.atlases)} atlases, {self.wall_time:.1f}s)"]
         lines.extend(self.tree.as_text(indent=2))
         for name, atlas in self.atlases:
-            lines.append(atlas.summary())
+            if name in self.reused:
+                lines.append(f"{name}: same atlas as {self.reused[name]}")
+            else:
+                lines.append(atlas.summary())
         for m in self.matchings:
             lines.append(f"  matching {m['edge']}: scale {m['scale']:.4e} "
                          f"residual {m['residual']:.2e} [{m['note']}]")
@@ -408,7 +413,14 @@ class ResolutionRun:
 
 def run_full_resolution(group: GroupDescriptor, epsilon: float = 0.05,
                         config: PipelineConfig | None = None) -> ResolutionRun:
-    """Resolve the whole tree: one certified atlas per node, matched edges."""
+    """Resolve the whole tree: one certified atlas per node, matched edges.
+
+    An atlas depends only on the canonical node (the normalized cyclic
+    exponents, or the element set), epsilon and the config, so identical
+    nodes of one run share the atlas of their first build; each name is
+    still listed, and ``run.reused`` names the first build.  Nothing is kept
+    past the call.
+    """
     cfg = config or PipelineConfig()
     free, witness = acts_freely(group)
     if not free:
@@ -416,13 +428,21 @@ def run_full_resolution(group: GroupDescriptor, epsilon: float = 0.05,
     t0 = time.perf_counter()
     tree = resolution_tree(group)
     run = ResolutionRun(group=group, tree=tree)
+    built = {}     # canonical node -> (name of its first build, atlas)
 
     def visit(node: ResolutionNode, name: str):
-        atlas = assemble_atlas(node.group, epsilon, cfg)
-        if not node.group.is_trivial:
+        g = node.group
+        key = (normalize_cyclic(g.n, g.k, g.l) if g.kind == "cyclic"
+               else element_set_key(generate_elements(g)))
+        if key not in built:
+            built[key] = (name, assemble_atlas(g, epsilon, cfg))
+        first, atlas = built[key]
+        if not g.is_trivial:
             # trivial leaves need no surgery: their vacuous atlas is built for
             # the matching data but not counted in the chain
             run.atlases.append((name, atlas))
+            if first != name:
+                run.reused[name] = first
         for i, child in enumerate(node.children):
             child_name = f"{name}.{i}"
             child_atlas = visit(child, child_name)

@@ -1,8 +1,9 @@
 """The f_kappa build computes each quantity once: the beta search reads a
-scalar residual, the inequality sweep is one call per side and is not
-repeated by the atlas, and an atlas stores f once."""
+scalar residual on one shared descent grid, the inequality sweep is one call
+per side and is not repeated by the atlas, and an atlas stores f once."""
 
 import json
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from conewarp import expr as ex
 from conewarp.certify import AtlasRegion, certify_gluing, scalar_q_inequality
 from conewarp.cli import main as cli_main
 from conewarp.construct import PIH, _bilateral_worst_q
+from conewarp.errors import ConstructionFailure
 from conewarp.groups import cyclic_group
 from conewarp.pipeline import PipelineConfig, assemble_atlas
 from conewarp.warpfn import WarpFunction, _sample_open
@@ -21,14 +23,95 @@ from conewarp.warpfn import WarpFunction, _sample_open
 
 @pytest.fixture(scope="module")
 def fk53():
-    """build_f_kappa(5, 3, 0.099) and the number of descent integrations it made."""
-    calls = []
+    """build_f_kappa(5, 3, 0.099), the number of descent integrations it made
+    and the number of descent grids it built."""
+    calls, grids = [], []
     integrate = construct._integrate_descent
+    descent_grid = construct._descent_grid
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "_integrate_descent",
                    lambda *a, **k: calls.append(a) or integrate(*a, **k))
+        mp.setattr(construct, "_descent_grid",
+                   lambda *a: grids.append(a) or descent_grid(*a))
         fk = construct.build_f_kappa(5, 3, 0.099)
-    return fk, len(calls)
+    return fk, len(calls), len(grids)
+
+
+def _integrate_descent_reference(beta, xd, tau, n_grid=16000):
+    """Reference: the descent loop that derives its grid at every step."""
+    D_KILL, DESCENT_SLACK, DESCENT_FRAC = (construct.D_KILL, construct.DESCENT_SLACK,
+                                           construct.DESCENT_FRAC)
+    x_cap = 0.99 * tau
+    r = (x_cap / xd) ** (1.0 / n_grid)
+    xs = [xd]
+    Ds = [beta / xd]
+    Dps = []
+    taper_at = None
+    prev_rate = beta / (xd * xd)
+    growth = r ** 40.0
+    for i in range(n_grid):
+        x, D = xs[-1], Ds[-1]
+        design = DESCENT_FRAC * (4.0 / 3.0) * (
+            DESCENT_SLACK + 3.0 / math.tan(2 * x) * D - 1.75 * D * D)
+        if design <= 0:
+            raise ConstructionFailure(f"drift descent stalled at x={x:.5f}")
+        rate = min(design, prev_rate * growth)
+        prev_rate = rate
+        if D <= D_KILL:
+            taper_at = (x, D, rate)
+            Dps.append(-rate)
+            break
+        h = x * (r - 1.0)
+        Dps.append(-rate)
+        xs.append(x * r)
+        Ds.append(max(D - h * rate, 0.0))
+    if taper_at is None:
+        raise ConstructionFailure("drift descent does not finish before tau")
+    xk, Dk, rate_k = taper_at
+    w = max(4.0 * Dk, 0.015)
+    w = min(w, x_cap - xk)
+    if w <= 2.0 * Dk:
+        raise ConstructionFailure("no room for the drift taper before tau")
+    m = 64
+    for j in range(1, m + 1):
+        u = j / m
+        h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+        h10 = u * (1.0 - u) ** 2
+        dh00 = 6.0 * u * (u - 1.0)
+        dh10 = (1.0 - u) * (1.0 - 3.0 * u)
+        xs.append(xk + w * u)
+        Ds.append(Dk * h00 - rate_k * w * h10)
+        Dps.append((Dk * dh00 - rate_k * w * dh10) / w)
+    Dps[len(xs) - m - 1] = -rate_k
+    xs = np.array(xs)
+    Ds = np.array(Ds)
+    Dps = np.array(Dps)
+    W = np.concatenate([np.cumsum((0.5 * (Ds[1:] + Ds[:-1]) * np.diff(xs))[::-1])[::-1], [0.0]])
+    return xs, Ds, Dps, W
+
+
+def _descent_or_failure(integrate, *args):
+    try:
+        return [a.tobytes() for a in integrate(*args)]
+    except ConstructionFailure as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("tau, n_finished", [(0.099, 7), (0.05, 3)])
+def test_descent_on_the_shared_grid_equals_the_per_step_loop(tau, n_finished):
+    """xs, Ds, Dps and W bit for bit, and the same failure where it fails
+    (at tau = 0.05 the larger betas run out of room before 0.99 tau; a NaN
+    drift passes through min and max and never finishes)."""
+    xd = construct.X_DESCENT
+    grid = construct._descent_grid(xd, tau)
+    betas = (1e-4, 0.03, 0.06898702692510963, 0.1111281410630468, 0.1984310081415538,
+             0.27, construct.BETA_MAX, math.nan)
+    outcomes = []
+    for beta in betas:
+        ref = _descent_or_failure(_integrate_descent_reference, beta, xd, tau)
+        assert _descent_or_failure(construct._integrate_descent, beta, grid) == ref, beta
+        outcomes.append(isinstance(ref, list))
+    assert sum(outcomes) == n_finished
 
 
 def _reflect_expr(e):
@@ -83,9 +166,21 @@ def test_bilateral_sweep_equals_per_piece_loop(fk53, which):
 
 
 def test_beta_search_stops_when_the_bracket_stops_moving(fk53):
-    fk, calls = fk53
+    fk, calls, _ = fk53
     assert fk.p == 3 and 0.0 < fk.beta < construct.BETA_MAX
     assert calls <= 60
+
+
+def test_beta_search_builds_one_descent_grid(fk53):
+    _, calls, grids = fk53
+    assert (calls, grids) == (58, 1)
+
+
+def test_exhausted_xi0_search_names_its_first_cause():
+    """At xi0 = tau/20 the (64, 27) build fails on the drift budget; later
+    halvings fail on the record-only kappa' solve, which is not the cause."""
+    with pytest.raises(ConstructionFailure, match="drift budget cannot reach slope -27"):
+        construct.build_f_kappa(64, 27, 0.099)
 
 
 def test_kappa_prime_solve_stops_when_the_bracket_stops_moving():

@@ -2,15 +2,20 @@
 
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_certification_layer import _golden_module
+from test_groups import binary_dihedral_generators
 
+from conewarp import cli, pipeline
 from conewarp.cli import main as cli_main
 from conewarp.errors import NotFreeError
-from conewarp.groups import cyclic_group, noncyclic_group
+from conewarp.groups import cyclic_group, noncyclic_group, serialize_group
 from conewarp.pipeline import (
     PipelineConfig,
+    SurgeryAtlas,
     assemble_atlas,
     mu_floor,
     run_full_resolution,
@@ -175,3 +180,68 @@ def test_certify_gluing_op():
     reports = certify_gluing(atlas)
     assert {i.report_name for i in atlas.interfaces} <= set(reports)
     assert all(r.passed for r in reports.values())
+
+
+# ------------------------------------------------------------------ node reuse
+
+
+@pytest.fixture(scope="module")
+def bd8_resolve(tmp_path_factory):
+    """conewarp resolve on the order-8 binary dihedral group, recording every
+    assemble_atlas call, the run, and every atlas serialized."""
+    tmp = tmp_path_factory.mktemp("bd8")
+    group_file = tmp / "group.txt"
+    group_file.write_text(serialize_group(noncyclic_group(binary_dihedral_generators(2))))
+    built, runs, dumped = [], [], []
+    assemble, resolve, to_json = (pipeline.assemble_atlas, cli.run_full_resolution,
+                                  SurgeryAtlas.to_json)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "assemble_atlas", lambda *a: built.append(a[0]) or assemble(*a))
+        mp.setattr(cli, "run_full_resolution",
+                   lambda *a, **k: runs.append(resolve(*a, **k)) or runs[-1])
+        mp.setattr(SurgeryAtlas, "to_json", lambda self: dumped.append(self) or to_json(self))
+        code = cli_main(["resolve", "--group-file", str(group_file), "--out", str(tmp / "run"),
+                         "--config", str(_write_cfg(tmp))])
+    return SimpleNamespace(code=code, run=runs[0], built=built, dumped=dumped, out=tmp / "run")
+
+
+def test_identical_nodes_share_one_atlas(bd8_resolve):
+    run = bd8_resolve.run
+    assert bd8_resolve.code == 0 and run.passed
+    assert len(run.atlases) == 10
+    distinct = {id(a) for _, a in run.atlases}
+    assert len(distinct) == 4
+    assert len([g for g in bd8_resolve.built if not g.is_trivial]) == 4
+    assert len(bd8_resolve.built) == 5                      # and one trivial leaf
+    atlas_of = dict(run.atlases)
+    assert len(run.reused) == 6
+    for name, first in run.reused.items():
+        assert atlas_of[name] is atlas_of[first] and first not in run.reused
+
+
+def test_shared_atlas_equals_the_golden_21_atlas(bd8_resolve):
+    """Every (2,1) node of the run carries exactly the margins, ledger and
+    warps of a resolve of cyclic:2,1,1 alone."""
+    gm = _golden_module()
+    golden = json.loads(gm.GOLDEN.read_text())
+    if gm.environment() != golden["environment"]:
+        pytest.skip(f"golden margins recorded on {golden['environment']}")
+    twos = [a for _, a in bd8_resolve.run.atlases if (a.n, a.p) == (2, 1)]
+    assert len(twos) == 3
+    for atlas in twos:
+        assert gm.atlas_entry(atlas) == golden["atlases"]["cyclic:2,1,1/node0"]
+
+
+def test_shared_atlas_is_serialized_once_and_written_per_name(bd8_resolve):
+    run, out = bd8_resolve.run, bd8_resolve.out
+    assert len(bd8_resolve.dumped) == 4
+    for name, _ in run.atlases:
+        assert (out / f"atlas_{name}.json").exists()
+    for name, first in run.reused.items():
+        for fmt in ("atlas_{}.json", "params_{}.txt"):
+            assert (out / fmt.format(name)).read_bytes() == (out / fmt.format(first)).read_bytes()
+    assert set(json.loads((out / "reports.json").read_text())) == {n for n, _ in run.atlases}
+    summary = (out / "run_summary.txt").read_text()
+    for name, first in run.reused.items():
+        assert f"\n{name}: same atlas as {first}\n" in summary
+    assert summary.count("\natlas for ") == 4
