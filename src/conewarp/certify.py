@@ -73,11 +73,6 @@ class Grid:
         if any(n < 2 for n in self.counts):
             raise DomainError("grid counts must be >= 2")
 
-    @classmethod
-    def uniform(cls, intervals, n):
-        intervals = list(intervals)
-        return cls(intervals, [n] * len(intervals))
-
     def axes(self):
         k = len(self.counts)
         flags = self.open_ends if isinstance(self.open_ends, tuple) else (self.open_ends,) * k
@@ -231,12 +226,10 @@ def certify_inequality(f: WarpFunction, bound: float, grid: Grid,
 # ---------------------------------------------------------------------------
 
 
-def closed_form_on_frame(ansatz, X: np.ndarray, scale_map=None) -> np.ndarray:
+def closed_form_on_frame(ansatz, X: np.ndarray) -> np.ndarray:
     """Closed-form Ricci entries on the chart frame at chart points X."""
     from . import curvature as cv
 
-    if scale_map is not None:
-        X = scale_map(X)
     if isinstance(ansatz, cv.BergerSphere):
         return cv.ricci_berger_sphere(ansatz.f, ansatz.t, X[:, 0]).entries
     if isinstance(ansatz, cv.ConeOverBerger):

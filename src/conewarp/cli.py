@@ -23,7 +23,7 @@ import numpy as np
 
 from .certify import AtlasRegion, Grid, recertify, scalar_q_inequality
 from .curvature import ricci_cone_berger
-from .errors import ConewarpError
+from .errors import ConewarpError, DomainError
 from .groups import (
     cyclic_group,
     deserialize_group,
@@ -100,7 +100,10 @@ def cmd_recursion(args) -> int:
 
 
 def _load_atlas(path):
-    return json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict) or "regions" not in data:
+        raise DomainError(f"{path} is not an atlas file: no 'regions' key")
+    return data
 
 
 def cmd_certify(args) -> int:
@@ -116,6 +119,9 @@ def cmd_certify(args) -> int:
 
 def cmd_plot_data(args) -> int:
     regions = {r["id"]: r for r in _load_atlas(args.atlas)["regions"]}
+    if "edge_body" not in regions:
+        raise DomainError(f"{args.atlas} has no 'edge_body' region; plot-data reads "
+                          "the edge body of a cyclic atlas")
     edge = AtlasRegion.from_json(regions["edge_body"])
     w, r_out = edge.warps, edge.data["r_out"]
     out = Path(args.out)

@@ -58,7 +58,6 @@ __all__ = [
     "ricci_local_glue_display",
     "ricci_torus_invariant",
     "ricci_berger_general",
-    "ricci_finite_difference",
     "ricci_fd_batch",
     "frame_project",
 ]
@@ -81,9 +80,6 @@ class RicciFrame:
             raise ChartError("Ricci frame matrix must be exactly symmetric")
         self.entries = e
 
-    def matrix(self):
-        return self.entries
-
 
 @dataclass
 class Chart:
@@ -97,17 +93,12 @@ class Chart:
     box: list
     metric_batch: callable
     frame_batch: callable | None = None
-    labels: tuple = ()
     name: str = ""
-    gram_identity: bool = False  # True when the declared frame is orthonormal
     avoid: dict = field(default_factory=dict)  # coord index -> piece junctions
 
     @property
     def dim(self):
         return len(self.box)
-
-    def metric(self, x):
-        return self.metric_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def interior_samples(self, n: int, rng=None, margin: float = 0.15,
                          clearance: float = 5e-3):
@@ -552,7 +543,7 @@ def ansatz_to_chart(ansatz) -> Chart:
 
         eps = 0.05 * (f.b - f.a)
         return Chart([(f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
-                     metric, frame, labels=("U", "X", "Y"), name="berger_sphere",
+                     metric, frame, name="berger_sphere",
                      avoid={0: list(f.breakpoints)})
 
     if isinstance(ansatz, (ConeOverBerger, BergerGeneral)):
@@ -593,8 +584,7 @@ def ansatz_to_chart(ansatz) -> Chart:
         rr = ansatz.r_range or (rho.a + 0.05 * (rho.b - rho.a), rho.b - 0.05 * (rho.b - rho.a))
         eps = 0.05 * (f.b - f.a)
         return Chart([rr, (f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
-                     metric, frame, labels=("dr", "U", "X", "Y"),
-                     name="berger_general" if general else "cone_over_berger",
+                     metric, frame, name="berger_general" if general else "cone_over_berger",
                      avoid={0: list(rho.breakpoints) + list(phi.breakpoints),
                             1: list(f.breakpoints)})
 
@@ -633,7 +623,7 @@ def ansatz_to_chart(ansatz) -> Chart:
         box = [rr] + [(0.4, 2.6)] * (m + n)
         if m >= 2:
             box[1] = (0.5, 2.5)
-        return Chart(box, metric, frame, labels=("dr", "Sm", "Sn"), name="double_warp",
+        return Chart(box, metric, frame, name="double_warp",
                      avoid={0: list(varphi.breakpoints) + list(phi.breakpoints)})
 
     if isinstance(ansatz, LocalGlue):
@@ -664,8 +654,7 @@ def ansatz_to_chart(ansatz) -> Chart:
         lines0 = [t / half for t in list(glue.rho.breakpoints) + list(glue.eta1.breakpoints) if t < glue.xi0 / 2]
         lines1 = [t / half for t in glue.eta2.breakpoints if t < glue.xi0 / 2]
         return Chart([(0.02, 0.98), (0.02, 0.98), (0.1, 6.0), (0.1, 6.0)],
-                     metric, frame, labels=("X1", "X2", "X3", "X4"),
-                     name="local_glue", gram_identity=True,
+                     metric, frame, name="local_glue",
                      avoid={0: lines0, 1: lines1})
 
     if isinstance(ansatz, TorusInvariant):
@@ -697,20 +686,10 @@ def ansatz_to_chart(ansatz) -> Chart:
             return fr
 
         return Chart(list(ti.box) + [(0.1, 1.4), (0.1, 1.4)],
-                     metric, frame, labels=("Y1", "Y2", "Y3", "Y4"),
-                     name="torus_invariant", gram_identity=True,
+                     metric, frame, name="torus_invariant",
                      avoid=dict(ti.avoid))
 
     raise DomainError(f"no chart for ansatz {type(ansatz).__name__}")
-
-
-def chart_frame_gram(chart: Chart, X) -> np.ndarray:
-    """Gram matrix of the declared frame under the chart metric."""
-    if chart.frame_batch is None:
-        raise ChartError("chart has no declared frame")
-    g = chart.metric_batch(X)
-    fr = chart.frame_batch(X)
-    return np.einsum("nia,nab,njb->nij", fr, g, fr)
 
 
 # ---------------------------------------------------------------------------
@@ -781,17 +760,3 @@ def ricci_fd_batch(chart: Chart, X: np.ndarray, h: float) -> np.ndarray:
            + np.einsum("nkkl,nlij->nij", Gam0, Gam0)
            - np.einsum("nkil,nlkj->nij", Gam0, Gam0))
     return 0.5 * (ric + ric.transpose(0, 2, 1))
-
-
-def ricci_finite_difference(chart: Chart, x, h: float = 1e-3,
-                            richardson: bool = False) -> np.ndarray:
-    """Coordinate Ricci at a single point; optional Richardson extrapolation."""
-    x = np.asarray(x, dtype=float)
-    for (lo, hi), xi in zip(chart.box, x):
-        if not (lo - 2 * h <= xi <= hi + 2 * h):
-            raise DomainError(f"point {x} not inside chart box with 2h margin")
-    r_h = ricci_fd_batch(chart, x[None, :], h)[0]
-    if not richardson:
-        return r_h
-    r_h2 = ricci_fd_batch(chart, x[None, :], h / 2)[0]
-    return (4.0 * r_h2 - r_h) / 3.0

@@ -320,6 +320,12 @@ class _Parser:
     def unary(self):
         if self.peek() == ("op", "-"):
             self.next()
+            # "-c" is how Const writes a negative constant: it reads back as
+            # that constant, unless a power binds to c first
+            kind, val = self.peek()
+            if kind == "num" and self.toks[self.i + 1] != ("op", "^"):
+                self.next()
+                return Const(-val)
             return Neg(self.unary())
         return self.power()
 

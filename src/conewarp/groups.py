@@ -107,7 +107,7 @@ def _round_key(mat: np.ndarray) -> tuple:
     return tuple(r.ravel()) + tuple(i.ravel())
 
 
-def generate_elements(desc: GroupDescriptor, max_order: int = MAX_BRUTE_ORDER):
+def generate_elements(desc: GroupDescriptor):
     """All elements by closure of the generator set (BFS)."""
     if desc.kind == "cyclic":
         if desc.n == 1:
@@ -124,8 +124,9 @@ def generate_elements(desc: GroupDescriptor, max_order: int = MAX_BRUTE_ORDER):
                 b = a @ g
                 key = _round_key(b)
                 if key not in seen:
-                    if len(seen) >= max_order:
-                        raise DomainError(f"group order exceeds brute-force cap {max_order}")
+                    if len(seen) >= MAX_BRUTE_ORDER:
+                        raise DomainError(
+                            f"group order exceeds brute-force cap {MAX_BRUTE_ORDER}")
                     seen[key] = b
                     nxt.append(b)
         frontier = nxt
@@ -221,23 +222,12 @@ class ResolutionNode:
             return self.group.n
         return len(generate_elements(self.group))
 
-    def depth(self):
-        return 1 + max((c.depth() for c in self.children), default=0)
-
-    def count(self):
-        return 1 + sum(c.count() for c in self.children)
-
     def as_text(self, indent=0):
         lines = [" " * indent + f"- {self.group.name()} (order {self.order()})"
                  + (f"  [{self.note}]" if self.note else "")]
         for c in self.children:
             lines.extend(c.as_text(indent + 2))
         return lines
-
-    def as_dict(self):
-        return {"group": self.group.name(), "order": self.order(),
-                "note": self.note,
-                "children": [c.as_dict() for c in self.children]}
 
 
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -226,21 +226,18 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
     # 1. base-sphere profile; f_hat is not stored, so the report carries the
     # build's own per-piece sweep of its inequality ----------------------------
     fk = cn.build_f_kappa(n, p, tau=cfg.tau, kappa=cfg.kappa)
-    atlas.params.values.update(fk.params.values)
-    atlas.params.provenance.update(fk.params.provenance)
+    atlas.params.merge(fk.params)
     atlas.reports["f_inequality_presmooth"] = bound_report(
         f"f_hat inequality <= -2 ({n},{p})", fk.presmooth_worst, -2.0,
         grid={"per_piece": 256, "conditioning": "bilateral"})
 
     # 2. edge body -----------------------------------------------------------
     prof = cn.build_edge_profile(cfg.kappa, mu, n, fk)
-    atlas.params.values.update(prof.params.values)
-    atlas.params.provenance.update(prof.params.provenance)
+    atlas.params.merge(prof.params)
 
     # 3. glue collar -----------------------------------------------------------
     glue = cn.build_glue_field(fk.xi0, n, prof.rho)
-    atlas.params.values.update(glue.params.values)
-    atlas.params.provenance.update(glue.params.provenance)
+    atlas.params.merge(glue.params)
     atlas.reports["glue_mixed_bound"] = bound_report(
         "glue mixed term <= 1/100", glue.mixed_bound, 0.01)
     atlas.reports["glue_psi_r_bound"] = bound_report(
@@ -249,10 +246,8 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
 
     # 4. conical cap and interpolation family --------------------------------
     cap = cn.build_conical_cap(cfg.r0_cap, mu, n, eps_target=prof.eps,
-                               n_grid=cfg.grid_2d, tol=cfg.tol,
                                search_budget=cfg.cap_search_budget)
-    atlas.params.values.update(cap.params.values)
-    atlas.params.provenance.update(cap.params.provenance)
+    atlas.params.merge(cap.params)
     atlas.reports["cap_link_bound"] = bound_report(
         "cap link Ric >= (2 + zeta/100) g", -cn.cap_link_ricci_margin(cap, 256), 0.0,
         tol=cfg.tol)
@@ -347,8 +342,7 @@ def _noncyclic_atlas(group, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
     # round-base Berger body over the projectivized quotient
     fk = cn.build_f_kappa(2, 1, tau=cfg.tau)   # round base profile data
     prof = cn.build_general_profiles(order, mu, fk)
-    atlas.params.values.update(prof.params.values)
-    atlas.params.provenance.update(prof.params.provenance)
+    atlas.params.merge(prof.params)
     atlas.regions.append(AtlasRegion(
         "berger_body", "berger_general",
         "round-base Berger body over the projectivized quotient",

@@ -3,9 +3,9 @@
 A :class:`WarpFunction` is an ordered list of expression-tree pieces on a
 closed interval.  It knows how to evaluate jets (value through third
 derivative), check the boundary parity conditions that make warped metrics
-close smoothly, blend away corners with polynomial smoothsteps, and report
-grid extrema.  Everything is immutable after construction and vectorized
-over numpy arrays.
+close smoothly, and blend away corners with polynomial smoothsteps.
+Everything is immutable after construction and vectorized over numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "mollify_join",
     "build_cutoff",
     "check_parity",
-    "grid_extremum",
     "smoothstep_quintic",
     "smoothstep_quintic_integral",
     "TOL_JOIN",
@@ -108,8 +107,9 @@ class WarpFunction:
         idx = self.piece_index(x)
         out = [np.empty_like(x) for _ in range(4)]
         # steep power pieces overflow in the (unused) third derivative at
-        # extreme arguments; the saturation below keeps orders <= 2 strict
-        with np.errstate(over="ignore", invalid="ignore"):
+        # extreme arguments; the saturation below keeps orders <= 2 strict,
+        # and a pole in orders <= 2 raises SingularityError there
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i, piece in enumerate(self.pieces):
                 mask = idx == i
                 if not np.any(mask):
@@ -129,16 +129,6 @@ class WarpFunction:
             out[3] = np.where(bad3, 0.0, out[3])
         return Jet(*out)
 
-    def eval_jet(self, x: float, order: int = 3) -> ScalarJet:
-        """Jet at a single point; derivatives above ``order`` are zeroed."""
-        if order < 0:
-            raise DomainError("order must be >= 0")
-        j = self.jet(np.array([float(x)]))
-        vals = [float(c[0]) for c in j.as_tuple()]
-        for k in range(order + 1, 4):
-            vals[k] = 0.0
-        return ScalarJet(*vals)
-
     def eval_jet_onesided(self, x: float, side: str) -> ScalarJet:
         """Jet using the piece to the given side of a junction point."""
         x = float(x)
@@ -151,12 +141,6 @@ class WarpFunction:
 
     def __call__(self, x):
         return self.jet(x).f
-
-    def d1(self, x):
-        return self.jet(x).f1
-
-    def d2(self, x):
-        return self.jet(x).f2
 
     # -- structural checks ---------------------------------------------------
 
@@ -198,15 +182,21 @@ class WarpFunction:
 
     @classmethod
     def deserialize(cls, text: str) -> "WarpFunction":
+        """Parse ``serialize`` output.  Raises DomainError on a version other
+        than ``warpfn v1``, an unknown key, or piece spans that do not chain
+        from the domain's start to its end."""
         a = b = None
         cont, pl, pr, name = 2, None, None, ""
         edges, pieces = [], []
         for raw in text.splitlines():
             line = raw.strip()
-            if not line or line.startswith("#") or line == "warpfn v1":
+            if not line or line.startswith("#"):
                 continue
             key, _, rest = line.partition(" ")
-            if key == "name":
+            if key == "warpfn":
+                if rest.strip() != "v1":
+                    raise DomainError(f"unsupported warpfn version {rest.strip()!r}")
+            elif key == "name":
                 name = rest.strip()
             elif key == "domain":
                 a, b = (float(v) for v in rest.split())
@@ -221,8 +211,13 @@ class WarpFunction:
                 lo, hi = (float(v) for v in span.split())
                 edges.append((lo, hi))
                 pieces.append(ex.parse_expr(body))
+            else:
+                raise DomainError(f"unknown warpfn key {key!r}")
         if a is None or not pieces:
             raise DomainError("malformed warpfn text")
+        ends = [a] + [hi for (lo, hi) in edges]
+        if [lo for (lo, hi) in edges] != ends[:-1] or ends[-1] != b:
+            raise DomainError(f"piece spans {edges} do not chain from {a!r} to {b!r}")
         bps = [hi for (lo, hi) in edges[:-1]]
         return cls(a, b, bps, pieces, continuity_class=cont,
                    parity_left=pl, parity_right=pr, name=name)
@@ -408,30 +403,3 @@ def check_parity(f: WarpFunction, endpoint: str, tag: str, max_order: int = 3,
     rep.checked_orders = orders
     rep.passed = all(abs(vals[k]) <= tol for k in orders)
     return rep
-
-
-# -- grid extrema ----------------------------------------------------------------
-
-
-def grid_extremum(fn, intervals, n: int, mode: str = "min", open_ends: bool = True):
-    """Extremum of a point function over uniform grids on the given intervals.
-
-    ``fn`` maps a numpy array of points to an array of values.  Deterministic
-    for fixed n; raises SingularityError if any sample is non-finite.
-    """
-    if isinstance(intervals[0], (int, float)):
-        intervals = [intervals]
-    if n < 2:
-        raise DomainError("grid needs n >= 2")
-    best_val, best_arg = None, None
-    for (lo, hi) in intervals:
-        lo, hi = float(lo), float(hi)
-        xs = _sample_open(lo, hi, n) if open_ends else np.linspace(lo, hi, n)
-        vals = np.asarray(fn(xs), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            bad = xs[~np.isfinite(vals)][0]
-            raise SingularityError(f"non-finite sample at x={bad}")
-        i = int(np.argmin(vals) if mode == "min" else np.argmax(vals))
-        if best_val is None or (vals[i] < best_val if mode == "min" else vals[i] > best_val):
-            best_val, best_arg = float(vals[i]), float(xs[i])
-    return best_val, best_arg

@@ -104,8 +104,8 @@ def test_criterion_1_exact_witnesses():
 def test_criterion_2_oracle_agreement():
     """Six families, 100 interior points each, 10 h^2 at h = 1e-3, order >= 1.8,
     < 60 s; the uncorrected X2/X3 assignment resolved in favor of the oracle."""
-    from tests.test_curvature import generic_ansatze, make_glue
-    from conewarp.curvature import ansatz_to_chart, frame_project, ricci_finite_difference
+    from tests.test_curvature import fd_ricci, generic_ansatze, make_glue
+    from conewarp.curvature import ansatz_to_chart, frame_project
 
     t0 = time.perf_counter()
     ok = True
@@ -121,7 +121,7 @@ def test_criterion_2_oracle_agreement():
     half = glue.xi0 / 2
     u, v = 0.8 * glue.sigma1 / half, 0.8 * glue.sigma2 / half
     pt = np.array([u, v, 1.0, 1.0])
-    ric = ricci_finite_difference(chart, pt, h=3e-4, richardson=True)
+    ric = fd_ricci(chart, pt, h=3e-4, richardson=True)
     proj = frame_project(ric[None], chart.frame_batch(pt[None]))[0]
     r, x = np.array([half * u]), np.array([half * v])
     dev_corr = float(np.max(np.abs(proj - ricci_local_glue_display(glue, r, x, "corrected").entries[0])))
@@ -219,7 +219,7 @@ def test_criterion_6_cap_certification():
 def test_criterion_7_interpolation_family():
     """Ric >= 2 ghat at 5x128 samples; volumes monotone; normalization 1e-8;
     Moser density 1e-6."""
-    fam = build_interpolation_family(cap(), n_s=5, n_theta=128)
+    fam = build_interpolation_family(cap(), n_theta=128)
     vol_monotone = bool(np.all(np.diff(fam.volumes) <= 1e-12))
     announce(7, fam.min_ricci_margin >= -1e-8 and vol_monotone
              and fam.vol_norm_residual <= 1e-8 and fam.moser_density_residual <= 1e-6,

@@ -14,13 +14,12 @@ from conewarp.curvature import (
     RicciFrame,
     TorusInvariant,
     ansatz_to_chart,
-    chart_frame_gram,
     frame_project,
     ricci_berger_general,
     ricci_berger_sphere,
     ricci_cone_berger,
     ricci_double_warp,
-    ricci_finite_difference,
+    ricci_fd_batch,
     ricci_local_glue,
     ricci_local_glue_display,
     ricci_torus_invariant,
@@ -42,6 +41,21 @@ def round_f():
 
 def linear(a=0.0, b=3.0):
     return wf(ex.X, a, b, name="linear")
+
+
+def fd_ricci(chart, x, h, richardson=False):
+    """Coordinate Ricci at one point by the FD oracle; with ``richardson``,
+    the extrapolation (4 R(h/2) - R(h)) / 3."""
+    r_h = ricci_fd_batch(chart, x[None, :], h)[0]
+    if not richardson:
+        return r_h
+    return (4.0 * ricci_fd_batch(chart, x[None, :], h / 2)[0] - r_h) / 3.0
+
+
+def frame_gram(chart, X):
+    """Gram matrix of the chart's declared frame under its metric."""
+    fr = chart.frame_batch(X)
+    return np.einsum("nia,nab,njb->nij", fr, chart.metric_batch(X), fr)
 
 
 # --------------------------------------------------------------- exact witnesses
@@ -199,7 +213,7 @@ def test_glue_disambiguation_uncorrected_vs_corrected():
     # normalized chart point inside the product region (u < sigma1/half etc.)
     u, v = 0.8 * glue.sigma1 / half, 0.8 * glue.sigma2 / half
     pt = np.array([u, v, 1.0, 1.0])
-    ric = ricci_finite_difference(chart, pt, h=3e-4)
+    ric = fd_ricci(chart, pt, h=3e-4)
     fr = chart.frame_batch(pt[None, :])
     proj = frame_project(ric[None, :, :], fr)[0]
     r, xi = np.array([half * u]), np.array([half * v])
@@ -217,7 +231,7 @@ def test_glue_disambiguation_uncorrected_vs_corrected():
 def test_chart_components_berger_round():
     ans = BergerSphere(round_f(), 1.0)
     chart = ansatz_to_chart(ans)
-    g = chart.metric(np.array([np.pi / 4, 1.0, 1.0]))
+    g = chart.metric_batch(np.array([[np.pi / 4, 1.0, 1.0]]))[0]
     assert g[1, 1] == pytest.approx(1.0)
     assert g[1, 2] == pytest.approx(0.5)
     assert g[2, 2] == pytest.approx(0.5)  # t cos^4 + f^2 = 1/4 + 1/4
@@ -231,7 +245,7 @@ def test_torus_chart_diagonal_and_gram():
     ti = TorusInvariant(Phi, Psi, Ups, box=[(0.2, 0.8), (0.3, 1.2)])
     chart = ansatz_to_chart(ti)
     X = chart.interior_samples(20, rng=0)
-    gram = chart_frame_gram(chart, X)
+    gram = frame_gram(chart, X)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), gram.shape), atol=1e-9)
 
 
@@ -239,7 +253,7 @@ def test_glue_chart_gram_identity():
     glue = make_glue()
     chart = ansatz_to_chart(glue)
     X = chart.interior_samples(20, rng=1)
-    gram = chart_frame_gram(chart, X)
+    gram = frame_gram(chart, X)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), gram.shape), atol=1e-9)
 
 
@@ -247,7 +261,7 @@ def test_fd_flat_cone():
     ans = ConeOverBerger(linear(), linear(), round_f(), r_range=(0.8, 2.0))
     chart = ansatz_to_chart(ans)
     pt = np.array([1.2, 0.8, 1.0, 2.0])
-    ric = ricci_finite_difference(chart, pt, h=1e-3, richardson=True)
+    ric = fd_ricci(chart, pt, h=1e-3, richardson=True)
     assert np.max(np.abs(ric)) < 1e-6
 
 
@@ -255,8 +269,8 @@ def test_fd_round_berger_einstein():
     ans = BergerSphere(round_f(), 1.0)
     chart = ansatz_to_chart(ans)
     pt = np.array([0.7, 1.0, 2.0])
-    ric = ricci_finite_difference(chart, pt, h=1e-3)
-    g = chart.metric(pt)
+    ric = fd_ricci(chart, pt, h=1e-3)
+    g = chart.metric_batch(pt[None, :])[0]
     np.testing.assert_allclose(ric, 2.0 * g, atol=1e-5)
 
 
@@ -336,6 +350,6 @@ def test_scaled_round_family(delta):
 
     chart = Chart(base.box, scaled_metric, scaled_frame)
     pt = np.array([0.8, 1.0, 2.0])
-    ric = ricci_finite_difference(chart, pt, h=1e-3, richardson=True)
+    ric = fd_ricci(chart, pt, h=1e-3, richardson=True)
     proj = frame_project(ric[None], chart.frame_batch(pt[None]))[0]
     np.testing.assert_allclose(proj, (2.0 / delta**2) * np.eye(3), atol=1e-7)

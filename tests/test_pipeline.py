@@ -9,7 +9,7 @@ import pytest
 from test_certification_layer import _golden_module
 from test_groups import binary_dihedral_generators
 
-from conewarp import cli, pipeline
+from conewarp import certify, cli, construct, pipeline
 from conewarp.cli import main as cli_main
 from conewarp.errors import NotFreeError
 from conewarp.groups import cyclic_group, noncyclic_group, serialize_group
@@ -109,6 +109,10 @@ def test_atlas_json_roundtrip(tmp_path):
     orig = next(r for r in atlas.regions if r.id == "edge_body").warps["rho"]
     xs = np.linspace(1e-6, orig.b * 0.99, 400)
     np.testing.assert_array_equal(rho(xs), orig(xs))
+    # every warp text reads back to the tree it was written from
+    for reg in data["regions"]:
+        for text in reg["warps"].values():
+            assert WarpFunction.deserialize(text).serialize() == text
 
 
 def test_not_free_rejected():
@@ -168,10 +172,55 @@ def test_cli_recursion_and_errors(capsys):
     assert cli_main(["bogus-subcommand"]) == 2
 
 
+def test_cli_certify_rejects_json_without_regions(tmp_path, capsys):
+    path = tmp_path / "not_an_atlas.json"
+    path.write_text(json.dumps({"group": "cyclic", "n": 5}))
+    assert cli_main(["certify", "--atlas", str(path)]) == 2
+    assert "'regions'" in capsys.readouterr().err
+
+
+def test_cli_plot_data_rejects_an_atlas_without_edge_body(bd8_resolve, tmp_path, capsys):
+    """The non-cyclic root atlas has a berger_body and no edge_body."""
+    code = cli_main(["plot-data", "--atlas", str(bd8_resolve.out / "atlas_node0.json"),
+                     "--field", "warp", "--out", str(tmp_path / "field.csv")])
+    assert code == 2
+    assert "'edge_body'" in capsys.readouterr().err
+    assert not (tmp_path / "field.csv").exists()
+
+
+def test_cap_is_certified_once(monkeypatch):
+    """The final cap's block sweep at the atlas grid runs once per part (the
+    cap_blocks_psd report) and its 256-point link sweep once (cap_link_bound);
+    the builder does not repeat either."""
+    cfg = fast_cfg()
+    sweeps, links, caps = [], [], []
+    margins, link, build = (certify.cap_block_margins, construct.cap_link_ricci_margin,
+                            construct.build_conical_cap)
+
+    def count_sweep(part, n):
+        sweeps.append(n)
+        return margins(part, n)
+
+    def count_link(cap, n_grid=256):
+        links.append((cap, n_grid))
+        return link(cap, n_grid)
+
+    monkeypatch.setattr(certify, "cap_block_margins", count_sweep)
+    monkeypatch.setattr(construct, "cap_block_margins", count_sweep)
+    monkeypatch.setattr(construct, "cap_link_ricci_margin", count_link)
+    monkeypatch.setattr(construct, "build_conical_cap",
+                        lambda *a, **k: caps.append(build(*a, **k)) or caps[-1])
+    atlas = assemble_atlas(cyclic_group(3, 1, 2), 0.05, cfg)
+    assert atlas.passed, atlas.summary()
+    assert len(caps) == 1
+    assert sweeps.count(cfg.grid_2d) == 2
+    assert [n for cap, n in links if cap is caps[0]] == [256]
+
+
 def test_tree_machine_readable():
     from conewarp.groups import resolution_tree
-    d = resolution_tree(cyclic_group(5, 1, 3)).as_dict()
-    assert d["order"] == 5 and d["children"][0]["order"] == 3
+    tree = resolution_tree(cyclic_group(5, 1, 3))
+    assert tree.order() == 5 and tree.children[0].order() == 3
 
 
 def test_certify_gluing_op():

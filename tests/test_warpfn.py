@@ -12,7 +12,6 @@ from conewarp.warpfn import (
     WarpFunction,
     build_cutoff,
     check_parity,
-    grid_extremum,
     mollify_join,
 )
 
@@ -138,20 +137,20 @@ def make_round_f():
 
 def test_eval_jet_round():
     f = make_round_f()
-    j = f.eval_jet(np.pi / 4, order=2)
-    np.testing.assert_allclose([j.value, j.d1, j.d2, j.d3], [0.5, 0, -2.0, 0], atol=1e-14)
+    j = f.jet(np.pi / 4)
+    np.testing.assert_allclose([j.f, j.f1, j.f2, j.f3], [[0.5], [0], [-2.0], [0]], atol=1e-14)
 
 
 def test_eval_jet_domain_error():
     f = make_round_f()
     with pytest.raises(DomainError):
-        f.eval_jet(2.0)
+        f.jet(2.0)
 
 
 def test_singularity_error():
     f = WarpFunction(0.0, 1.0, [], [ex.cot(ex.X)])
     with pytest.raises(SingularityError):
-        f.eval_jet(0.0)
+        f.jet(0.0)
 
 
 def test_breakpoint_onesided_jets():
@@ -225,30 +224,6 @@ def test_check_parity_odd():
     assert rep.passed and rep.derivatives[0] == pytest.approx(1.0)
 
 
-def test_grid_extremum_round_ratio():
-    # ratio sin(2x)/(2 f) with f = sin(2x)/2 is identically 1
-    f = make_round_f()
-
-    def ratio_sq_inv(xs):
-        return (np.sin(2 * xs) / (2 * f(xs))) ** -2.0
-
-    val, arg = grid_extremum(ratio_sq_inv, (0.0, np.pi / 2), 4096, mode="min")
-    assert val == pytest.approx(1.0, abs=1e-12)
-
-
-def test_grid_extremum_refinement_consistency():
-    f = WarpFunction(0.0, 1.0, [], [ex.sin(3.0 * ex.X) * ex.exp(-ex.X)])
-    v1, _ = grid_extremum(lambda x: f(x), (0.0, 1.0), 512, mode="max")
-    v2, _ = grid_extremum(lambda x: f(x), (0.0, 1.0), 1024, mode="max")
-    # Lipschitz bound of this smooth function on [0,1] is < 3
-    assert abs(v2 - v1) <= 3.0 * (1.0 / 512)
-
-
-def test_grid_extremum_singularity():
-    with pytest.raises(SingularityError):
-        grid_extremum(lambda x: 1.0 / (x - x), (0.0, 1.0), 16)
-
-
 def test_serialize_roundtrip():
     f = WarpFunction(0.0, 1.0, [0.25],
                      [ex.sin(2.0 * ex.X) / 2.0, (ex.X ** 1.5) + ex.Const(0.1)],
@@ -259,6 +234,25 @@ def test_serialize_roundtrip():
     np.testing.assert_array_equal(f(xs), g(xs))
     assert g.parity_left == f.parity_left
     assert g.breakpoints == f.breakpoints
+    assert g.serialize() == f.serialize()
+
+
+def test_deserialize_rejects_a_piece_gap():
+    text = ("warpfn v1\nname gap\ndomain 0.0 3.0\n"
+            "piece 0.0 1.0 : x\npiece 2.0 3.0 : x\n")
+    with pytest.raises(DomainError, match="do not chain"):
+        WarpFunction.deserialize(text)
+    with pytest.raises(DomainError, match="do not chain"):
+        WarpFunction.deserialize(text.replace("2.0 3.0", "1.0 2.5"))
+
+
+@pytest.mark.parametrize("header, extra, message", [
+    ("warpfn v1", "peice 0.0 1.0 : x\n", "unknown warpfn key"),
+    ("warpfn v2", "", "unsupported warpfn version")])
+def test_deserialize_rejects_unknown_lines(header, extra, message):
+    text = f"{header}\ndomain 0.0 1.0\npiece 0.0 1.0 : x\n{extra}"
+    with pytest.raises(DomainError, match=message):
+        WarpFunction.deserialize(text)
 
 
 @given(st.integers(min_value=2, max_value=40))
@@ -269,6 +263,7 @@ def test_jet_fd_agreement_property(k):
     x = 0.456
     for h in (1e-3, 1e-4):
         fd2 = (f(np.array([x + h]))[0] - 2 * f(np.array([x]))[0] + f(np.array([x - h]))[0]) / h**2
-        d2 = f.eval_jet(x).d2
-        scale = max(1.0, k**3 * abs(f.eval_jet(x).value) + k)
+        j = f.jet(x)
+        d2 = j.f2[0]
+        scale = max(1.0, k**3 * abs(j.f[0]) + k)
         assert abs(fd2 - d2) <= 10 * h**2 * k**2 * scale
