@@ -595,7 +595,8 @@ CHECKS = {
     "body_ricci_psd": (("berger_body",), _body_ricci),
     "body_tail_exact": (("berger_body",), _body_tail_exact),
 }
-FILE_CHECKS = ("edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd", "body_ricci_psd")
+FILE_CHECKS = ("f_inequality_smoothed", "edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd",
+               "body_ricci_psd")
 GLUING_CHECKS = ("tail_exact_linear", "iface_edge_glue", "iface_glue_product",
                  "iface_cap_collar", "iface_cap_cone")
 
@@ -609,13 +610,14 @@ def run_checks(regions: dict, names=None, n_1d: int = 10_000, n_2d: int = 128,
             if (names is None or name in names) and all(r in regions for r in needs)}
 
 
-def recertify(atlas_json: dict, n_2d: int = 128, tol: float = DEFAULT_TOL) -> dict:
+def recertify(atlas_json: dict, n_1d: int = 10_000, n_2d: int = 128,
+              tol: float = DEFAULT_TOL) -> dict:
     """Run FILE_CHECKS on a written atlas; only the regions they read are
     deserialized."""
     needed = {r for name in FILE_CHECKS for r in CHECKS[name][0]}
     regions = {d["id"]: AtlasRegion.from_json(d) for d in atlas_json["regions"]
                if d["id"] in needed}
-    return run_checks(regions, FILE_CHECKS, n_2d=n_2d, tol=tol)
+    return run_checks(regions, FILE_CHECKS, n_1d=n_1d, n_2d=n_2d, tol=tol)
 
 
 def certify_gluing(atlas, tol: float = DEFAULT_TOL) -> dict:

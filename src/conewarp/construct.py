@@ -43,6 +43,8 @@ from .errors import (
 )
 from .jets import Jet, jet_var
 from .warpfn import (
+    PIH,
+    DescentSpline,
     ScalarJet,
     WarpFunction,
     _hermite_quintic_piece,
@@ -70,7 +72,6 @@ __all__ = [
     "build_general_profiles",
 ]
 
-PIH = math.pi / 2
 BUMP_MU_FLOOR = 1e-10          # floor for the quartic-bump constant's mu_hat
 MIN_LOG10_SIN = -290.0         # representability floor for sin(kappa mu_hat)
 
@@ -363,23 +364,18 @@ def _mirror_pieces(m: _MirrorSide, knot_stride=80):
     * drift [x1, xd]:       c_mid sin(2 xi') K (xi')^(-beta), the pure-power
       drift (admissible for beta < 3/7);
     * descent [xd, x_end]:  c_mid sin(2 xi') exp(W(xi')) with W from the
-      maximal-rate descent, realized as quintic-Hermite spline pieces in W;
+      maximal-rate descent, realized as one quintic-Hermite spline node in W;
     * beyond x_end the profile is exactly c_mid sin(2 xi').
     """
     xs, Ds, Dps, W = m.descent
     xp = ex.Const(PIH) - ex.X
-    sin2 = ex.sin(2.0 * ex.X)
     # spline knots every knot_stride steps, plus both ends of the 64-step taper
     idx = sorted(set(range(0, len(xs) - 1, knot_stride)) | {len(xs) - 65, len(xs) - 1})
-    pieces = []
-    for a, b in zip(idx[:-1], idx[1:]):
-        W_ab = _hermite_quintic_piece(ScalarJet(W[a], -Ds[a], -Dps[a], 0.0),
-                                      ScalarJet(W[b], -Ds[b], -Dps[b], 0.0), xs[a], xs[b], xp)
-        pieces.append((PIH - xs[b], PIH - xs[a], ex.Const(m.c_mid) * sin2 * ex.exp(W_ab)))
-    pieces.append((PIH - xs[0], PIH - m.x1,
-                   ex.Const(m.c_mid * m.Kd) * sin2 * xp ** (-m.beta)))
-    pieces.append((PIH - m.x1, PIH, ex.Const(m.A_s) * ex.sin(ex.Const(m.kappa_a) * xp)))
-    return pieces
+    spline = DescentSpline(m.c_mid, [(xs[a], W[a], -Ds[a], -Dps[a]) for a in idx])
+    return [(PIH - xs[-1], PIH - xs[0], spline),
+            (PIH - xs[0], PIH - m.x1,
+             ex.Const(m.c_mid * m.Kd) * ex.sin(2.0 * ex.X) * xp ** (-m.beta)),
+            (PIH - m.x1, PIH, ex.Const(m.A_s) * ex.sin(ex.Const(m.kappa_a) * xp))]
 
 
 def _left_side_pieces(xi0, kappa, tau, alpha, q_b, var: ex.Expr = ex.X):
@@ -504,14 +500,16 @@ def _try_build_f(n, p, tau, kappa, xi0, params) -> FKappa:
             f"pre-smoothing drift bound -2 failed (max {worst_right:.3f})")
 
     f = f_hat
-    # smooth the genuine C^{1,1} corners (second-derivative jumps)
-    for t in list(f_hat.breakpoints):
+    # smooth the genuine C^{1,1} corners (second-derivative jumps) among the
+    # junctions; a spline's own knots are C^2 by construction.  The window
+    # stays inside the cells next to the junction.
+    for t in f_hat.breakpoints:
         lj = f.eval_jet_onesided(t, "left")
         rj = f.eval_jet_onesided(t, "right")
         scale = max(abs(lj.d2), abs(rj.d2), 1.0)
         if abs(lj.d2 - rj.d2) < 1e-9 * scale:
             continue
-        edges = [f.a, *f.breakpoints, f.b]
+        edges = [f.a, *f.knots, f.b]
         i = edges.index(t)
         w = 0.25 * min(t - edges[i - 1], edges[i + 1] - t)
         f = mollify_join(f, t, w)
@@ -564,13 +562,13 @@ class _Reflected:
 
 
 def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
-    """Worst inequality values over per-piece grids, evaluated on whichever
+    """Worst inequality values over per-cell grids, evaluated on whichever
     side of pi/4 is well conditioned (cot(2x) near x = pi/2 loses all digits
-    in the x variable; the reflected function sees those pieces near 0).
+    in the x variable; the reflected function sees those cells near 0).
 
-    Returns (worst over pieces left of pi/4, worst over pieces right of pi/4).
+    Returns (worst over cells left of pi/4, worst over cells right of pi/4).
     """
-    edges = [f.a, *f.breakpoints, f.b]
+    edges = [f.a, *f.knots, f.b]
     left, right = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if 0.5 * (lo + hi) <= np.pi / 4:
@@ -582,7 +580,8 @@ def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
 
 
 def _per_piece_samples(f: WarpFunction, n_per_piece: int) -> np.ndarray:
-    edges = [f.a, *f.breakpoints, f.b]
+    """The open grids of every cell (pieces, and the cells of a spline piece)."""
+    edges = [f.a, *f.knots, f.b]
     return np.concatenate([_sample_open(lo, hi, n_per_piece)
                            for lo, hi in zip(edges[:-1], edges[1:])])
 

@@ -67,9 +67,9 @@ AXIS_TOL = 1e-12
 
 @dataclass
 class RicciFrame:
-    """Symmetric matrix of Ricci components on labelled frame vectors."""
+    """Symmetric matrix of Ricci components on the frame vectors that the
+    evaluator's docstring names, in that order."""
 
-    labels: tuple
     entries: np.ndarray  # (..., k, k)
 
     def __post_init__(self):
@@ -325,7 +325,7 @@ def ricci_berger_sphere(f: WarpFunction, t: float, xi) -> RicciFrame:
     uy = t * dq
     xx = -jf.f2 / jf.f - 2.0 * t * q * q
     entries = _sym3(uu, zero, uy, xx, zero, xx.copy())
-    return RicciFrame(("U", "X", "Y"), entries)
+    return RicciFrame(entries)
 
 
 def _sym4(rows):
@@ -356,7 +356,7 @@ def ricci_cone_berger(rho: WarpFunction, phi: WarpFunction, f: WarpFunction,
     xx = (-jf.f2 / jf.f - 2.0 * t_eff * q * q
           - jr.f1 * jp.f * jp.f1 / jr.f - jp.f * jp.f2 - jp.f1 ** 2)
     rows = {(0, 0): rr, (1, 1): uu, (1, 3): uy, (2, 2): xx, (3, 3): xx.copy()}
-    return RicciFrame(("dr", "U", "X", "Y"), _sym4(rows))
+    return RicciFrame(_sym4(rows))
 
 
 def ricci_double_warp(m: int, n: int, varphi: WarpFunction, phi: WarpFunction, r):
@@ -401,7 +401,7 @@ def ricci_local_glue(glue: LocalGlue, r, xi) -> RicciFrame:
     m24 = -(3.0 * A1 * p_r + A * p_rr + A * p_xixi) / s2 + 2.0 * A * p_xi * c2 / s2 ** 2
     rows = {(0, 0): d11, (1, 1): d22, (2, 2): d33, (3, 3): d44,
             (0, 2): m13, (1, 3): m24}
-    return RicciFrame(("X1", "X2", "X3", "X4"), _sym4(rows))
+    return RicciFrame(_sym4(rows))
 
 
 def ricci_local_glue_display(glue: LocalGlue, r, xi, variant: str = "corrected") -> RicciFrame:
@@ -433,7 +433,7 @@ def ricci_local_glue_display(glue: LocalGlue, r, xi, variant: str = "corrected")
             - 2.0 * A * p_xi * c2 / s2 ** 2)
     rows = {(0, 0): d11, (1, 1): d22, (2, 2): d33, (3, 3): d44,
             (0, 1): m12, (2, 3): m34}
-    return RicciFrame(("X1", "X2", "X3", "X4"), _sym4(rows))
+    return RicciFrame(_sym4(rows))
 
 
 def ricci_torus_invariant(Phi: BivariateFn, Psi: BivariateFn, Ups: BivariateFn,
@@ -464,7 +464,7 @@ def ricci_torus_invariant(Phi: BivariateFn, Psi: BivariateFn, Ups: BivariateFn,
            + P.fy * U.fy / (P.f ** 3 * U.f) - P.fx * U.fx / (P.f * U.f)
            - S.fx * U.fx / (S.f * U.f) - S.fy * U.fy / (P.f ** 2 * S.f * U.f))
     rows = {(0, 0): d11, (0, 1): m12, (1, 1): d22, (2, 2): d33, (3, 3): d44}
-    return RicciFrame(("Y1", "Y2", "Y3", "Y4"), _sym4(rows))
+    return RicciFrame(_sym4(rows))
 
 
 def ricci_berger_general(rho: WarpFunction, phi: WarpFunction, r):
@@ -544,7 +544,7 @@ def ansatz_to_chart(ansatz) -> Chart:
         eps = 0.05 * (f.b - f.a)
         return Chart([(f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
                      metric, frame, name="berger_sphere",
-                     avoid={0: list(f.breakpoints)})
+                     avoid={0: list(f.knots)})
 
     if isinstance(ansatz, (ConeOverBerger, BergerGeneral)):
         general = isinstance(ansatz, BergerGeneral)
@@ -585,8 +585,8 @@ def ansatz_to_chart(ansatz) -> Chart:
         eps = 0.05 * (f.b - f.a)
         return Chart([rr, (f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
                      metric, frame, name="berger_general" if general else "cone_over_berger",
-                     avoid={0: list(rho.breakpoints) + list(phi.breakpoints),
-                            1: list(f.breakpoints)})
+                     avoid={0: list(rho.knots) + list(phi.knots),
+                            1: list(f.knots)})
 
     if isinstance(ansatz, DoubleWarp):
         m, n = ansatz.m, ansatz.n
@@ -624,7 +624,7 @@ def ansatz_to_chart(ansatz) -> Chart:
         if m >= 2:
             box[1] = (0.5, 2.5)
         return Chart(box, metric, frame, name="double_warp",
-                     avoid={0: list(varphi.breakpoints) + list(phi.breakpoints)})
+                     avoid={0: list(varphi.knots) + list(phi.knots)})
 
     if isinstance(ansatz, LocalGlue):
         glue = ansatz
@@ -651,8 +651,8 @@ def ansatz_to_chart(ansatz) -> Chart:
             fr[:, 3, 3] = 1.0 / B
             return fr
 
-        lines0 = [t / half for t in list(glue.rho.breakpoints) + list(glue.eta1.breakpoints) if t < glue.xi0 / 2]
-        lines1 = [t / half for t in glue.eta2.breakpoints if t < glue.xi0 / 2]
+        lines0 = [t / half for t in list(glue.rho.knots) + list(glue.eta1.knots) if t < glue.xi0 / 2]
+        lines1 = [t / half for t in glue.eta2.knots if t < glue.xi0 / 2]
         return Chart([(0.02, 0.98), (0.02, 0.98), (0.1, 6.0), (0.1, 6.0)],
                      metric, frame, name="local_glue",
                      avoid={0: lines0, 1: lines1})

@@ -1,26 +1,33 @@
 """Piecewise smooth scalar functions on an interval.
 
-A :class:`WarpFunction` is an ordered list of expression-tree pieces on a
-closed interval.  It knows how to evaluate jets (value through third
-derivative), check the boundary parity conditions that make warped metrics
-close smoothly, and blend away corners with polynomial smoothsteps.
-Everything is immutable after construction and vectorized over numpy
-arrays.
+A :class:`WarpFunction` is an ordered list of pieces on a closed interval.
+A piece is an expression tree, or a :class:`DescentSpline`: one node for a
+whole run of quintic-Hermite cells, stored as its knots' Hermite data and
+evaluated through one row lookup instead of one tree per cell.  A warp
+function knows how to evaluate jets (value through third derivative), check
+the boundary parity conditions that make warped metrics close smoothly, and
+blend away corners with polynomial smoothsteps.  Everything is immutable
+after construction and vectorized over numpy arrays.
+
+Text form: ``warpfn v1`` holds expression pieces only; ``warpfn v2`` adds
+spline pieces, and the writer uses it exactly when a function has one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, JoinFailure, SingularityError
-from .jets import Jet, jet_var
+from .jets import Jet, jet_const, jet_var, jexp, jsin
 
 __all__ = [
     "ScalarJet",
     "WarpFunction",
+    "DescentSpline",
     "mollify_join",
     "build_cutoff",
     "check_parity",
@@ -35,6 +42,7 @@ __all__ = [
 # noise and far below the order-one margins of the curvature inequalities.
 TOL_JOIN = 1e-7
 TOL_PARITY = 1e-6
+PIH = math.pi / 2
 
 PARITY_TAGS = (
     "odd-derivatives-vanish",
@@ -61,12 +69,14 @@ class ScalarJet:
 
 @dataclass
 class WarpFunction:
-    """Piecewise expression-tree function on [a, b].
+    """Piecewise function on [a, b].
 
     ``breakpoints`` are the interior junctions; ``pieces[i]`` is valid on
     [edges[i], edges[i+1]] where edges = [a, *breakpoints, b].  At a junction
     the right piece wins (one-sided data of the left piece remains available
-    through ``eval_jet_onesided``).
+    through ``eval_jet_onesided``).  ``knots`` are the interior cell edges:
+    the breakpoints and every spline knot inside its piece's span; per-cell
+    sample grids and chart avoid lists read them.
     """
 
     a: float
@@ -89,7 +99,14 @@ class WarpFunction:
         bp = self.breakpoints
         if any(not (self.a < t < self.b) for t in bp) or sorted(bp) != bp:
             raise DomainError("breakpoints must be ordered and interior")
-        self._edges = np.array([self.a, *bp, self.b], dtype=float)
+        edges = [self.a, *bp, self.b]
+        self._edges = np.array(edges, dtype=float)
+        cells = []
+        for lo, hi, piece in zip(edges, edges[1:], self.pieces):
+            if isinstance(piece, DescentSpline):
+                cells += piece.knots_inside(lo, hi)
+            cells.append(hi)
+        self.knots = cells[:-1]
 
     # -- evaluation --------------------------------------------------------
 
@@ -165,8 +182,9 @@ class WarpFunction:
     # -- serialization --------------------------------------------------------
 
     def serialize(self) -> str:
+        has_spline = any(isinstance(piece, DescentSpline) for piece in self.pieces)
         lines = [
-            "warpfn v1",
+            f"warpfn {'v2' if has_spline else 'v1'}",
             f"name {self.name}",
             f"domain {self.a!r} {self.b!r}",
             f"continuity {self.continuity_class}",
@@ -176,26 +194,43 @@ class WarpFunction:
         if self.parity_right:
             lines.append(f"parity_right {self.parity_right}")
         edges = [self.a, *self.breakpoints, self.b]
-        for i, piece in enumerate(self.pieces):
-            lines.append(f"piece {edges[i]!r} {edges[i+1]!r} : {piece.to_str()}")
+        for lo, hi, piece in zip(edges, edges[1:], self.pieces):
+            if isinstance(piece, DescentSpline):
+                lines.append(f"spline {lo!r} {hi!r} : {piece.c!r}")
+                lines += ["knot " + " ".join(map(repr, row)) for row in piece.table]
+            else:
+                lines.append(f"piece {lo!r} {hi!r} : {piece.to_str()}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def deserialize(cls, text: str) -> "WarpFunction":
         """Parse ``serialize`` output.  Raises DomainError on a version other
-        than ``warpfn v1``, an unknown key, or piece spans that do not chain
-        from the domain's start to its end."""
+        than ``warpfn v1`` or ``v2``, an unknown key (``spline`` and ``knot``
+        are v2 keys), a knot row that does not follow a spline line or does
+        not hold four numbers, spline knots that do not chain over their
+        piece's span, or piece spans that do not chain from the domain's
+        start to its end."""
         a = b = None
-        cont, pl, pr, name = 2, None, None, ""
+        version, cont, pl, pr, name = "v1", 2, None, None, ""
         edges, pieces = [], []
+        table = None                  # knot rows of the spline being read
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, rest = line.partition(" ")
+            if key == "knot" and table is not None:
+                row = tuple(float(v) for v in rest.split())
+                if len(row) != 4:
+                    raise DomainError(f"spline knot row needs 4 numbers (s W W' W''), "
+                                      f"got {len(row)}")
+                table.append(row)
+                continue
+            table = None
             if key == "warpfn":
-                if rest.strip() != "v1":
-                    raise DomainError(f"unsupported warpfn version {rest.strip()!r}")
+                version = rest.strip()
+                if version not in ("v1", "v2"):
+                    raise DomainError(f"unsupported warpfn version {version!r}")
             elif key == "name":
                 name = rest.strip()
             elif key == "domain":
@@ -206,11 +241,15 @@ class WarpFunction:
                 pl = rest.strip()
             elif key == "parity_right":
                 pr = rest.strip()
-            elif key == "piece":
+            elif key == "piece" or (key == "spline" and version == "v2"):
                 span, _, body = rest.partition(":")
                 lo, hi = (float(v) for v in span.split())
                 edges.append((lo, hi))
-                pieces.append(ex.parse_expr(body))
+                if key == "piece":
+                    pieces.append(ex.parse_expr(body))
+                else:
+                    table = []
+                    pieces.append((float(body), table))
             else:
                 raise DomainError(f"unknown warpfn key {key!r}")
         if a is None or not pieces:
@@ -219,6 +258,7 @@ class WarpFunction:
         if [lo for (lo, hi) in edges] != ends[:-1] or ends[-1] != b:
             raise DomainError(f"piece spans {edges} do not chain from {a!r} to {b!r}")
         bps = [hi for (lo, hi) in edges[:-1]]
+        pieces = [DescentSpline(*p) if isinstance(p, tuple) else p for p in pieces]
         return cls(a, b, bps, pieces, continuity_class=cont,
                    parity_left=pl, parity_right=pr, name=name)
 
@@ -254,11 +294,11 @@ def smoothstep_quintic_integral(u: ex.Expr) -> ex.Expr:
 # -- mollified joins -----------------------------------------------------------
 
 
-def _hermite_quintic_piece(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float,
-                           var: ex.Expr = ex.X) -> ex.Expr:
-    """Quintic polynomial in ``var`` matching value/d1/d2 of lj at var = e0
-    and rj at var = e1 (``var`` = pi/2 - x gives a reflected piece whose
-    Horner steps share one subtree for u)."""
+def _hermite_quintic(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float) -> tuple:
+    """(w, (a5, a4, a3, a2, a1, a0)): the quintic sum_k a_k u^k in
+    u = (var - e0)/w, w = e1 - e0, matching value/d1/d2 of lj at var = e0 and
+    rj at var = e1.  The one Hermite builder: mollified joins, the rho tail
+    and the cells of a DescentSpline all take their coefficients from it."""
     w = e1 - e0
     v0, v0p, v0pp = lj.value, lj.d1 * w, lj.d2 * w * w
     v1, v1p, v1pp = rj.value, rj.d1 * w, rj.d2 * w * w
@@ -269,11 +309,72 @@ def _hermite_quintic_piece(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float,
     a3 = 10.0 * A - 4.0 * B + 0.5 * C
     a4 = -15.0 * A + 7.0 * B - C
     a5 = 6.0 * A - 3.0 * B + 0.5 * C
+    return w, (a5, a4, a3, a2, a1, a0)
+
+
+def _hermite_quintic_piece(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float,
+                           var: ex.Expr = ex.X) -> ex.Expr:
+    """``_hermite_quintic`` as a Horner tree in ``var`` (``var`` = pi/2 - x
+    gives the tree of one DescentSpline cell's exponent)."""
+    w, coeffs = _hermite_quintic(lj, rj, e0, e1)
     u = (var - ex.Const(e0)) / ex.Const(w)
-    poly = ex.Const(a5)
-    for c in (a4, a3, a2, a1, a0):
+    poly = ex.Const(coeffs[0])
+    for c in coeffs[1:]:
         poly = poly * u + ex.Const(c)
     return poly
+
+
+class DescentSpline(ex.Expr):
+    """c sin(2x) exp(W(pi/2 - x)), W a quintic Hermite spline in s = pi/2 - x.
+
+    ``table`` holds one row (s, W, W', W'') per knot, s increasing.  The cell
+    between two knots evaluates the pp-form row (e0, w, a5..a0) that
+    ``_hermite_quintic`` builds from its end rows, through the same Jet
+    operations, in the same order, as the tree
+    ``c * sin(2x) * exp(_hermite_quintic_piece(.., pi/2 - x))``; each row
+    constant is broadcast as ``Const`` broadcasts its value, so every point's
+    jet equals that tree's bit for bit.  A point on a knot takes the cell to
+    its right in x, as a warp function's junction does.
+    """
+
+    def __init__(self, c: float, table):
+        self.c = float(c)
+        self.table = [tuple(float(v) for v in row) for row in table]
+        s = [row[0] for row in self.table]
+        if len(s) < 2 or any(s1 <= s0 for s0, s1 in zip(s, s[1:])):
+            raise DomainError("spline knots do not chain: need two or more, "
+                              "increasing in pi/2 - x")
+        rows = []
+        for r0, r1 in zip(self.table, self.table[1:]):
+            w, coeffs = _hermite_quintic(ScalarJet(*r0[1:], 0.0), ScalarJet(*r1[1:], 0.0),
+                                         r0[0], r1[0])
+            rows.append((r0[0], w, *coeffs))
+        # cells and knots in x order: the last knot in s is the first in x
+        self._rows = np.array(rows[::-1]).T          # e0, w, a5, ..., a0
+        self._x_knots = [PIH - v for v in reversed(s)]
+        self._inner = np.array(self._x_knots[1:-1])
+
+    def knots_inside(self, lo: float, hi: float) -> list:
+        """The knots strictly inside the span [lo, hi], which the knots must cover."""
+        if not (self._x_knots[0] <= lo and hi <= self._x_knots[-1]):
+            raise DomainError(f"spline knots [{self._x_knots[0]!r}, {self._x_knots[-1]!r}] "
+                              f"do not chain over its span [{lo!r}, {hi!r}]")
+        return [t for t in self._x_knots if lo < t < hi]
+
+    def jet(self, x: Jet) -> Jet:
+        rows = self._rows[:, np.searchsorted(self._inner, x.f, side="right")]
+
+        def const(v):
+            return jet_const(v, like=x.f)
+
+        u = ((const(PIH) - x) - const(rows[0])) * (1.0 / rows[1])
+        W = const(rows[2])
+        for a in rows[3:]:
+            W = W * u + const(a)
+        return (const(self.c) * jsin(const(2.0) * x)) * jexp(W)
+
+    def __repr__(self):
+        return f"DescentSpline(c={self.c!r}, {len(self.table)} knots)"
 
 
 def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> WarpFunction:
@@ -298,9 +399,10 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> Wa
     if not hits:
         raise DomainError(f"{x0} is not a breakpoint of {f.name or 'warpfn'}")
     k = hits[0]
-    edges = [f.a, *f.breakpoints, f.b]
-    if not (edges[k] < x0 - w and x0 + w < edges[k + 2]):
-        raise DomainError("join window leaves the two adjacent pieces")
+    cells = [f.a, *f.knots, f.b]
+    c = cells.index(f.breakpoints[k])
+    if not (cells[c - 1] < x0 - w and x0 + w < cells[c + 1]):
+        raise DomainError("join window leaves the two adjacent cells")
     left, right = f.pieces[k], f.pieces[k + 1]
 
     lj = f.eval_jet_onesided(x0, "left")

@@ -40,7 +40,7 @@ def test_conewarp_certify_reproduces_resolve_reports(run_513, tmp_path):
         path = tmp_path / f"atlas_{name}.json"
         path.write_text(atlas.to_json())
         data = json.loads(path.read_text())
-        reports = recertify(data, n_2d=FAST.grid_2d, tol=FAST.tol)
+        reports = recertify(data, n_1d=FAST.grid_1d, n_2d=FAST.grid_2d, tol=FAST.tol)
         assert set(reports) == set(FILE_CHECKS) & set(data["reports"])
         assert {"edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd"} <= set(reports)
         for key, rep in reports.items():

@@ -331,7 +331,7 @@ def test_ricci_frame_symmetry_guard():
     bad = np.zeros((2, 2))
     bad[0, 1] = 1.0
     with pytest.raises(Exception):
-        RicciFrame(("a", "b"), bad)
+        RicciFrame(bad)
 
 
 @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])

@@ -1,6 +1,8 @@
 """The f_kappa build computes each quantity once: the beta search reads a
 scalar residual on one shared descent grid, the inequality sweep is one call
-per side and is not repeated by the atlas, and an atlas stores f once."""
+per side and is not repeated by the atlas, and an atlas stores f once, its
+descent as one spline node that evaluates bit for bit as the per-cell
+expression trees it replaces."""
 
 import json
 import math
@@ -12,13 +14,20 @@ import pytest
 
 from conewarp import construct
 from conewarp import expr as ex
-from conewarp.certify import AtlasRegion, certify_gluing, scalar_q_inequality
+from conewarp.certify import AtlasRegion, certify_gluing, recertify, scalar_q_inequality
 from conewarp.cli import main as cli_main
 from conewarp.construct import PIH, _bilateral_worst_q
 from conewarp.errors import ConstructionFailure
 from conewarp.groups import cyclic_group
 from conewarp.pipeline import PipelineConfig, assemble_atlas
-from conewarp.warpfn import WarpFunction, _sample_open
+from conewarp.warpfn import (
+    TOL_JOIN,
+    DescentSpline,
+    ScalarJet,
+    WarpFunction,
+    _hermite_quintic_piece,
+    _sample_open,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,20 +140,48 @@ def _reflect_expr(e):
     raise TypeError(f"cannot reflect node {type(e).__name__}")
 
 
-def reflect_warp(f):
-    """Reference: the function x -> f(pi/2 - x) as reflected expression trees."""
+def cell_trees(spline):
+    """Reference: one expression tree per cell of a spline node, (lo, hi, tree)
+    in x order, built by _hermite_quintic_piece from the node's knot rows."""
+    out = []
+    for r0, r1 in zip(spline.table, spline.table[1:]):
+        W = _hermite_quintic_piece(ScalarJet(*r0[1:], 0.0), ScalarJet(*r1[1:], 0.0),
+                                   r0[0], r1[0], ex.Const(PIH) - ex.X)
+        out.append((PIH - r1[0], PIH - r0[0],
+                    ex.Const(spline.c) * ex.sin(2.0 * ex.X) * ex.exp(W)))
+    return out[::-1]
+
+
+def tree_cells(f):
+    """(lo, hi, tree) for every cell of f: a spline piece gives one tree per
+    cell of its span."""
     edges = [f.a, *f.breakpoints, f.b]
-    pieces = sorted(((PIH - edges[i + 1], PIH - edges[i], _reflect_expr(e))
-                     for i, e in enumerate(f.pieces)), key=lambda t: t[0])
+    out = []
+    for lo, hi, e in zip(edges, edges[1:], f.pieces):
+        if not isinstance(e, DescentSpline):
+            out.append((lo, hi, e))
+            continue
+        cuts = [lo, *e.knots_inside(lo, hi), hi]
+        trees = cell_trees(e)
+        for c0, c1 in zip(cuts, cuts[1:]):
+            out.append((c0, c1, next(t for (a, b, t) in trees if a <= c0 < b)))
+    return out
+
+
+def reflect_warp(f):
+    """Reference: the function x -> f(pi/2 - x) as reflected expression trees,
+    a spline piece reflected cell by cell through its rows' trees."""
+    pieces = sorted(((PIH - hi, PIH - lo, _reflect_expr(e)) for lo, hi, e in tree_cells(f)),
+                    key=lambda t: t[0])
     return WarpFunction(PIH - f.b, PIH - f.a, [hi for (_, hi, _) in pieces[:-1]],
                         [e for (_, _, e) in pieces], continuity_class=f.continuity_class)
 
 
 def _worst_q_per_piece(f, n_per_piece):
-    """Reference: one scalar_q_inequality call per piece, each on the side of
-    pi/4 where the piece is well conditioned."""
+    """Reference: one scalar_q_inequality call per cell, each on the side of
+    pi/4 where the cell is well conditioned."""
     fr = reflect_warp(f)
-    edges = [f.a, *f.breakpoints, f.b]
+    edges = [f.a, *f.knots, f.b]
     worst_l, worst_r = -np.inf, -np.inf
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
@@ -222,9 +259,16 @@ def test_overflowing_third_derivative_is_quiet_and_stays_inf():
     assert one.d3 == np.inf
 
 
-def test_written_atlas_stores_f_once(tmp_path):
-    assert cli_main(["resolve", "--group", "cyclic:5,1,3", "--out", str(tmp_path)]) == 0
-    for path in sorted(tmp_path.glob("atlas_*.json")):
+@pytest.fixture(scope="module")
+def written_513(tmp_path_factory):
+    """The output directory of conewarp resolve cyclic:5,1,3 at the default config."""
+    out = tmp_path_factory.mktemp("resolve_513")
+    assert cli_main(["resolve", "--group", "cyclic:5,1,3", "--out", str(out)]) == 0
+    return out
+
+
+def test_written_atlas_stores_f_once(written_513):
+    for path in sorted(written_513.glob("atlas_*.json")):
         data = json.loads(path.read_text())
         regions = {d["id"]: d for d in data["regions"]}
         assert regions["cone_tail"]["warps"] == {}
@@ -238,3 +282,67 @@ def test_written_atlas_stores_f_once(tmp_path):
         for key, rep in reports.items():
             assert rep.passed, key
             assert rep.min_margin == data["reports"][key]["min_margin"], key
+
+
+def test_conewarp_certify_rechecks_the_f_inequality(written_513, capsys):
+    """At the default grid_1d, conewarp certify reproduces resolve's
+    f_inequality_smoothed report from the written f."""
+    for path in sorted(written_513.glob("atlas_*.json")):
+        data = json.loads(path.read_text())
+        rep = recertify(data)["f_inequality_smoothed"]
+        stored = data["reports"]["f_inequality_smoothed"]
+        assert rep.passed and stored["passed"]
+        assert rep.min_margin == stored["min_margin"]
+        assert json.loads(json.dumps(rep.grid)) == stored["grid"]
+        capsys.readouterr()
+        assert cli_main(["certify", "--atlas", str(path)]) == 0
+        assert rep.target in capsys.readouterr().out
+
+
+def test_written_warps_read_back_byte_for_byte(written_513):
+    texts = [text for path in sorted(written_513.glob("atlas_*.json"))
+             for reg in json.loads(path.read_text())["regions"] for text in reg["warps"].values()]
+    assert any(text.startswith("warpfn v2\n") for text in texts)
+    for text in texts:
+        assert WarpFunction.deserialize(text).serialize() == text
+
+
+def test_spline_keeps_f_and_the_atlas_small(written_513, fk53):
+    """133,722 bytes was the atlas with f's descent as one tree per cell; the
+    176 knot rows of four repr numbers are about 15 KB of the new file."""
+    assert 3.5 * (written_513 / "atlas_node0.json").stat().st_size <= 133_722
+    assert len(fk53[0].f.pieces) <= 10
+    for n, p in ((3, 2), (11, 7)):
+        assert len(construct.build_f_kappa(n, p, 0.099).f.pieces) <= 10
+
+
+def tree_warp(f):
+    """Reference: f with every cell its own expression-tree piece."""
+    cells = tree_cells(f)
+    return WarpFunction(f.a, f.b, [hi for (_, hi, _) in cells[:-1]], [e for (_, _, e) in cells])
+
+
+def _jet_bytes(j):
+    return np.stack(j.as_tuple()).tobytes()
+
+
+@pytest.mark.parametrize("which", ["f_hat", "f"])
+def test_spline_node_evaluates_as_its_cell_trees(fk53, which):
+    """All four jet orders bit for bit on every cell and at every knot (the
+    right cell's value), one-sided at the junctions, and C^2 across the
+    spline's own knots."""
+    f = getattr(fk53[0], which)
+    ref = tree_warp(f)
+    assert ref.breakpoints == f.knots and len(ref.pieces) > 100 > len(f.pieces)
+    edges = [f.a, *f.knots, f.b]
+    xs = np.concatenate([_sample_open(lo, hi, 16) for lo, hi in zip(edges, edges[1:])]
+                        + [np.array(f.knots)])
+    assert _jet_bytes(f.jet(xs)) == _jet_bytes(ref.jet(xs))
+    for t in f.breakpoints:
+        for side in ("left", "right"):
+            assert (f.eval_jet_onesided(t, side).as_array().tobytes()
+                    == ref.eval_jet_onesided(t, side).as_array().tobytes())
+    mismatch = dict(zip(ref.breakpoints, ref.breakpoint_mismatch()))
+    inner = [t for t in f.knots if t not in f.breakpoints]
+    assert len(inner) > 100
+    assert all(np.all(mismatch[t] <= TOL_JOIN) for t in inner)

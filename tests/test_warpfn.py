@@ -9,6 +9,8 @@ from conewarp import expr as ex
 from conewarp.errors import DomainError, JoinFailure, SingularityError
 from conewarp.jets import jet_var, jsin, jcot, jcotm1, jsinc, jet2_var_x, jet2_var_y, j2sin
 from conewarp.warpfn import (
+    PIH,
+    DescentSpline,
     WarpFunction,
     build_cutoff,
     check_parity,
@@ -248,11 +250,77 @@ def test_deserialize_rejects_a_piece_gap():
 
 @pytest.mark.parametrize("header, extra, message", [
     ("warpfn v1", "peice 0.0 1.0 : x\n", "unknown warpfn key"),
-    ("warpfn v2", "", "unsupported warpfn version")])
+    ("warpfn v3", "", "unsupported warpfn version")])
 def test_deserialize_rejects_unknown_lines(header, extra, message):
     text = f"{header}\ndomain 0.0 1.0\npiece 0.0 1.0 : x\n{extra}"
     with pytest.raises(DomainError, match=message):
         WarpFunction.deserialize(text)
+
+
+# ------------------------------------------------- spline pieces, warpfn v2
+
+# A descent-style piece c sin(2x) exp(W(pi/2 - x)) written by hand in v1: W is
+# the quintic Hermite cell from (s, W, W', W'') = (0.01, 0.3, -12, 150) to
+# (0.03, 0.05, -4, 60), c = 0.5, on x in [pi/2 - 0.03, pi/2 - 0.01].
+U = "(((1.5707963267948966 - x) - 0.01) / 0.019999999999999997)"
+V1_DESCENT = (
+    "warpfn v1\nname descent\ndomain 1.5 1.5607963267948965\ncontinuity 2\n"
+    "piece 1.5 1.5407963267948965 : (0.5 * sin((2.0 * x)))\n"
+    "piece 1.5407963267948965 1.5607963267948965 : ((0.5 * sin((2.0 * x))) * exp("
+    f"((((((((((-0.5580000000000002 * {U}) + 1.3360000000000003) * {U}) + "
+    f"-0.8180000000000003) * {U}) + 0.029999999999999992) * {U}) + -0.23999999999999996)"
+    f" * {U}) + 0.3)))\n")
+TABLE = [(0.01, 0.3, -12.0, 150.0), (0.03, 0.05, -4.0, 60.0)]
+
+
+def _jet_bytes(f, xs):
+    return np.stack(f.jet(xs).as_tuple()).tobytes()
+
+
+def test_v1_descent_text_reads_and_evaluates_as_the_spline_node():
+    f = WarpFunction.deserialize(V1_DESCENT)
+    assert f.serialize() == V1_DESCENT
+    node = WarpFunction(f.a, f.b, f.breakpoints, [f.pieces[0], DescentSpline(0.5, TABLE)],
+                        name="descent")
+    xs = np.concatenate([np.linspace(f.a, f.b, 301), f.breakpoints])
+    assert _jet_bytes(node, xs) == _jet_bytes(f, xs)
+    assert node.serialize().startswith("warpfn v2\n")
+    assert "spline 1.5407963267948965 1.5607963267948965 : 0.5\n" in node.serialize()
+
+
+def _spline_warp():
+    """A middle piece, a three-knot spline cut short of its last knot, a tail."""
+    spline = DescentSpline(0.5, [(0.005, 0.4, -20.0, 300.0), *TABLE])
+    return WarpFunction(1.5, PIH, [PIH - 0.03, PIH - 0.007],
+                        [ex.Const(0.5) * ex.sin(2.0 * ex.X), spline, ex.sin(2.0 * ex.X)],
+                        continuity_class=1, name="spline_demo")
+
+
+def test_v2_text_round_trips_and_keeps_the_knots():
+    f = _spline_warp()
+    assert f.knots == [PIH - 0.03, PIH - 0.01, PIH - 0.007]
+    text = f.serialize()
+    assert text.startswith("warpfn v2\n") and text.count("\nknot ") == 3
+    g = WarpFunction.deserialize(text)
+    assert g.serialize() == text and g.knots == f.knots
+    xs = np.concatenate([np.linspace(f.a, f.b, 501), f.knots])
+    assert _jet_bytes(g, xs) == _jet_bytes(f, xs)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace("knot 0.01 0.3 -12.0 150.0", "knot 0.01 0.3 -12.0"), "4 numbers"),
+    (lambda t: t.replace("knot 0.01 0.3 -12.0 150.0", "knot 0.01 0.3 -12.0 150.0 1.0"),
+     "4 numbers"),
+    (lambda t: t.replace("knot 0.01 ", "knot 0.04 "), "do not chain"),
+    (lambda t: t.replace("knot 0.03 ", "knot 0.02 "), "do not chain"),
+    (lambda t: t.replace("knot 0.005 0.4 -20.0 300.0\n", ""), "do not chain"),
+    (lambda t: t + "knot 0.05 0.0 0.0 0.0\n", "unknown warpfn key 'knot'"),
+    (lambda t: t.replace("warpfn v2", "warpfn v1"), "unknown warpfn key 'spline'"),
+])
+def test_v2_reader_rejects_bad_spline_tables(edit, message):
+    text = _spline_warp().serialize()
+    with pytest.raises(DomainError, match=message):
+        WarpFunction.deserialize(edit(text))
 
 
 @given(st.integers(min_value=2, max_value=40))
@@ -267,3 +335,14 @@ def test_jet_fd_agreement_property(k):
         d2 = j.f2[0]
         scale = max(1.0, k**3 * abs(j.f[0]) + k)
         assert abs(fd2 - d2) <= 10 * h**2 * k**2 * scale
+
+
+def test_join_window_stays_in_the_cells_next_to_the_corner():
+    """The spline's knot at pi/2 - 0.01 bounds a join at its end pi/2 - 0.007."""
+    f = _spline_warp()
+    with pytest.raises(DomainError, match="adjacent cells"):
+        mollify_join(f, PIH - 0.007, 0.005)
+    g = mollify_join(f, PIH - 0.007, 0.002)
+    x0 = PIH - 0.007
+    assert g.knots == [PIH - 0.03, PIH - 0.01, x0 - 0.002, x0 + 0.002]
+    assert g.pieces[1] is f.pieces[1]
