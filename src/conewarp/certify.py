@@ -610,14 +610,13 @@ def run_checks(regions: dict, names=None, n_1d: int = 10_000, n_2d: int = 128,
             if (names is None or name in names) and all(r in regions for r in needs)}
 
 
-def recertify(atlas_json: dict, n_1d: int = 10_000, n_2d: int = 128,
-              tol: float = DEFAULT_TOL) -> dict:
+def recertify(atlas_json: dict, n_2d: int = 128, tol: float = DEFAULT_TOL) -> dict:
     """Run FILE_CHECKS on a written atlas; only the regions they read are
     deserialized."""
     needed = {r for name in FILE_CHECKS for r in CHECKS[name][0]}
     regions = {d["id"]: AtlasRegion.from_json(d) for d in atlas_json["regions"]
                if d["id"] in needed}
-    return run_checks(regions, FILE_CHECKS, n_1d=n_1d, n_2d=n_2d, tol=tol)
+    return run_checks(regions, FILE_CHECKS, n_2d=n_2d, tol=tol)
 
 
 def certify_gluing(atlas, tol: float = DEFAULT_TOL) -> dict:

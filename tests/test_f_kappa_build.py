@@ -309,7 +309,8 @@ def test_written_warps_read_back_byte_for_byte(written_513):
 
 def test_spline_keeps_f_and_the_atlas_small(written_513, fk53):
     """133,722 bytes was the atlas with f's descent as one tree per cell; the
-    176 knot rows of four repr numbers are about 15 KB of the new file."""
+    176 knot rows of four repr numbers are about 15 KB of the new file.  The
+    pinned 3.5x is below ROADMAP item 3's goal of 4x, which stays open."""
     assert 3.5 * (written_513 / "atlas_node0.json").stat().st_size <= 133_722
     assert len(fk53[0].f.pieces) <= 10
     for n, p in ((3, 2), (11, 7)):
