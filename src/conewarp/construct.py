@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
     UnderflowError_,
 )
-from .jets import Jet, jet_var
+from .jets import Jet, jcos, jet_var, jsin, jsinc
 from .warpfn import (
     PIH,
     DescentSpline,
@@ -558,7 +558,7 @@ class _Reflected:
 
     def jet(self, x) -> Jet:
         j = self.f.jet(PIH - np.asarray(x, dtype=float))
-        return Jet(j.f, -j.f1, j.f2, -j.f3)
+        return Jet(j.f, -j.f1, j.f2)
 
 
 def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
@@ -705,7 +705,7 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
     for factor in np.linspace(1.02, 1.35, 34):
         c1_try = float(factor) * v / (c3 + tail_lo)
         hermite = _hermite_quintic_piece(
-            jL, ScalarJet(c1_try * (tail_hi + c3), c1_try, 0.0, 0.0), tail_lo, tail_hi)
+            jL, ScalarJet(c1_try * (tail_hi + c3), c1_try, 0.0), tail_lo, tail_hi)
         xs = np.linspace(tail_lo, tail_hi, 512)
         jj = hermite.jet(jet_var(xs))
         if np.max(jj.f2) <= 1e-9 * d2_scale and np.min(jj.f1) >= -1e-9 * d1_scale:
@@ -928,11 +928,10 @@ class _ComposedC:
     def jet(self, th):
         th = np.asarray(th, dtype=float)
         t = jet_var(th)
-        from .jets import jsin
         sn = jsin(t)
         inner = self.sigma * sn
         jr = self.rho.jet(inner.f)
-        comp = inner.chain(jr.f, jr.f1, jr.f2, jr.f3)
+        comp = inner.chain(jr.f, jr.f1, jr.f2)
         return (1.0 - self.s) * sn + (self.s / (self.n * self.sigma)) * comp
 
 
@@ -943,7 +942,6 @@ class _ComposedB:
         self.s, self.sigma = s, sigma
 
     def jet(self, th):
-        from .jets import jcos, jsinc
         t = jet_var(np.asarray(th, dtype=float))
         c = jcos(t)
         return (1.0 - self.s) * c + self.s * c * jsinc(2.0 * self.sigma * c)

@@ -158,7 +158,7 @@ class Div(Expr):
 
     def jet(self, x):
         # constant denominators multiply by the inverse: the generic
-        # reciprocal jet forms 1/c^2..1/c^4, which overflows for the
+        # reciprocal jet forms 1/c^2 and 1/c^3, which overflow for the
         # window-width constants of joins at extreme scales
         if isinstance(self.b, Const):
             return self.a.jet(x) * (1.0 / self.b.c)

@@ -3,14 +3,14 @@
 Two small truncated Taylor algebras drive every curvature formula in this
 package:
 
-* :class:`Jet` -- value and first three derivatives of a scalar function of
+* :class:`Jet` -- value and first two derivatives of a scalar function of
   one variable.  All components are numpy arrays (or scalars) so that a whole
   sample grid is pushed through an expression tree in one pass.
 * :class:`Jet2` -- value and partial derivatives through second order of a
   function of two variables, used by the torus-invariant metric families.
 
 Chain rules are written out explicitly (Faa di Bruno to the required order)
-rather than via a generic series product; at order <= 3 the explicit form is
+rather than via a generic series product; at order <= 2 the explicit form is
 both faster and easier to audit.
 """
 
@@ -25,31 +25,30 @@ __all__ = ["Jet", "Jet2", "jet_var", "jet_const", "jet2_var_x", "jet2_var_y"]
 
 @dataclass
 class Jet:
-    """Value and derivatives (f, f', f'', f''') of a univariate function."""
+    """Value and derivatives (f, f', f'') of a univariate function."""
 
     f: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    f3: np.ndarray
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         o = _as_jet(other, self)
-        return Jet(self.f + o.f, self.f1 + o.f1, self.f2 + o.f2, self.f3 + o.f3)
+        return Jet(self.f + o.f, self.f1 + o.f1, self.f2 + o.f2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = _as_jet(other, self)
-        return Jet(self.f - o.f, self.f1 - o.f1, self.f2 - o.f2, self.f3 - o.f3)
+        return Jet(self.f - o.f, self.f1 - o.f1, self.f2 - o.f2)
 
     def __rsub__(self, other):
         o = _as_jet(other, self)
         return o - self
 
     def __neg__(self):
-        return Jet(-self.f, -self.f1, -self.f2, -self.f3)
+        return Jet(-self.f, -self.f1, -self.f2)
 
     def __mul__(self, other):
         o = _as_jet(other, self)
@@ -57,7 +56,6 @@ class Jet:
             self.f * o.f,
             self.f1 * o.f + self.f * o.f1,
             self.f2 * o.f + 2.0 * self.f1 * o.f1 + self.f * o.f2,
-            self.f3 * o.f + 3.0 * self.f2 * o.f1 + 3.0 * self.f1 * o.f2 + self.f * o.f3,
         )
 
     __rmul__ = __mul__
@@ -72,27 +70,26 @@ class Jet:
 
     # -- composition helpers ---------------------------------------------
 
-    def chain(self, g0, g1, g2, g3):
-        """Compose an outer function with derivatives g0..g3 at ``self.f``."""
-        u1, u2, u3 = self.f1, self.f2, self.f3
+    def chain(self, g0, g1, g2):
+        """Compose an outer function with derivatives g0..g2 at ``self.f``."""
+        u1, u2 = self.f1, self.f2
         return Jet(
             g0,
             g1 * u1,
             g2 * u1 * u1 + g1 * u2,
-            g3 * u1 ** 3 + 3.0 * g2 * u1 * u2 + g1 * u3,
         )
 
     def reciprocal(self):
         inv = 1.0 / self.f
         inv2 = inv * inv
-        return self.chain(inv, -inv2, 2.0 * inv2 * inv, -6.0 * inv2 * inv2)
+        return self.chain(inv, -inv2, 2.0 * inv2 * inv)
 
     def power(self, a: float):
         """self**a for a real constant exponent (positive base assumed)."""
         if a == 0:
             one = np.ones_like(self.f)
             zero = np.zeros_like(self.f)
-            return Jet(one, zero, zero.copy(), zero.copy())
+            return Jet(one, zero, zero.copy())
         if a == 1:
             return self
         if a == 2:
@@ -103,11 +100,10 @@ class Jet:
         g0 = v ** a
         g1 = a * v ** (a - 1.0)
         g2 = a * (a - 1.0) * v ** (a - 2.0)
-        g3 = a * (a - 1.0) * (a - 2.0) * v ** (a - 3.0)
-        return self.chain(g0, g1, g2, g3)
+        return self.chain(g0, g1, g2)
 
     def as_tuple(self):
-        return (self.f, self.f1, self.f2, self.f3)
+        return (self.f, self.f1, self.f2)
 
 
 def _as_jet(x, like: Jet) -> Jet:
@@ -115,7 +111,7 @@ def _as_jet(x, like: Jet) -> Jet:
         return x
     v = np.asarray(x, dtype=float)
     z = np.zeros_like(np.broadcast_arrays(v, like.f)[1], dtype=float)
-    return Jet(v + z, z, z.copy(), z.copy())
+    return Jet(v + z, z, z.copy())
 
 
 def jet_var(x) -> Jet:
@@ -123,7 +119,7 @@ def jet_var(x) -> Jet:
     v = np.asarray(x, dtype=float)
     one = np.ones_like(v)
     zero = np.zeros_like(v)
-    return Jet(v, one, zero, zero.copy())
+    return Jet(v, one, zero)
 
 
 def jet_const(c, like=None) -> Jet:
@@ -131,7 +127,7 @@ def jet_const(c, like=None) -> Jet:
     if like is not None:
         v = v + np.zeros_like(np.asarray(like, dtype=float))
     z = np.zeros_like(v)
-    return Jet(v, z, z.copy(), z.copy())
+    return Jet(v, z, z.copy())
 
 
 # -- elementary functions on jets ------------------------------------------
@@ -139,22 +135,22 @@ def jet_const(c, like=None) -> Jet:
 
 def jsin(u: Jet) -> Jet:
     s, c = np.sin(u.f), np.cos(u.f)
-    return u.chain(s, c, -s, -c)
+    return u.chain(s, c, -s)
 
 
 def jcos(u: Jet) -> Jet:
     s, c = np.sin(u.f), np.cos(u.f)
-    return u.chain(c, -s, -c, s)
+    return u.chain(c, -s, -c)
 
 
 def jexp(u: Jet) -> Jet:
     e = np.exp(u.f)
-    return u.chain(e, e, e, e)
+    return u.chain(e, e, e)
 
 
 def jlog(u: Jet) -> Jet:
     v = u.f
-    return u.chain(np.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
+    return u.chain(np.log(v), 1.0 / v, -1.0 / v ** 2)
 
 
 def jsqrt(u: Jet) -> Jet:
@@ -164,14 +160,14 @@ def jsqrt(u: Jet) -> Jet:
 def jtan(u: Jet) -> Jet:
     t = np.tan(u.f)
     s = 1.0 + t * t  # sec^2
-    return u.chain(t, s, 2.0 * t * s, s * (2.0 * s + 4.0 * t * t))
+    return u.chain(t, s, 2.0 * t * s)
 
 
 def jcot(u: Jet) -> Jet:
     c = 1.0 / np.tan(u.f)
     d = 1.0 + c * c  # csc^2
-    # cot' = -(1+cot^2), cot'' = 2 cot (1+cot^2), cot''' = -(1+cot^2)(2+6cot^2)
-    return u.chain(c, -d, 2.0 * c * d, -d * (2.0 + 6.0 * c * c))
+    # cot' = -(1+cot^2), cot'' = 2 cot (1+cot^2)
+    return u.chain(c, -d, 2.0 * c * d)
 
 
 # Series for cot(x) - 1/x, accurate to ~1e-16 relative on |x| <= 0.4.
@@ -200,29 +196,25 @@ def _poly_even(vs, coef):
 
 
 def _even_series(vs, coef):
-    """Derivatives 0..3 of f(x) = sum_k coef[k] * x**(2k) at points vs."""
+    """Derivatives 0..2 of f(x) = sum_k coef[k] * x**(2k) at points vs."""
     coef = list(coef)
     d1 = [coef[k] * (2 * k) for k in range(1, len(coef))]           # f'  = x * sum d1[j] x^(2j)
     d2 = [coef[k] * (2 * k) * (2 * k - 1) for k in range(1, len(coef))]  # f'' = sum d2[j] x^(2j)
-    d3 = [coef[k] * (2 * k) * (2 * k - 1) * (2 * k - 2) for k in range(2, len(coef))]  # f''' = x * sum
     s0 = _poly_even(vs, coef)
     s1 = vs * _poly_even(vs, d1)
     s2 = _poly_even(vs, d2)
-    s3 = vs * _poly_even(vs, d3) if d3 else np.zeros_like(vs)
-    return s0, s1, s2, s3
+    return s0, s1, s2
 
 
 def _odd_series(vs, coef):
-    """Derivatives 0..3 of f(x) = sum_k coef[k] * x**(2k+1) at points vs."""
+    """Derivatives 0..2 of f(x) = sum_k coef[k] * x**(2k+1) at points vs."""
     coef = list(coef)
     d1 = [coef[k] * (2 * k + 1) for k in range(len(coef))]
     d2 = [coef[k] * (2 * k + 1) * (2 * k) for k in range(1, len(coef))]
-    d3 = [coef[k] * (2 * k + 1) * (2 * k) * (2 * k - 1) for k in range(1, len(coef))]
     s0 = vs * _poly_even(vs, coef)
     s1 = _poly_even(vs, d1)
     s2 = vs * _poly_even(vs, d2) if d2 else np.zeros_like(vs)
-    s3 = _poly_even(vs, d3) if d3 else np.zeros_like(vs)
-    return s0, s1, s2, s3
+    return s0, s1, s2
 
 
 def jcotm1(u: Jet) -> Jet:
@@ -234,19 +226,17 @@ def jcotm1(u: Jet) -> Jet:
     v = u.f
     small = np.abs(v) < 0.4
     vs = np.where(small, v, 0.1)  # safe placeholder for the series branch
-    s0, s1, s2, s3 = _odd_series(vs, _COTM1)
+    s0, s1, s2 = _odd_series(vs, _COTM1)
     vb = np.where(small, 1.0, v)
     cb = 1.0 / np.tan(vb)
     db = 1.0 + cb * cb
     d0 = cb - 1.0 / vb
     d1 = -db + 1.0 / vb ** 2
     d2 = 2.0 * cb * db - 2.0 / vb ** 3
-    d3 = -db * (2.0 + 6.0 * cb * cb) + 6.0 / vb ** 4
     return u.chain(
         np.where(small, s0, d0),
         np.where(small, s1, d1),
         np.where(small, s2, d2),
-        np.where(small, s3, d3),
     )
 
 
@@ -258,17 +248,15 @@ def jsinc(u: Jet) -> Jet:
     v = u.f
     small = np.abs(v) < 0.5
     vs = np.where(small, v, 0.1)
-    s0, s1, s2, s3 = _even_series(vs, _SINC)
+    s0, s1, s2 = _even_series(vs, _SINC)
     vb = np.where(small, 1.0, v)
     f0 = np.sin(vb) / vb
     f1 = np.cos(vb) / vb - np.sin(vb) / vb ** 2
     f2 = -np.sin(vb) / vb - 2.0 * np.cos(vb) / vb ** 2 + 2.0 * np.sin(vb) / vb ** 3
-    f3 = -np.cos(vb) / vb + 3.0 * np.sin(vb) / vb ** 2 + 6.0 * np.cos(vb) / vb ** 3 - 6.0 * np.sin(vb) / vb ** 4
     return u.chain(
         np.where(small, s0, f0),
         np.where(small, s1, f1),
         np.where(small, s2, f2),
-        np.where(small, s3, f3),
     )
 
 
@@ -384,8 +372,7 @@ def j2cos(u: Jet2) -> Jet2:
 
 def j2sinc(u: Jet2) -> Jet2:
     """sin(x)/x on bivariate jets (series branch near 0)."""
-    probe = Jet(u.f, np.ones_like(u.f), np.zeros_like(u.f), np.zeros_like(u.f))
-    g = jsinc(probe)
+    g = jsinc(jet_var(u.f))
     return u.chain(g.f, g.f1, g.f2)
 
 

@@ -4,7 +4,7 @@ A :class:`WarpFunction` is an ordered list of pieces on a closed interval.
 A piece is an expression tree, or a :class:`DescentSpline`: one node for a
 whole run of quintic-Hermite cells, stored as its knots' Hermite data and
 evaluated through one row lookup instead of one tree per cell.  A warp
-function knows how to evaluate jets (value through third derivative), check
+function knows how to evaluate jets (value through second derivative), check
 the boundary parity conditions that make warped metrics close smoothly, and
 blend away corners with polynomial smoothsteps.  Everything is immutable
 after construction and vectorized over numpy arrays.
@@ -53,18 +53,17 @@ PARITY_TAGS = (
 
 @dataclass
 class ScalarJet:
-    """Value and first three derivatives of a scalar function at a point."""
+    """Value and first two derivatives of a scalar function at a point."""
 
     value: float
     d1: float
     d2: float
-    d3: float
 
     def as_array(self):
-        return np.array([self.value, self.d1, self.d2, self.d3])
+        return np.array([self.value, self.d1, self.d2])
 
     def __iter__(self):
-        return iter((self.value, self.d1, self.d2, self.d3))
+        return iter((self.value, self.d1, self.d2))
 
 
 @dataclass
@@ -76,7 +75,8 @@ class WarpFunction:
     the right piece wins (one-sided data of the left piece remains available
     through ``eval_jet_onesided``).  ``knots`` are the interior cell edges:
     the breakpoints and every spline knot inside its piece's span; per-cell
-    sample grids and chart avoid lists read them.
+    sample grids and chart avoid lists read them.  ``continuity_class`` is
+    0, 1 or 2: a jet holds orders 0..2, so no higher class can be checked.
     """
 
     a: float
@@ -93,6 +93,8 @@ class WarpFunction:
             raise DomainError("WarpFunction needs at least one piece")
         if len(self.pieces) != len(self.breakpoints) + 1:
             raise DomainError("need exactly one more piece than breakpoints")
+        if self.continuity_class not in (0, 1, 2):
+            raise DomainError(f"continuity class {self.continuity_class!r} is not 0, 1 or 2")
         self.a = float(self.a)
         self.b = float(self.b)
         self.breakpoints = [float(t) for t in self.breakpoints]
@@ -122,10 +124,9 @@ class WarpFunction:
             bad = x[(x < self.a - 1e-12) | (x > self.b + 1e-12)][0]
             raise DomainError(f"{bad} outside domain [{self.a}, {self.b}]")
         idx = self.piece_index(x)
-        out = [np.empty_like(x) for _ in range(4)]
-        # steep power pieces overflow in the (unused) third derivative at
-        # extreme arguments; the saturation below keeps orders <= 2 strict,
-        # and a pole in orders <= 2 raises SingularityError there
+        out = [np.empty_like(x) for _ in range(3)]
+        # a pole warns inside the pieces; the check below raises
+        # SingularityError for it instead
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i, piece in enumerate(self.pieces):
                 mask = idx == i
@@ -134,16 +135,10 @@ class WarpFunction:
                 j = piece.jet(jet_var(x[mask]))
                 for k, comp in enumerate(j.as_tuple()):
                     out[k][mask] = comp
-        for k in range(3):
-            if not np.all(np.isfinite(out[k])):
-                where = x[~np.isfinite(out[k])][0]
+        for k, comp in enumerate(out):
+            if not np.all(np.isfinite(comp)):
+                where = x[~np.isfinite(comp)][0]
                 raise SingularityError(f"non-finite derivative order {k} at x={where}")
-        # the third derivative may overflow at extreme arguments of steep
-        # power laws; it is not load-bearing (curvature uses two orders),
-        # so saturate it rather than reject the point
-        bad3 = ~np.isfinite(out[3])
-        if np.any(bad3):
-            out[3] = np.where(bad3, 0.0, out[3])
         return Jet(*out)
 
     def eval_jet_onesided(self, x: float, side: str) -> ScalarJet:
@@ -171,8 +166,8 @@ class WarpFunction:
         for t in self.breakpoints:
             left = self.eval_jet_onesided(t, "left").as_array()
             right = self.eval_jet_onesided(t, "right").as_array()
-            k = min(self.continuity_class, 3)
-            scale = np.maximum.reduce([np.abs(left), np.abs(right), np.ones(4)])
+            k = self.continuity_class
+            scale = np.maximum.reduce([np.abs(left), np.abs(right), np.ones(3)])
             out.append(np.abs(left - right)[: k + 1] / scale[: k + 1])
         return out
 
@@ -264,11 +259,8 @@ class WarpFunction:
 
 
 def _piece_jet(piece: ex.Expr, x: float) -> ScalarJet:
-    """Jet of one piece at one point.  As in ``WarpFunction.jet``, steep power
-    pieces may overflow in the third derivative; here it stays inf, so a
-    parity check that reads order 3 cannot pass on it."""
-    with np.errstate(over="ignore"):
-        j = piece.jet(jet_var(np.array([x])))
+    """Jet of one piece at one point."""
+    j = piece.jet(jet_var(np.array([x])))
     return ScalarJet(*(float(c[0]) for c in j.as_tuple()))
 
 
@@ -346,7 +338,7 @@ class DescentSpline(ex.Expr):
                               "increasing in pi/2 - x")
         rows = []
         for r0, r1 in zip(self.table, self.table[1:]):
-            w, coeffs = _hermite_quintic(ScalarJet(*r0[1:], 0.0), ScalarJet(*r1[1:], 0.0),
+            w, coeffs = _hermite_quintic(ScalarJet(*r0[1:]), ScalarJet(*r1[1:]),
                                          r0[0], r1[0])
             rows.append((r0[0], w, *coeffs))
         # cells and knots in x order: the last knot in s is the first in x
@@ -477,14 +469,16 @@ class ParityReport:
         return self.passed
 
 
-def check_parity(f: WarpFunction, endpoint: str, tag: str, max_order: int = 3,
+def check_parity(f: WarpFunction, endpoint: str, tag: str,
                  tol: float = TOL_PARITY) -> ParityReport:
     """Report |f^(j)| at an endpoint for the orders the tag requires.
 
     Tags follow the boundary conditions of smooth metric closure: fibers that
     collapse need the value and even derivatives to vanish; transverse warp
     factors need odd derivatives to vanish; ``value-positive`` just checks
-    positivity.  Report-only: never raises on failure.
+    positivity.  Report-only: never raises on failure.  The jet reaches
+    order 2, the highest continuity class a warp function declares, so the
+    odd tag checks order 1 and the even tag orders 0 and 2.
     """
     if tag not in PARITY_TAGS:
         raise DomainError(f"unknown parity tag {tag!r}")
@@ -493,15 +487,11 @@ def check_parity(f: WarpFunction, endpoint: str, tag: str, max_order: int = 3,
     j = f.eval_jet_onesided(x, side)
     vals = j.as_array()
     rep = ParityReport(endpoint=endpoint, tag=tag,
-                       derivatives={k: float(vals[k]) for k in range(min(max_order, 3) + 1)})
+                       derivatives={k: float(v) for k, v in enumerate(vals)})
     if tag == "value-positive":
         rep.checked_orders = (0,)
         rep.passed = vals[0] > 0
         return rep
-    if tag == "odd-derivatives-vanish":
-        orders = tuple(k for k in (1, 3) if k <= max_order)
-    else:  # even-vanish-and-value-zero
-        orders = tuple(k for k in (0, 2) if k <= max_order)
-    rep.checked_orders = orders
-    rep.passed = all(abs(vals[k]) <= tol for k in orders)
+    rep.checked_orders = (1,) if tag == "odd-derivatives-vanish" else (0, 2)
+    rep.passed = all(abs(vals[k]) <= tol for k in rep.checked_orders)
     return rep

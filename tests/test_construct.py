@@ -68,7 +68,7 @@ def test_f_kappa_properties(n, p):
     mid = _sample_open(TAU, math.pi / 2 - TAU, 200)
     np.testing.assert_allclose(f(mid), fk.c_mid * np.sin(2 * mid), rtol=1e-11)
     # (iii): endpoint data
-    rep0 = check_parity(f, "left", "even-derivatives-vanish-and-value-zero", 2)
+    rep0 = check_parity(f, "left", "even-derivatives-vanish-and-value-zero")
     assert rep0.passed and rep0.derivatives[1] == pytest.approx(1.0, abs=1e-9)
     j1 = f.eval_jet_onesided(math.pi / 2, "left")
     assert j1.value == pytest.approx(0.0, abs=1e-15)

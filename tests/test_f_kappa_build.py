@@ -145,7 +145,7 @@ def cell_trees(spline):
     in x order, built by _hermite_quintic_piece from the node's knot rows."""
     out = []
     for r0, r1 in zip(spline.table, spline.table[1:]):
-        W = _hermite_quintic_piece(ScalarJet(*r0[1:], 0.0), ScalarJet(*r1[1:], 0.0),
+        W = _hermite_quintic_piece(ScalarJet(*r0[1:]), ScalarJet(*r1[1:]),
                                    r0[0], r1[0], ex.Const(PIH) - ex.X)
         out.append((PIH - r1[0], PIH - r0[0],
                     ex.Const(spline.c) * ex.sin(2.0 * ex.X) * ex.exp(W)))
@@ -246,17 +246,17 @@ def test_atlas_reports_the_builds_presmoothing_sweep():
     assert rep.details["value"] == max(sweeps[0]) and rep.passed
 
 
-def test_overflowing_third_derivative_is_quiet_and_stays_inf():
+def test_steep_power_piece_jet_is_finite_and_quiet():
     """A dip-like power piece sin(2x)^(1 - mu/2) at a junction near 1e-188:
-    its third derivative overflows, orders 0..2 are finite."""
+    orders 0..2 are finite and raise no RuntimeWarning, one-sided or not."""
     t = 1e-188
     f = WarpFunction(0.0, 1.0, [t], [ex.sin(2.0 * ex.X), ex.sin(2.0 * ex.X) ** 0.975])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         one = f.eval_jet_onesided(t, "right")
         ref = f.jet(np.array([t]))
-    assert [one.value, one.d1, one.d2] == [ref.f[0], ref.f1[0], ref.f2[0]]
-    assert one.d3 == np.inf
+    assert np.all(np.isfinite(one.as_array()))
+    assert list(one) == [ref.f[0], ref.f1[0], ref.f2[0]]
 
 
 @pytest.fixture(scope="module")

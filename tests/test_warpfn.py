@@ -19,11 +19,10 @@ from conewarp.warpfn import (
 
 
 def fd_derivs(f, x, h=1e-4):
-    """Central finite differences for orders 1..3."""
+    """Central finite differences for orders 1 and 2."""
     d1 = (f(x + h) - f(x - h)) / (2 * h)
     d2 = (f(x + h) - 2 * f(x) + f(x - h)) / h**2
-    d3 = (f(x + 2 * h) - 2 * f(x + h) + 2 * f(x - h) - f(x - 2 * h)) / (2 * h**3)
-    return d1, d2, d3
+    return d1, d2
 
 
 # ---------------------------------------------------------------- jets
@@ -37,22 +36,25 @@ def fd_derivs(f, x, h=1e-4):
         ((ex.X ** 1.7) / (1.0 + ex.X), lambda x: x**1.7 / (1 + x)),
         (ex.cot(ex.X), lambda x: 1 / np.tan(x)),
         (ex.log(1.0 + ex.X) - ex.sqrt(ex.X), lambda x: np.log(1 + x) - np.sqrt(x)),
+        # both branches of cotm1 (|x| < 0.4) and sinc (|x| < 0.5) are sampled
+        (ex.tan(ex.X), np.tan),
+        (ex.cotm1(ex.X), lambda x: 1 / np.tan(x) - 1 / x),
+        (ex.sinc(ex.X), lambda x: np.sin(x) / x),
     ],
 )
 def test_jet_matches_finite_differences(expr, f):
     xs = np.linspace(0.3, 1.2, 7)
     j = expr.jet(jet_var(xs))
     np.testing.assert_allclose(j.f, f(xs), rtol=1e-12)
-    d1, d2, d3 = fd_derivs(f, xs)
+    d1, d2 = fd_derivs(f, xs)
     np.testing.assert_allclose(j.f1, d1, rtol=1e-6, atol=1e-6)
     np.testing.assert_allclose(j.f2, d2, rtol=1e-5, atol=1e-5)
-    np.testing.assert_allclose(j.f3, d3, rtol=1e-3, atol=1e-3)
 
 
 def test_trig_jet_exact():
-    # f = sin(2x)/2 at pi/4: (1/2, 0, -2, 0)
+    # f = sin(2x)/2 at pi/4: (1/2, 0, -2)
     j = (ex.sin(2.0 * ex.X) / 2.0).jet(jet_var(np.pi / 4))
-    np.testing.assert_allclose([j.f, j.f1, j.f2, j.f3], [0.5, 0.0, -2.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose([j.f, j.f1, j.f2], [0.5, 0.0, -2.0], atol=1e-14)
 
 
 def test_cotm1_series_accuracy():
@@ -85,7 +87,7 @@ def test_jet_product_rule(a, b):
     xs = np.array([0.7])
     lhs = (e1 * e2).jet(jet_var(xs))
     j1, j2 = e1.jet(jet_var(xs)), e2.jet(jet_var(xs))
-    np.testing.assert_allclose(lhs.f3, j1.f3 * j2.f + 3 * j1.f2 * j2.f1 + 3 * j1.f1 * j2.f2 + j1.f * j2.f3, rtol=1e-12)
+    np.testing.assert_allclose(lhs.f2, j1.f2 * j2.f + 2 * j1.f1 * j2.f1 + j1.f * j2.f2, rtol=1e-12)
 
 
 def test_jet2_partials():
@@ -134,13 +136,13 @@ def test_parse_rejects_garbage():
 
 def make_round_f():
     return WarpFunction(0.0, np.pi / 2, [], [ex.sin(2.0 * ex.X) / 2.0],
-                        continuity_class=3, name="round")
+                        continuity_class=2, name="round")
 
 
 def test_eval_jet_round():
     f = make_round_f()
     j = f.jet(np.pi / 4)
-    np.testing.assert_allclose([j.f, j.f1, j.f2, j.f3], [[0.5], [0], [-2.0], [0]], atol=1e-14)
+    np.testing.assert_allclose([j.f, j.f1, j.f2], [[0.5], [0], [-2.0]], atol=1e-14)
 
 
 def test_eval_jet_domain_error():
@@ -161,7 +163,7 @@ def test_breakpoint_onesided_jets():
     x0 = 0.3
     f = WarpFunction(0.0, 1.5, [x0],
                      [ex.sin(ex.Const(k) * ex.X) / k, ex.sin(ex.Const(k) * ex.X) / k],
-                     continuity_class=3)
+                     continuity_class=2)
     assert f.check_joins()
     # now a genuine C^{1,1} corner: second derivatives differ
     g = WarpFunction(0.0, 1.5, [x0],
@@ -210,11 +212,10 @@ def test_build_cutoff_domain_error():
 
 def test_check_parity_round():
     f = make_round_f()
-    rep = check_parity(f, "left", "even-vanish-and-value-zero".replace("even-vanish", "even-derivatives-vanish"), 2) \
-        if False else check_parity(f, "left", "even-derivatives-vanish-and-value-zero", 2)
+    rep = check_parity(f, "left", "even-derivatives-vanish-and-value-zero")
     assert rep.passed
     assert rep.derivatives[1] == pytest.approx(1.0, abs=1e-12)
-    rep2 = check_parity(f, "right", "even-derivatives-vanish-and-value-zero", 2)
+    rep2 = check_parity(f, "right", "even-derivatives-vanish-and-value-zero")
     assert rep2.passed
     j = f.eval_jet_onesided(np.pi / 2, "left")
     assert j.d1 == pytest.approx(-1.0, abs=1e-12)
@@ -222,7 +223,7 @@ def test_check_parity_round():
 
 def test_check_parity_odd():
     g = WarpFunction(0.0, 1.0, [], [ex.cos(ex.X)], name="phi")
-    rep = check_parity(g, "left", "odd-derivatives-vanish", 3)
+    rep = check_parity(g, "left", "odd-derivatives-vanish")
     assert rep.passed and rep.derivatives[0] == pytest.approx(1.0)
 
 
@@ -250,7 +251,9 @@ def test_deserialize_rejects_a_piece_gap():
 
 @pytest.mark.parametrize("header, extra, message", [
     ("warpfn v1", "peice 0.0 1.0 : x\n", "unknown warpfn key"),
-    ("warpfn v3", "", "unsupported warpfn version")])
+    ("warpfn v3", "", "unsupported warpfn version"),
+    # a jet holds orders 0..2, so no higher continuity class can be checked
+    ("warpfn v1", "continuity 3\n", "continuity class 3 is not 0, 1 or 2")])
 def test_deserialize_rejects_unknown_lines(header, extra, message):
     text = f"{header}\ndomain 0.0 1.0\npiece 0.0 1.0 : x\n{extra}"
     with pytest.raises(DomainError, match=message):
