@@ -22,8 +22,11 @@ from .curvature import (
     ConeOverBerger,
     LocalGlue,
     ansatz_to_chart,
+    cap_link_lower_bound,
     cap_parts,
     frame_project,
+    link_family_jets,
+    link_ricci_margins,
     ricci_berger_general,
     ricci_cone_berger,
     ricci_fd_batch,
@@ -369,11 +372,11 @@ class AtlasRegion:
                    {k: WarpFunction.deserialize(v) for k, v in d["warps"].items()})
 
 
-def bound_report(target, value, bound, tol=0.0, grid=None) -> CertificationReport:
-    """Report for a value the builder computed: value <= bound + tol passes."""
-    rep = CertificationReport(target=target, grid=grid or {}, tolerance=tol,
+def bound_report(target, value, bound, grid) -> CertificationReport:
+    """Report for a value the builder computed: value <= bound passes."""
+    rep = CertificationReport(target=target, grid=grid, tolerance=0.0,
                               min_margin=float(bound - value), argmin=[])
-    rep.passed = value <= bound + tol
+    rep.passed = value <= bound
     rep.details["value"] = float(value)
     rep.details["bound"] = float(bound)
     return rep
@@ -418,20 +421,23 @@ def _cone_berger_psd(region, grid, tol, target) -> CertificationReport:
 
 
 def _leaf_flat(regions, n_1d, n_2d, tol):
-    return _cone_berger_psd(regions["flat"], Grid([(0.1, 2.0), (0.0, PIH)], [32, 32]),
-                            tol, "flat leaf Ricci = 0")
+    return {"leaf_flat": _cone_berger_psd(regions["flat"],
+                                          Grid([(0.1, 2.0), (0.0, PIH)], [32, 32]),
+                                          tol, "flat leaf Ricci = 0")}
 
 
 def _f_inequality(regions, n_1d, n_2d, tol):
     e = regions["edge_body"]
-    return certify_inequality(e.warps["f"], -1.0, Grid([(0.0, PIH)], [n_1d]), tol,
-                              target=f"f inequality <= -1 ({e.data['n']},{e.data['p']})")
+    return {"f_inequality_smoothed": certify_inequality(
+        e.warps["f"], -1.0, Grid([(0.0, PIH)], [n_1d]), tol,
+        target=f"f inequality <= -1 ({e.data['n']},{e.data['p']})")}
 
 
 def _edge_ricci(regions, n_1d, n_2d, tol):
     e = regions["edge_body"]
-    return _cone_berger_psd(e, Grid([(0.0, e.data["r_out"]), (0.0, PIH)], [n_2d, n_2d]),
-                            tol, "edge body Ricci >= 0")
+    return {"edge_ricci_psd": _cone_berger_psd(
+        e, Grid([(0.0, e.data["r_out"]), (0.0, PIH)], [n_2d, n_2d]), tol,
+        "edge body Ricci >= 0")}
 
 
 def _exact_tail(tail, body):
@@ -451,11 +457,11 @@ def _exact_tail(tail, body):
 
 
 def _tail_exact_linear(regions, n_1d, n_2d, tol):
-    return _exact_tail(regions["cone_tail"], regions["edge_body"])
+    return {"tail_exact_linear": _exact_tail(regions["cone_tail"], regions["edge_body"])}
 
 
 def _body_tail_exact(regions, n_1d, n_2d, tol):
-    return _exact_tail(regions["berger_body"], regions["berger_body"])
+    return {"body_tail_exact": _exact_tail(regions["berger_body"], regions["berger_body"])}
 
 
 def _glue_ricci(regions, n_1d, n_2d, tol):
@@ -470,7 +476,30 @@ def _glue_ricci(regions, n_1d, n_2d, tol):
     def field_fn(pts):
         return ricci_local_glue(glue, pts[:, 0], pts[:, 1]).entries
 
-    return certify_psd(field_fn, grid, tol, target="glue collar Ricci >= 0 (refined cutoff bands)")
+    return {"glue_ricci_psd": certify_psd(field_fn, grid, tol,
+                                          target="glue collar Ricci >= 0 (refined cutoff bands)")}
+
+
+def _glue_bounds(regions, n_1d, n_2d, tol):
+    """|psi_r / sin 2xi| <= 2 n sigma2/sigma1 and the mixed term
+    |3 rho' psi_r / (n sin 2xi)| <= 1/100, from one sweep of psi."""
+    t0 = time.perf_counter()
+    glue = _local_glue(regions["glue_collar"])
+    s1, s2, n, half = glue.sigma1, glue.sigma2, glue.n, glue.xi0 / 2
+    # the cutoff windows are far below the uniform spacing: refine them;
+    # contiguous copies keep numpy's ufuncs on the paths the golden margins pin
+    grid = Grid([(0.0, half)] * 2, [192, 192],
+                refine=[(0.0, min(2.2 * s, half), 96) for s in (s1, s2)])
+    pts = grid.points()
+    r, xi = pts.T.copy()
+    p_r = glue.psi_jets(r, xi)[1]
+    s2xi = np.sin(2 * xi)
+    mixed = np.abs(3.0 * glue.rho.jet(r).f1 * p_r / (n * s2xi))
+    return {"glue_psi_r_bound": _identity_report(
+                "glue |psi_r/sin 2xi| <= 2 n sigma2/sigma1", grid, pts, np.abs(p_r / s2xi),
+                2 * n * s2 / s1 * (1 + 1e-12), 0.0, t0),
+            "glue_mixed_bound": _identity_report("glue mixed term <= 1/100", grid, pts,
+                                                 mixed, 0.01, 0.0, t0)}
 
 
 def _glue_product(regions, n_1d, n_2d, tol):
@@ -480,8 +509,9 @@ def _glue_product(regions, n_1d, n_2d, tol):
     grid = Grid([(0.0, g.data["sigma1"]), (0.0, g.data["sigma2"])], [48, 48])
     pts = grid.points()
     psi = _local_glue(g).psi_jets(pts[:, 0], pts[:, 1])[0]
-    return _identity_report("glue corner equals the surface product (psi = 0)", grid, pts,
-                            np.abs(psi), 0.0, 1e-15, t0)
+    return {"iface_glue_product": _identity_report(
+        "glue corner equals the surface product (psi = 0)", grid, pts, np.abs(psi), 0.0,
+        1e-15, t0)}
 
 
 def _edge_glue_interface(regions, n_1d, n_2d, tol):
@@ -511,8 +541,9 @@ def _edge_glue_interface(regions, n_1d, n_2d, tol):
     jac[:, 3, 3] = 1.0
     dr = np.zeros(4)
     dr[0] = 1.0
-    return certify_interface("edge <-> glue collar", pts_edge, pts_glue,
-                             chart_e, chart_g, jac, tol=1e-9, radial_dir=(dr, dr))
+    return {"iface_edge_glue": certify_interface("edge <-> glue collar", pts_edge, pts_glue,
+                                                 chart_e, chart_g, jac, tol=1e-9,
+                                                 radial_dir=(dr, dr))}
 
 
 def _cap_blocks(regions, n_1d, n_2d, tol):
@@ -522,7 +553,75 @@ def _cap_blocks(regions, n_1d, n_2d, tol):
     rep = _margin_report("cap (Y1,Y2)-block and Y3, Y4 diagonals >= 0", list(grids), tol,
                          np.concatenate(margins), np.concatenate(pts), t0)
     rep.details["argmin_part"] = "part1" if margins[0].min() <= margins[1].min() else "part2"
-    return rep
+    return {"cap_blocks_psd": rep}
+
+
+def _cap_link(regions, n_1d, n_2d, tol):
+    """The frozen link (s = 1) has Ric >= (2 + zeta/100)(1 - zeta)^2 g."""
+    t0 = time.perf_counter()
+    d, w = regions["conical_cap"].data, regions["conical_cap"].warps
+    grid = Grid([(1e-4, PIH - 1e-4)], [256])
+    m = link_ricci_margins(w["rho_cap"], int(d["n"]), d["sigma_link"], 1.0, grid.axes()[0])
+    return {"cap_link_bound": _margin_report("cap link Ric >= (2 + zeta/100) g", grid, tol,
+                                             m - cap_link_lower_bound(d["zeta"]),
+                                             grid.points(), t0)}
+
+
+def _family(regions, n_1d, n_2d, tol):
+    """The link family at s = 0, 1/4, .., 1 (``link_family_jets``): Ric >=
+    2 ghat, ghat's round end having radius 1 - 999 zeta/1000; volumes and
+    volume densities nonincreasing in s; equal volumes after the
+    (V1/Vs)^(2/3) scaling; and an s-independent density after the Moser
+    reparametrization (cumulative volume matching, trapezoid sums on nf
+    points, compared on the middle three quarters of theta)."""
+    t0 = time.perf_counter()
+    d, w = regions["conical_cap"].data, regions["conical_cap"].warps
+    link = (w["rho_cap"], int(d["n"]), d["sigma_link"])
+    lam = 1.0 - 999.0 * d["zeta"] / 1000.0
+    grid = Grid([(0.0, 1.0), (1e-5, PIH - 1e-5)], [5, n_2d], open_ends=(False, True))
+    s_axis, th = grid.axes()
+    margins = np.concatenate([link_ricci_margins(*link, s, th) - 2.0 * lam * lam
+                              for s in s_axis])
+    out = {"family_ricci": _margin_report("interpolation family Ric >= 2 ghat", grid, tol,
+                                          margins, grid.points(), t0)}
+
+    t0 = time.perf_counter()
+    nf = 16385
+    thf = np.linspace(1e-9, PIH - 1e-9, nf)
+    D = np.stack([jb.f * jc.f for jb, jc in (link_family_jets(*link, s, thf) for s in s_axis)])
+    vols = np.array([np.trapezoid(dens, thf) for dens in D])
+    cs = (vols[-1] / vols) ** (2.0 / 3.0)
+    vol_norm = cs ** 1.5 * vols
+    s_grid = Grid([(0.0, 1.0)], [5], open_ends=False)
+    rep = out["family_volumes"] = _identity_report(
+        "normalized family volumes constant", s_grid, s_grid.points(),
+        np.abs(vol_norm / vol_norm[-1] - 1.0), 1e-8, 0.0, t0)
+    # a volume or a volume density that rises with s is a violation
+    rise = np.diff(D, axis=0)
+    rep.violations += [{"point": [float(s)], "value": float(v)}
+                       for s, v in zip(s_axis[1:], np.diff(vols)) if v > 1e-12]
+    rep.violations += [{"point": [float(s_axis[i + 1]), float(thf[j])],
+                        "value": float(rise[i, j])} for i, j in np.argwhere(rise > 1e-12)[:32]]
+    rep.passed = rep.passed and not rep.violations
+    rep.details["nf"] = nf
+
+    F = [np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(thf))])
+         for dens in D]
+    mid = slice(nf // 8, -nf // 8)
+    dev = []
+    for i, s in enumerate(s_axis):
+        theta_map = np.interp(F[-1], cs[i] ** 1.5 * F[i], thf)
+        jb, jc = link_family_jets(*link, s, theta_map)
+        d_re = cs[i] ** 1.5 * jb.f * jc.f * np.gradient(theta_map, thf)
+        dev.append(np.abs(d_re[mid] / D[-1][mid] - 1.0))
+    th_mid = thf[mid]
+    m_grid = Grid([(0.0, 1.0), (float(th_mid[0]), float(th_mid[-1]))], [5, len(th_mid)],
+                  open_ends=False)
+    pts = np.column_stack([np.repeat(s_axis, len(th_mid)), np.tile(th_mid, len(s_axis))])
+    rep = out["family_moser"] = _identity_report("Moser density s-independent", m_grid, pts,
+                                                 np.concatenate(dev), 1e-6, 0.0, t0)
+    rep.details["nf"] = nf
+    return out
 
 
 def _cap_collar(regions, n_1d, n_2d, tol):
@@ -540,8 +639,8 @@ def _cap_collar(regions, n_1d, n_2d, tol):
         np.abs(part1.Psi(G, T) / (np.sin(2 * G * np.cos(T)) / 2) - 1.0),
         np.abs(part1.Ups(G, T) / (jr.f / n) - 1.0),
     ])
-    return _identity_report("cap collar equals the product model at gamma ~ r0", grid, pts,
-                            dev, 1e-8, 0.0, t0)
+    return {"iface_cap_collar": _identity_report(
+        "cap collar equals the product model at gamma ~ r0", grid, pts, dev, 1e-8, 0.0, t0)}
 
 
 def _cap_cone(regions, n_1d, n_2d, tol):
@@ -562,8 +661,8 @@ def _cap_cone(regions, n_1d, n_2d, tol):
         np.abs(part2.Psi(G, T) / (z * G * np.sin(2 * sl * np.cos(T)) / (2 * sl)) - 1.0),
         np.abs(part2.Ups(G, T) / (z * G * jr.f / (int(d["n"]) * sl)) - 1.0),
     ])
-    return _identity_report("cap inner ball is the exact frozen cone", grid, pts,
-                            dev, 1e-12, 0.0, t0)
+    return {"iface_cap_cone": _identity_report("cap inner ball is the exact frozen cone",
+                                               grid, pts, dev, 1e-12, 0.0, t0)}
 
 
 def _body_ricci(regions, n_1d, n_2d, tol):
@@ -572,15 +671,16 @@ def _body_ricci(regions, n_1d, n_2d, tol):
     grid = Grid([(0.0, b.data["r_out"])], [4096])
     pts = grid.points()
     vals = ricci_berger_general(b.warps["rho"], b.warps["phi"], pts[:, 0])
-    return _margin_report("round-base body: four diagonal Ricci values >= 0", grid, tol,
-                          np.min(vals, axis=0), pts, t0)
+    return {"body_ricci_psd": _margin_report("round-base body: four diagonal Ricci values >= 0",
+                                             grid, tol, np.min(vals, axis=0), pts, t0)}
 
 
-# Every check computable from atlas region data: report name -> (ids of the
+# Every check computable from atlas region data: check name -> (ids of the
 # regions it reads, check(regions, n_1d, n_2d, tol)), where n_1d and n_2d are
-# the 1-D and 2-D grid counts.  resolve runs every entry whose regions its
-# atlas has; conewarp certify runs FILE_CHECKS on the atlas file and
-# certify_gluing runs GLUING_CHECKS on the built atlas.
+# the 1-D and 2-D grid counts and a check returns {report name: report}; a
+# check of one report shares its name.  resolve runs every entry whose
+# regions its atlas has; conewarp certify runs FILE_CHECKS on the atlas file
+# and certify_gluing runs GLUING_CHECKS on the built atlas.
 CHECKS = {
     "leaf_flat": (("flat",), _leaf_flat),
     "f_inequality_smoothed": (("edge_body",), _f_inequality),
@@ -589,14 +689,17 @@ CHECKS = {
     "glue_ricci_psd": (("glue_collar",), _glue_ricci),
     "iface_edge_glue": (("edge_body", "glue_collar"), _edge_glue_interface),
     "iface_glue_product": (("glue_collar",), _glue_product),
+    "glue_bounds": (("glue_collar",), _glue_bounds),
     "cap_blocks_psd": (("conical_cap",), _cap_blocks),
+    "cap_link_bound": (("conical_cap",), _cap_link),
+    "family": (("conical_cap",), _family),
     "iface_cap_collar": (("conical_cap",), _cap_collar),
     "iface_cap_cone": (("conical_cap",), _cap_cone),
     "body_ricci_psd": (("berger_body",), _body_ricci),
     "body_tail_exact": (("berger_body",), _body_tail_exact),
 }
 FILE_CHECKS = ("f_inequality_smoothed", "edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd",
-               "body_ricci_psd")
+               "cap_link_bound", "body_ricci_psd")
 GLUING_CHECKS = ("tail_exact_linear", "iface_edge_glue", "iface_glue_product",
                  "iface_cap_collar", "iface_cap_cone")
 
@@ -605,9 +708,11 @@ def run_checks(regions: dict, names=None, n_1d: int = 10_000, n_2d: int = 128,
                tol: float = DEFAULT_TOL) -> dict:
     """Reports of the named checks (all by default) whose regions are present
     in ``regions`` (region id -> AtlasRegion)."""
-    return {name: check(regions, n_1d, n_2d, tol)
-            for name, (needs, check) in CHECKS.items()
-            if (names is None or name in names) and all(r in regions for r in needs)}
+    out = {}
+    for name, (needs, check) in CHECKS.items():
+        if (names is None or name in names) and all(r in regions for r in needs):
+            out.update(check(regions, n_1d, n_2d, tol))
+    return out
 
 
 def recertify(atlas_json: dict, n_2d: int = 128, tol: float = DEFAULT_TOL) -> dict:

@@ -37,6 +37,7 @@ from .errors import (
     SingularityError,
 )
 from .jets import Jet2, j2cos, j2sin, j2sinc, j2warp, jet2_var_x, jet2_var_y
+from .jets import jcos, jet_var, jsin, jsinc
 from .warpfn import WarpFunction
 
 __all__ = [
@@ -50,6 +51,9 @@ __all__ = [
     "BergerGeneral",
     "make_cap_families",
     "cap_parts",
+    "link_family_jets",
+    "link_ricci_margins",
+    "cap_link_lower_bound",
     "ansatz_to_chart",
     "ricci_berger_sphere",
     "ricci_cone_berger",
@@ -279,6 +283,36 @@ def cap_parts(phi1: WarpFunction, eta_delta: WarpFunction, rho_cap: WarpFunction
                            box=[(r0 * 1e-3, r0), th_box]),
             TorusInvariant(*make_cap_families(phi1, eta_delta, rho_cap, n, zeta),
                            box=[(r0 * 1e-3, r0 / 2), th_box]))
+
+
+def link_family_jets(rho_cap: WarpFunction, n: int, sigma_link: float, s, th):
+    """Jets in theta of the link family joining the round sphere (s = 0) to
+    the frozen cap link (s = 1): B_s = (1-s) cos th + s sin(2 sigma cos th)/(2 sigma)
+    and C_s = (1-s) sin th + s rho_cap(sigma sin th)/(n sigma), sigma = sigma_link."""
+    t = jet_var(np.asarray(th, dtype=float))
+    c = jcos(t)
+    sn = jsin(t)
+    inner = sigma_link * sn
+    jr = rho_cap.jet(inner.f)
+    comp = inner.chain(jr.f, jr.f1, jr.f2)
+    return ((1.0 - s) * c + s * c * jsinc(2.0 * sigma_link * c),
+            (1.0 - s) * sn + (s / (n * sigma_link)) * comp)
+
+
+def link_ricci_margins(rho_cap: WarpFunction, n: int, sigma_link: float, s, th):
+    """Per theta, the least eigenvalue of the Ricci tensor of the link metric
+    dth^2 + B_s^2 da^2 + C_s^2 db^2: its three diagonal entries on the
+    orthonormal frame."""
+    jb, jc = link_family_jets(rho_cap, n, sigma_link, s, th)
+    m11 = -jb.f2 / jb.f - jc.f2 / jc.f
+    m22 = -jb.f2 / jb.f - jb.f1 * jc.f1 / (jb.f * jc.f)
+    m33 = -jc.f2 / jc.f - jb.f1 * jc.f1 / (jb.f * jc.f)
+    return np.minimum(np.minimum(m11, m22), m33)
+
+
+def cap_link_lower_bound(zeta: float) -> float:
+    """The cap link's certified Ricci floor (2 + zeta/100)(1 - zeta)^2."""
+    return (2.0 + zeta / 100.0) * (1.0 - zeta) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ class SurgeryAtlas:
                        "provenance": self.params.provenance},
             "notes": self.notes,
         }
-        return json.dumps(d, indent=1)
+        return json.dumps(d, separators=(",", ":"))
 
 
 def _jsonable_dict(d):
@@ -238,28 +238,16 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
     # 3. glue collar -----------------------------------------------------------
     glue = cn.build_glue_field(fk.xi0, n, prof.rho)
     atlas.params.merge(glue.params)
-    atlas.reports["glue_mixed_bound"] = bound_report(
-        "glue mixed term <= 1/100", glue.mixed_bound, 0.01)
-    atlas.reports["glue_psi_r_bound"] = bound_report(
-        "glue |psi_r/sin 2xi| <= 2 n sigma2/sigma1", glue.psi_r_bound,
-        2 * n * glue.sigma2 / glue.sigma1 * (1 + 1e-12))
 
     # 4. conical cap and interpolation family --------------------------------
     cap = cn.build_conical_cap(cfg.r0_cap, mu, n, eps_target=prof.eps,
                                search_budget=cfg.cap_search_budget)
     atlas.params.merge(cap.params)
-    atlas.reports["cap_link_bound"] = bound_report(
-        "cap link Ric >= (2 + zeta/100) g", -cn.cap_link_ricci_margin(cap, 256), 0.0,
-        tol=cfg.tol)
-    fam = cn.build_interpolation_family(cap, n_theta=cfg.grid_2d)
-    atlas.reports["family_ricci"] = bound_report(
-        "interpolation family Ric >= 2 ghat", -fam.min_ricci_margin, 0.0, tol=cfg.tol)
-    atlas.reports["family_volumes"] = bound_report(
-        "normalized family volumes constant", fam.vol_norm_residual, 1e-8)
-    atlas.reports["family_moser"] = bound_report(
-        "Moser density s-independent", fam.moser_density_residual, 1e-6)
+    fam = cn.build_interpolation_family(cap)
+    atlas.params.merge(fam.params)
 
-    # 5. regions and their certification, interfaces, bookkeeping --------------
+    # 5. regions and their certification (every report but the presmoothing
+    # one comes from the table), interfaces, bookkeeping ------------------------
     quotient = (f"residual torus action: deck translations "
                 f"(alpha, beta) -> (alpha + 2 pi/{n}, beta + 2 pi ({p}-1)/{n})")
     atlas.regions.extend([

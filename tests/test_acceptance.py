@@ -12,6 +12,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from test_construct import cap_region
 
 from conewarp import expr as ex
 from conewarp.certify import (
@@ -19,6 +20,7 @@ from conewarp.certify import (
     certify_inequality,
     certify_oracle_agreement,
     certify_psd,
+    run_checks,
 )
 from conewarp.construct import (
     build_conical_cap,
@@ -218,14 +220,15 @@ def test_criterion_6_cap_certification():
 
 def test_criterion_7_interpolation_family():
     """Ric >= 2 ghat at 5x128 samples; volumes monotone; normalization 1e-8;
-    Moser density 1e-6."""
-    fam = build_interpolation_family(cap(), n_theta=128)
-    vol_monotone = bool(np.all(np.diff(fam.volumes) <= 1e-12))
-    announce(7, fam.min_ricci_margin >= -1e-8 and vol_monotone
-             and fam.vol_norm_residual <= 1e-8 and fam.moser_density_residual <= 1e-6,
-             f"Ricci margin {fam.min_ricci_margin:.2e}, volumes decreasing, "
-             f"norm residual {fam.vol_norm_residual:.1e}, "
-             f"Moser residual {fam.moser_density_residual:.1e}")
+    Moser density 1e-6 (the certification table's family check)."""
+    fam = build_interpolation_family(cap())
+    reps = run_checks({"conical_cap": cap_region(cap())}, ["family"], n_2d=128)
+    ric, vol, moser = reps["family_ricci"], reps["family_volumes"], reps["family_moser"]
+    announce(7, ric.min_margin >= -1e-8 and not vol.violations
+             and vol.details["value"] <= 1e-8 and moser.details["value"] <= 1e-6,
+             f"Ricci margin {ric.min_margin:.2e}, volumes decreasing, "
+             f"norm residual {vol.details['value']:.1e}, "
+             f"Moser residual {moser.details['value']:.1e}, round end {fam.lam:.4f}")
 
 
 def test_criterion_8_group_layer():

@@ -3,6 +3,7 @@ build their reports through the same region checks."""
 
 import importlib.util
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -42,7 +43,8 @@ def test_conewarp_certify_reproduces_resolve_reports(run_513, tmp_path):
         data = json.loads(path.read_text())
         reports = recertify(data, n_2d=FAST.grid_2d, tol=FAST.tol)
         assert set(reports) == set(FILE_CHECKS) & set(data["reports"])
-        assert {"edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd"} <= set(reports)
+        assert {"edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd", "cap_link_bound"} \
+            <= set(reports)
         # certify sweeps f on resolve's default grid, not FAST's; that report is
         # compared at the default grid in test_f_kappa_build
         assert reports.pop("f_inequality_smoothed").passed
@@ -67,6 +69,18 @@ def test_certify_gluing_recomputes_every_report(run_513):
             assert rep.passed
         # every table report covers its own field evaluation in wall_time
         assert all(atlas.reports[k].wall_time > 0 for k in CHECKS if k in atlas.reports)
+
+
+def test_every_report_but_the_presmoothing_one_comes_from_the_table(run_513):
+    """Each report states its grid, where its minimum is, a cell bound and
+    the time its field took; only f_inequality_presmooth (f_hat is not
+    stored) is the builder's own value."""
+    for _, atlas in run_513.atlases:
+        for key, rep in atlas.reports.items():
+            if key == "f_inequality_presmooth":
+                continue
+            assert rep.grid and rep.argmin, key
+            assert math.isfinite(rep.lipschitz_cell_bound) and rep.wall_time > 0, key
 
 
 def test_margin_report_matches_sorted_loop_reference():

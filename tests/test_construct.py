@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conewarp import certify
 from conewarp import expr as ex
-from conewarp.certify import Grid, certify_inequality
+from conewarp.certify import AtlasRegion, Grid, certify_inequality, run_checks
 from conewarp.construct import (
     alpha_nominal,
     build_conical_cap,
@@ -22,6 +23,7 @@ from conewarp.construct import (
     _sample_open,
 )
 from conewarp.curvature import (
+    link_family_jets,
     ricci_berger_general,
     ricci_berger_sphere,
     ricci_cone_berger,
@@ -233,13 +235,24 @@ def glue_for(n, p):
     return _cache[key]
 
 
+def glue_region(g):
+    """The glue_collar region of an atlas with the glue field ``g``."""
+    return AtlasRegion("glue_collar", "local_glue", "glue collar",
+                       data={"xi0": g.xi0, "sigma1": g.sigma1, "sigma2": g.sigma2, "n": g.n},
+                       warps={"rho": g.glue.rho, "eta1": g.glue.eta1, "eta2": g.glue.eta2})
+
+
 def test_glue_defaults_and_bounds():
+    """Default sigmas; the table's glue_bounds check passes on the built field."""
     fk = fk_for(2, 1)
     g = glue_for(2, 1)
     assert g.sigma1 == pytest.approx(fk.xi0 / 200)
     assert g.sigma2 == pytest.approx(g.sigma1 / (200 * 4))
-    assert g.psi_r_bound <= 2 * 2 * g.sigma2 / g.sigma1 * (1 + 1e-9)
-    assert g.mixed_bound <= 1e-2
+    reps = run_checks({"glue_collar": glue_region(g)}, ["glue_bounds"])
+    assert set(reps) == {"glue_psi_r_bound", "glue_mixed_bound"}
+    assert all(r.passed for r in reps.values())
+    assert reps["glue_psi_r_bound"].details["value"] <= 2 * 2 * g.sigma2 / g.sigma1 * (1 + 1e-9)
+    assert reps["glue_mixed_bound"].details["value"] <= 1e-2
 
 
 def test_glue_psi_regions():
@@ -338,31 +351,51 @@ def test_cap_mu_gate_error():
 # ------------------------------------------------------------------ interpolation family
 
 
-def fam_for():
-    if "fam" not in _cache:
-        _cache["fam"] = build_interpolation_family(cap_for())
-    return _cache["fam"]
+def cap_region(cap):
+    """The conical_cap region data that the link and family checks read."""
+    return AtlasRegion("conical_cap", "torus_invariant", "conical cap",
+                       data={"zeta": cap.zeta, "sigma_link": cap.sigma_link, "n": cap.n},
+                       warps={"rho_cap": cap.rho_cap})
 
 
 def test_family_criteria():
-    fam = fam_for()
-    assert fam.min_ricci_margin >= -1e-8
-    assert np.all(np.diff(fam.volumes) <= 1e-12)
-    assert fam.vol_norm_residual <= 1e-8
-    assert fam.moser_density_residual <= 1e-6
-    assert fam.lam1 == 1.0
-    z = fam.cap.zeta
+    """The family's constants and ledger; the table's family check passes:
+    Ric >= 2 ghat, monotone volumes and densities, normalized volumes
+    constant to 1e-8, Moser density s-independent to 1e-6."""
+    cap = cap_for()
+    fam = build_interpolation_family(cap)
+    z = cap.zeta
+    assert fam.lam == 1.0 - 999.0 * z / 1000.0
     assert fam.lam2 == pytest.approx((1000 - 1000 * z) / (1000 - 999 * z))
+    assert set(fam.params.values) == {"lambda", "lambda2", "volume_exponent"}
+    reps = run_checks({"conical_cap": cap_region(cap)}, ["family"])
+    assert set(reps) == {"family_ricci", "family_volumes", "family_moser"}
+    assert all(r.passed and not r.violations for r in reps.values())
+    assert reps["family_ricci"].min_margin >= -1e-8
+    assert reps["family_volumes"].details["value"] <= 1e-8
+    assert reps["family_moser"].details["value"] <= 1e-6
+
+
+def test_family_volumes_flags_a_rising_density(monkeypatch):
+    """A volume density that rises with s fails family_volumes through its
+    violations (the volume at s = 1/4 first, then the density points); the
+    normalized volumes, and so the margin, stay constant."""
+    jets = certify.link_family_jets
+    monkeypatch.setattr(certify, "link_family_jets",
+                        lambda *a: tuple((1.0 + a[3]) * j for j in jets(*a)))
+    rep = run_checks({"conical_cap": cap_region(cap_for())}, ["family"])["family_volumes"]
+    assert rep.min_margin >= 0 and not rep.passed
+    assert rep.violations[0]["point"] == [0.25]
+    assert len(rep.violations[1]["point"]) == 2
 
 
 def test_family_round_end():
     """ghat(0) is the round sphere of radius 1 - 999 zeta/1000."""
-    from conewarp.construct import _interp_BC
-    fam = fam_for()
+    cap = cap_for()
     th = np.linspace(0.05, math.pi / 2 - 0.05, 60)
-    B, C = _interp_BC(fam.cap, 0.0)
-    np.testing.assert_allclose(B.jet(th).f, np.cos(th), rtol=1e-14)
-    np.testing.assert_allclose(C.jet(th).f, np.sin(th), rtol=1e-14)
+    B, C = link_family_jets(cap.rho_cap, cap.n, cap.sigma_link, 0.0, th)
+    np.testing.assert_allclose(B.f, np.cos(th), rtol=1e-14)
+    np.testing.assert_allclose(C.f, np.sin(th), rtol=1e-14)
 
 
 # ------------------------------------------------------------------ round-base body

@@ -190,12 +190,14 @@ def test_cli_plot_data_rejects_an_atlas_without_edge_body(bd8_resolve, tmp_path,
 
 def test_cap_is_certified_once(monkeypatch):
     """The final cap's block sweep at the atlas grid runs once per part (the
-    cap_blocks_psd report) and its 256-point link sweep once (cap_link_bound);
-    the builder does not repeat either."""
+    cap_blocks_psd report), and its link is evaluated by the table alone:
+    once at 256 points (cap_link_bound) and once per family s value at the
+    2-D grid (family_ricci).  No builder repeats either."""
     cfg = fast_cfg()
-    sweeps, links, caps = [], [], []
-    margins, link, build = (certify.cap_block_margins, construct.cap_link_ricci_margin,
-                            construct.build_conical_cap)
+    sweeps, links, table_links, caps = [], [], [], []
+    margins, link, table_link, build = (
+        certify.cap_block_margins, construct.cap_link_ricci_margin,
+        certify.link_ricci_margins, construct.build_conical_cap)
 
     def count_sweep(part, n):
         sweeps.append(n)
@@ -205,16 +207,32 @@ def test_cap_is_certified_once(monkeypatch):
         links.append((cap, n_grid))
         return link(cap, n_grid)
 
+    def count_table_link(rho_cap, n, sigma_link, s, th):
+        table_links.append((rho_cap, len(th)))
+        return table_link(rho_cap, n, sigma_link, s, th)
+
     monkeypatch.setattr(certify, "cap_block_margins", count_sweep)
     monkeypatch.setattr(construct, "cap_block_margins", count_sweep)
     monkeypatch.setattr(construct, "cap_link_ricci_margin", count_link)
+    monkeypatch.setattr(certify, "link_ricci_margins", count_table_link)
     monkeypatch.setattr(construct, "build_conical_cap",
                         lambda *a, **k: caps.append(build(*a, **k)) or caps[-1])
     atlas = assemble_atlas(cyclic_group(3, 1, 2), 0.05, cfg)
     assert atlas.passed, atlas.summary()
     assert len(caps) == 1
     assert sweeps.count(cfg.grid_2d) == 2
-    assert [n for cap, n in links if cap is caps[0]] == [256]
+    assert [n for cap, n in links if cap is caps[0]] == []
+    assert [n for rho, n in table_links if rho is caps[0].rho_cap] == [256] + [cfg.grid_2d] * 5
+
+
+def test_a_failed_moser_bound_is_a_fail_report(tmp_path, capsys):
+    """cyclic:14,1,1 builds, but its Moser residual (about 1.13e-6) misses
+    the 1e-6 bound: a FAIL report and exit 1, not a construction error."""
+    assert cli_main(["resolve", "--group", "cyclic:14,1,1", "--out", str(tmp_path)]) == 1
+    reports = json.loads((tmp_path / "reports.json").read_text())
+    assert [(name, key) for name, reps in reports.items()
+            for key, rep in reps.items() if not rep["passed"]] == [("node0", "family_moser")]
+    assert "[FAIL] Moser density s-independent" in capsys.readouterr().out
 
 
 def test_tree_machine_readable():
