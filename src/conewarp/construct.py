@@ -47,7 +47,6 @@ from .jets import Jet, jet_var
 from .warpfn import (
     PIH,
     DescentSpline,
-    ScalarJet,
     WarpFunction,
     _hermite_quintic_piece,
     _sample_open,
@@ -508,8 +507,8 @@ def _try_build_f(n, p, tau, kappa, xi0, params) -> FKappa:
     for t in f_hat.breakpoints:
         lj = f.eval_jet_onesided(t, "left")
         rj = f.eval_jet_onesided(t, "right")
-        scale = max(abs(lj.d2), abs(rj.d2), 1.0)
-        if abs(lj.d2 - rj.d2) < 1e-9 * scale:
+        scale = max(abs(lj.f2), abs(rj.f2), 1.0)
+        if abs(lj.f2 - rj.f2) < 1e-9 * scale:
             continue
         edges = [f.a, *f.knots, f.b]
         i = edges.index(t)
@@ -691,7 +690,7 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
                        name=f"phi_{kappa}_{mu}")
     for t, w in ((b_lo, (b_hi - b_lo) / 10), (b_hi, (b_hi - b_lo) / 10)):
         lj, rj = phi.eval_jet_onesided(t, "left"), phi.eval_jet_onesided(t, "right")
-        if abs(lj.d2 - rj.d2) > 1e-12 * max(1.0, abs(lj.d2), abs(rj.d2)):
+        if abs(lj.f2 - rj.f2) > 1e-12 * max(1.0, abs(lj.f2), abs(rj.f2)):
             phi = mollify_join(phi, t, w, constraints=[("monotone", +1)])
 
     # --- rho tail: concave transition to c1 (r + c3) ------------------------
@@ -702,12 +701,12 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
     v = float(rho_body(np.array([tail_lo]))[0])
     jL = rho_body.eval_jet_onesided(tail_lo, "left")
     c1 = None
-    d1_scale = max(abs(jL.d1), 1e-30)
-    d2_scale = max(abs(jL.d2), 1e-30)
+    d1_scale = max(abs(jL.f1), 1e-30)
+    d2_scale = max(abs(jL.f2), 1e-30)
     for factor in np.linspace(1.02, 1.35, 34):
         c1_try = float(factor) * v / (c3 + tail_lo)
         hermite = _hermite_quintic_piece(
-            jL, ScalarJet(c1_try * (tail_hi + c3), c1_try, 0.0), tail_lo, tail_hi)
+            jL, Jet(c1_try * (tail_hi + c3), c1_try, 0.0), tail_lo, tail_hi)
         xs = np.linspace(tail_lo, tail_hi, 512)
         jj = hermite.jet(jet_var(xs))
         if np.max(jj.f2) <= 1e-9 * d2_scale and np.min(jj.f1) >= -1e-9 * d1_scale:

@@ -1,12 +1,13 @@
 """Closed-form Ricci tensors for the metric families, charts, and an
 independent finite-difference oracle.
 
-Every metric family carries two faces:
+Every metric family class carries two methods:
 
-* a *closed-form evaluator* returning Ricci components on a declared frame
-  of coordinate-expressed vector fields, and
-* a *chart*: coordinate box plus metric components, which feeds the
-  central-difference Christoffel/Ricci oracle.
+* ``chart()``: coordinate box, metric components and a frame of
+  coordinate-expressed vector fields, which feed the central-difference
+  Christoffel/Ricci oracle, and
+* ``frame_ricci(X)``: the closed-form Ricci components at chart points X on
+  that frame, from the family's module-level evaluator.
 
 The oracle never sees the closed forms; agreement between the two routes is
 what the certification layer checks.
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expr as ex
 from .errors import (
     ChartError,
     ConditioningError,
@@ -54,12 +56,11 @@ __all__ = [
     "link_family_jets",
     "link_ricci_margins",
     "cap_link_lower_bound",
-    "ansatz_to_chart",
+    "round_f",
     "ricci_berger_sphere",
     "ricci_cone_berger",
     "ricci_double_warp",
     "ricci_local_glue",
-    "ricci_local_glue_display",
     "ricci_torus_invariant",
     "ricci_berger_general",
     "ricci_fd_batch",
@@ -87,16 +88,16 @@ class RicciFrame:
 
 @dataclass
 class Chart:
-    """Coordinate box with metric components and optional frame vectors.
+    """Coordinate box with metric components and frame vectors.
 
     ``metric_batch`` maps points (N, dim) to metrics (N, dim, dim);
-    ``frame_batch``, when present, maps points to (N, k, dim) vectors whose
-    rows are the frame the closed-form evaluator reports in.
+    ``frame_batch`` maps points to (N, k, dim) vectors whose rows are the
+    frame the closed-form evaluator reports in.
     """
 
     box: list
     metric_batch: callable
-    frame_batch: callable | None = None
+    frame_batch: callable
     name: str = ""
     avoid: dict = field(default_factory=dict)  # coord index -> piece junctions
 
@@ -104,11 +105,12 @@ class Chart:
     def dim(self):
         return len(self.box)
 
-    def interior_samples(self, n: int, rng=None, margin: float = 0.15,
-                         clearance: float = 5e-3):
-        """n quasi-random interior points away from box faces and, where the
-        metric is only piecewise analytic, away from the junction lines (the
-        oracle's h^2 convergence assumes four derivatives locally)."""
+    def interior_samples(self, n: int, rng=None):
+        """n quasi-random interior points in the middle 70% of each box side
+        and, where the metric is only piecewise analytic, more than 5e-3 from
+        the junction lines (the oracle's h^2 convergence assumes four
+        derivatives locally)."""
+        margin, clearance = 0.15, 5e-3
         rng = np.random.default_rng(rng)
         lo = np.array([a for a, _ in self.box])
         hi = np.array([b for _, b in self.box])
@@ -131,6 +133,21 @@ def frame_project(ric_coord: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.einsum("nia,nab,njb->nij", frame, ric_coord, frame)
 
 
+def _sym(k: int, rows: dict) -> np.ndarray:
+    """Symmetric (..., k, k) matrices from {(i, j): entries}, zero elsewhere."""
+    some = next(iter(rows.values()))
+    out = np.zeros(np.shape(some) + (k, k))
+    for (i, j), v in rows.items():
+        out[..., i, j] = v
+        out[..., j, i] = v
+    return out
+
+
+def round_f() -> WarpFunction:
+    """The round fiber f = sin(2 xi)/2 on [0, pi/2]."""
+    return WarpFunction(0.0, np.pi / 2, [], [ex.sin(2.0 * ex.X) / 2.0], name="round_f")
+
+
 # ---------------------------------------------------------------------------
 # ansatz containers
 # ---------------------------------------------------------------------------
@@ -147,6 +164,39 @@ class BergerSphere:
         if self.t <= 0:
             raise DegenerateMetricError("Berger parameter t must be positive")
 
+    def chart(self) -> Chart:
+        """Coordinates (xi, a, b); frame U = da, X = dxi, Y = (1/f)(db - cos^2 xi da)."""
+        f, t = self.f, self.t
+
+        def metric(X):
+            xi = X[:, 0]
+            fv = f.jet(xi).f
+            c2 = np.cos(xi) ** 2
+            g = np.zeros((X.shape[0], 3, 3))
+            g[:, 0, 0] = 1.0
+            g[:, 1, 1] = t
+            g[:, 1, 2] = g[:, 2, 1] = t * c2
+            g[:, 2, 2] = t * c2 ** 2 + fv ** 2
+            return g
+
+        def frame(X):
+            xi = X[:, 0]
+            fv = f.jet(xi).f
+            fr = np.zeros((X.shape[0], 3, 3))
+            fr[:, 0, 1] = 1.0                    # U = da
+            fr[:, 1, 0] = 1.0                    # X = dxi
+            fr[:, 2, 1] = -np.cos(xi) ** 2 / fv  # Y
+            fr[:, 2, 2] = 1.0 / fv
+            return fr
+
+        eps = 0.05 * (f.b - f.a)
+        return Chart([(f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
+                     metric, frame, name="berger_sphere",
+                     avoid={0: list(f.knots)})
+
+    def frame_ricci(self, X):
+        return ricci_berger_sphere(self.f, self.t, X[:, 0]).entries
+
 
 @dataclass
 class ConeOverBerger:
@@ -156,6 +206,46 @@ class ConeOverBerger:
     phi: WarpFunction
     f: WarpFunction
     r_range: tuple | None = None
+
+    def chart(self, name: str = "cone_over_berger") -> Chart:
+        """Coordinates (r, xi, a, b); frame dr, U = da, X = dxi,
+        Y = (1/f)(db - cos^2 xi da)."""
+        rho, phi, f = self.rho, self.phi, self.f
+
+        def metric(X):
+            r, xi = X[:, 0], X[:, 1]
+            rv = rho.jet(r).f
+            pv = phi.jet(r).f
+            fv = f.jet(xi).f
+            c2 = np.cos(xi) ** 2
+            g = np.zeros((X.shape[0], 4, 4))
+            g[:, 0, 0] = 1.0
+            g[:, 1, 1] = pv ** 2
+            g[:, 2, 2] = rv ** 2
+            g[:, 2, 3] = g[:, 3, 2] = rv ** 2 * c2
+            g[:, 3, 3] = rv ** 2 * c2 ** 2 + pv ** 2 * fv ** 2
+            return g
+
+        def frame(X):
+            xi = X[:, 1]
+            fv = f.jet(xi).f
+            fr = np.zeros((X.shape[0], 4, 4))
+            fr[:, 0, 0] = 1.0                      # dr
+            fr[:, 1, 2] = 1.0                      # U = da
+            fr[:, 2, 1] = 1.0                      # X = dxi
+            fr[:, 3, 2] = -np.cos(xi) ** 2 / fv    # Y
+            fr[:, 3, 3] = 1.0 / fv
+            return fr
+
+        rr = self.r_range or (rho.a + 0.05 * (rho.b - rho.a), rho.b - 0.05 * (rho.b - rho.a))
+        eps = 0.05 * (f.b - f.a)
+        return Chart([rr, (f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
+                     metric, frame, name=name,
+                     avoid={0: list(rho.knots) + list(phi.knots),
+                            1: list(f.knots)})
+
+    def frame_ricci(self, X):
+        return ricci_cone_berger(self.rho, self.phi, self.f, X[:, 0], X[:, 1]).entries
 
 
 @dataclass
@@ -167,6 +257,48 @@ class DoubleWarp:
     varphi: WarpFunction
     phi: WarpFunction
     r_range: tuple | None = None
+
+    def chart(self) -> Chart:
+        """Coordinates (r, S^m angles, S^n angles) for m + n <= 3; frame dr
+        and the unit first coordinate directions of S^m and S^n."""
+        m, n = self.m, self.n
+        if 1 + m + n > 4:
+            raise DomainError("double warp charts support m + n <= 3")
+        varphi, phi = self.varphi, self.phi
+
+        def metric(X):
+            r = X[:, 0]
+            va = varphi.jet(r).f
+            pa = phi.jet(r).f
+            d = 1 + m + n
+            g = np.zeros((X.shape[0], d, d))
+            g[:, 0, 0] = 1.0
+            gm = _sphere_block(X, 1, m)
+            gn = _sphere_block(X, 1 + m, n)
+            g[:, 1:1 + m, 1:1 + m] = va[:, None, None] ** 2 * gm
+            g[:, 1 + m:, 1 + m:] = pa[:, None, None] ** 2 * gn
+            return g
+
+        def frame(X):
+            r = X[:, 0]
+            va = varphi.jet(r).f
+            pa = phi.jet(r).f
+            fr = np.zeros((X.shape[0], 3, 1 + m + n))
+            fr[:, 0, 0] = 1.0
+            fr[:, 1, 1] = 1.0 / va      # first S^m coordinate direction
+            fr[:, 2, 1 + m] = 1.0 / pa  # first S^n coordinate direction
+            return fr
+
+        rr = self.r_range or (varphi.a + 0.1, varphi.b - 0.1)
+        box = [rr] + [(0.4, 2.6)] * (m + n)
+        if m >= 2:
+            box[1] = (0.5, 2.5)
+        return Chart(box, metric, frame, name="double_warp",
+                     avoid={0: list(varphi.knots) + list(phi.knots)})
+
+    def frame_ricci(self, X):
+        lam = ricci_double_warp(self.m, self.n, self.varphi, self.phi, X[:, 0])
+        return _sym(3, {(i, i): v for i, v in enumerate(lam)})
 
 
 @dataclass
@@ -214,6 +346,40 @@ class LocalGlue:
         g[:, 3, 3] = B ** 2 + A ** 2 * psi ** 2
         return g
 
+    def chart(self) -> Chart:
+        """Normalized coordinates (u, v, alpha, beta), (r, xi) = (xi0/2)(u, v),
+        which keep the finite-difference oracle at O(1) scale on the small
+        glue box; frame X1..X4."""
+        half = self.xi0 / 2.0
+
+        def metric(X):
+            g = self.metric(half * X[:, 0], half * X[:, 1])
+            g[:, 0, 0] = g[:, 1, 1] = half ** 2
+            return g
+
+        def frame(X):
+            r, xi = half * X[:, 0], half * X[:, 1]
+            A = self.rho.jet(r).f / self.n
+            B = np.sin(2 * xi) / 2.0
+            psi = self.psi_jets(r, xi)[0]
+            fr = np.zeros((X.shape[0], 4, 4))
+            fr[:, 0, 0] = 1.0 / half       # X1 = d/dr
+            fr[:, 1, 2] = 1.0 / A
+            fr[:, 2, 1] = 1.0 / half       # X3 = d/dxi
+            fr[:, 3, 2] = -psi / B
+            fr[:, 3, 3] = 1.0 / B
+            return fr
+
+        lines0 = [t / half for t in list(self.rho.knots) + list(self.eta1.knots) if t < half]
+        lines1 = [t / half for t in self.eta2.knots if t < half]
+        return Chart([(0.02, 0.98), (0.02, 0.98), (0.1, 6.0), (0.1, 6.0)],
+                     metric, frame, name="local_glue",
+                     avoid={0: lines0, 1: lines1})
+
+    def frame_ricci(self, X):
+        half = self.xi0 / 2.0
+        return ricci_local_glue(self, half * X[:, 0], half * X[:, 1]).entries
+
 
 class BivariateFn:
     """Bivariate function built from a Jet2-level callable."""
@@ -239,6 +405,40 @@ class TorusInvariant:
     box: list = field(default_factory=lambda: [(0.05, 0.5), (0.05, np.pi / 2 - 0.05)])
     avoid: dict = field(default_factory=dict)
 
+    def chart(self) -> Chart:
+        """Coordinates (gamma, theta, theta1, theta2); the orthonormal frame."""
+
+        def metric(X):
+            g0, th = X[:, 0], X[:, 1]
+            P = self.Phi(g0, th)
+            S = self.Psi(g0, th)
+            U = self.Ups(g0, th)
+            g = np.zeros((X.shape[0], 4, 4))
+            g[:, 0, 0] = 1.0
+            g[:, 1, 1] = P ** 2
+            g[:, 2, 2] = S ** 2
+            g[:, 3, 3] = U ** 2
+            return g
+
+        def frame(X):
+            g0, th = X[:, 0], X[:, 1]
+            P = self.Phi(g0, th)
+            S = self.Psi(g0, th)
+            U = self.Ups(g0, th)
+            fr = np.zeros((X.shape[0], 4, 4))
+            fr[:, 0, 0] = 1.0
+            fr[:, 1, 1] = 1.0 / P
+            fr[:, 2, 2] = 1.0 / S
+            fr[:, 3, 3] = 1.0 / U
+            return fr
+
+        return Chart(list(self.box) + [(0.1, 1.4), (0.1, 1.4)],
+                     metric, frame, name="torus_invariant",
+                     avoid=dict(self.avoid))
+
+    def frame_ricci(self, X):
+        return ricci_torus_invariant(self.Phi, self.Psi, self.Ups, X[:, 0], X[:, 1]).entries
+
 
 @dataclass
 class BergerGeneral:
@@ -248,6 +448,14 @@ class BergerGeneral:
     phi: WarpFunction
     n: int
     r_range: tuple | None = None
+
+    def chart(self) -> Chart:
+        """The cone-over-Berger chart with the round fiber."""
+        return ConeOverBerger(self.rho, self.phi, round_f(), self.r_range).chart("berger_general")
+
+    def frame_ricci(self, X):
+        vals = ricci_berger_general(self.rho, self.phi, X[:, 0])
+        return _sym(4, {(i, i): v for i, v in enumerate(vals)})
 
 
 def make_cap_families(phi1: WarpFunction, eta_delta: WarpFunction | None,
@@ -332,18 +540,6 @@ def _q_jets(f: WarpFunction, xi):
     return q, dq, jf
 
 
-def _sym3(a11, a12, a13, a22, a23, a33):
-    out = np.stack(
-        [
-            np.stack([a11, a12, a13], axis=-1),
-            np.stack([a12, a22, a23], axis=-1),
-            np.stack([a13, a23, a33], axis=-1),
-        ],
-        axis=-2,
-    )
-    return out
-
-
 def ricci_berger_sphere(f: WarpFunction, t: float, xi) -> RicciFrame:
     """Ricci of the warped Berger sphere on the frame {U, X, Y}.
 
@@ -354,22 +550,10 @@ def ricci_berger_sphere(f: WarpFunction, t: float, xi) -> RicciFrame:
         raise DegenerateMetricError("t must be positive")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     q, dq, jf = _q_jets(f, xi)
-    zero = np.zeros_like(q)
     uu = 2.0 * t * t * q * q
     uy = t * dq
     xx = -jf.f2 / jf.f - 2.0 * t * q * q
-    entries = _sym3(uu, zero, uy, xx, zero, xx.copy())
-    return RicciFrame(entries)
-
-
-def _sym4(rows):
-    """rows: dict {(i,j): array}; build symmetric (...,4,4)."""
-    some = next(iter(rows.values()))
-    out = np.zeros(some.shape + (4, 4))
-    for (i, j), v in rows.items():
-        out[..., i, j] = v
-        out[..., j, i] = v
-    return out
+    return RicciFrame(_sym(3, {(0, 0): uu, (0, 2): uy, (1, 1): xx, (2, 2): xx}))
 
 
 def ricci_cone_berger(rho: WarpFunction, phi: WarpFunction, f: WarpFunction,
@@ -389,8 +573,8 @@ def ricci_cone_berger(rho: WarpFunction, phi: WarpFunction, f: WarpFunction,
     uy = t_eff * dq
     xx = (-jf.f2 / jf.f - 2.0 * t_eff * q * q
           - jr.f1 * jp.f * jp.f1 / jr.f - jp.f * jp.f2 - jp.f1 ** 2)
-    rows = {(0, 0): rr, (1, 1): uu, (1, 3): uy, (2, 2): xx, (3, 3): xx.copy()}
-    return RicciFrame(_sym4(rows))
+    rows = {(0, 0): rr, (1, 1): uu, (1, 3): uy, (2, 2): xx, (3, 3): xx}
+    return RicciFrame(_sym(4, rows))
 
 
 def ricci_double_warp(m: int, n: int, varphi: WarpFunction, phi: WarpFunction, r):
@@ -435,39 +619,7 @@ def ricci_local_glue(glue: LocalGlue, r, xi) -> RicciFrame:
     m24 = -(3.0 * A1 * p_r + A * p_rr + A * p_xixi) / s2 + 2.0 * A * p_xi * c2 / s2 ** 2
     rows = {(0, 0): d11, (1, 1): d22, (2, 2): d33, (3, 3): d44,
             (0, 2): m13, (1, 3): m24}
-    return RicciFrame(_sym4(rows))
-
-
-def ricci_local_glue_display(glue: LocalGlue, r, xi, variant: str = "corrected") -> RicciFrame:
-    """The four displayed component equations, uncorrected or index-corrected.
-
-    ``uncorrected``: X1 couples X2, X3 couples X4, the second circle row carries
-    the flat value 4, and the X3-X4 coupling uses literal squares of first
-    derivatives.  ``corrected``: the assignment validated by the oracle
-    (identical to :func:`ricci_local_glue`).
-    """
-    if variant == "corrected":
-        return ricci_local_glue(glue, r, xi)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    r, xi = np.broadcast_arrays(r, xi)
-    s2, c2 = np.sin(2 * xi), np.cos(2 * xi)
-    ja = glue.rho.jet(r)
-    A, A1 = ja.f / glue.n, ja.f1 / glue.n
-    A2 = ja.f2 / glue.n
-    psi, p_r, p_xi, p_rr, p_xixi = glue.psi_jets(r, xi)
-    w_r = A * p_r / s2
-    w_xi = A * p_xi / s2
-    d11 = -A2 / A - 2.0 * w_r ** 2
-    d22 = 4.0 - 2.0 * w_xi ** 2
-    d33 = -A2 / A + 2.0 * (w_r ** 2 + w_xi ** 2)
-    d44 = 4.0 - 2.0 * (w_r ** 2 + w_xi ** 2)
-    m12 = -2.0 * w_r * w_xi
-    m34 = -(3.0 * A1 * p_r / s2 + A * p_r ** 2 / s2 + A * p_xi ** 2 / s2
-            - 2.0 * A * p_xi * c2 / s2 ** 2)
-    rows = {(0, 0): d11, (1, 1): d22, (2, 2): d33, (3, 3): d44,
-            (0, 1): m12, (2, 3): m34}
-    return RicciFrame(_sym4(rows))
+    return RicciFrame(_sym(4, rows))
 
 
 def ricci_torus_invariant(Phi: BivariateFn, Psi: BivariateFn, Ups: BivariateFn,
@@ -498,7 +650,7 @@ def ricci_torus_invariant(Phi: BivariateFn, Psi: BivariateFn, Ups: BivariateFn,
            + P.fy * U.fy / (P.f ** 3 * U.f) - P.fx * U.fx / (P.f * U.f)
            - S.fx * U.fx / (S.f * U.f) - S.fy * U.fy / (P.f ** 2 * S.f * U.f))
     rows = {(0, 0): d11, (0, 1): m12, (1, 1): d22, (2, 2): d33, (3, 3): d44}
-    return RicciFrame(_sym4(rows))
+    return RicciFrame(_sym(4, rows))
 
 
 def ricci_berger_general(rho: WarpFunction, phi: WarpFunction, r):
@@ -520,29 +672,6 @@ def ricci_berger_general(rho: WarpFunction, phi: WarpFunction, r):
 # ---------------------------------------------------------------------------
 
 
-def _berger_components(f: WarpFunction, t: float, xi):
-    """Rows of the 3x3 metric in (xi, a, b) for t sigma^2 + dxi^2 + f^2 db^2."""
-    fv = f.jet(xi).f
-    c2 = np.cos(xi) ** 2
-    g = np.zeros(xi.shape + (3, 3))
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = t
-    g[..., 1, 2] = g[..., 2, 1] = t * c2
-    g[..., 2, 2] = t * c2 ** 2 + fv ** 2
-    return g
-
-
-def _berger_frame(f: WarpFunction, xi):
-    fv = f.jet(xi).f
-    n = xi.shape[0]
-    fr = np.zeros((n, 3, 3))
-    fr[:, 0, 1] = 1.0                    # U = da
-    fr[:, 1, 0] = 1.0                    # X = dxi
-    fr[:, 2, 1] = -np.cos(xi) ** 2 / fv  # Y = (1/f)(db - cos^2 xi da)
-    fr[:, 2, 2] = 1.0 / fv
-    return fr
-
-
 def _sphere_block(coords, offset, m):
     """Round S^m metric block and its coordinate slice, for m in 1..3."""
     if m == 1:
@@ -562,168 +691,6 @@ def _sphere_block(coords, offset, m):
         g[:, 2, 2] = np.sin(ch) ** 2 * np.sin(th) ** 2
         return g
     raise DomainError("sphere factors implemented for dimension 1..3")
-
-
-def ansatz_to_chart(ansatz) -> Chart:
-    """Coordinate chart (components + frame) for each metric family."""
-    if isinstance(ansatz, BergerSphere):
-        f, t = ansatz.f, ansatz.t
-
-        def metric(X):
-            return _berger_components(f, t, X[:, 0])
-
-        def frame(X):
-            return _berger_frame(f, X[:, 0])
-
-        eps = 0.05 * (f.b - f.a)
-        return Chart([(f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
-                     metric, frame, name="berger_sphere",
-                     avoid={0: list(f.knots)})
-
-    if isinstance(ansatz, (ConeOverBerger, BergerGeneral)):
-        general = isinstance(ansatz, BergerGeneral)
-        rho, phi = ansatz.rho, ansatz.phi
-        if general:
-            from . import expr as ex
-            f = WarpFunction(0.0, np.pi / 2, [], [ex.sin(2.0 * ex.X) / 2.0], name="round_f")
-        else:
-            f = ansatz.f
-
-        def metric(X):
-            r, xi = X[:, 0], X[:, 1]
-            rv = rho.jet(r).f
-            pv = phi.jet(r).f
-            fv = f.jet(xi).f
-            c2 = np.cos(xi) ** 2
-            g = np.zeros((X.shape[0], 4, 4))
-            g[:, 0, 0] = 1.0
-            g[:, 1, 1] = pv ** 2
-            g[:, 2, 2] = rv ** 2
-            g[:, 2, 3] = g[:, 3, 2] = rv ** 2 * c2
-            g[:, 3, 3] = rv ** 2 * c2 ** 2 + pv ** 2 * fv ** 2
-            return g
-
-        def frame(X):
-            r, xi = X[:, 0], X[:, 1]
-            fv = f.jet(xi).f
-            n = X.shape[0]
-            fr = np.zeros((n, 4, 4))
-            fr[:, 0, 0] = 1.0                      # dr
-            fr[:, 1, 2] = 1.0                      # U = da
-            fr[:, 2, 1] = 1.0                      # X = dxi
-            fr[:, 3, 2] = -np.cos(xi) ** 2 / fv    # Y
-            fr[:, 3, 3] = 1.0 / fv
-            return fr
-
-        rr = ansatz.r_range or (rho.a + 0.05 * (rho.b - rho.a), rho.b - 0.05 * (rho.b - rho.a))
-        eps = 0.05 * (f.b - f.a)
-        return Chart([rr, (f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
-                     metric, frame, name="berger_general" if general else "cone_over_berger",
-                     avoid={0: list(rho.knots) + list(phi.knots),
-                            1: list(f.knots)})
-
-    if isinstance(ansatz, DoubleWarp):
-        m, n = ansatz.m, ansatz.n
-        if 1 + m + n > 4:
-            raise DomainError("double warp charts support m + n <= 3")
-        varphi, phi = ansatz.varphi, ansatz.phi
-
-        def metric(X):
-            r = X[:, 0]
-            va = varphi.jet(r).f
-            pa = phi.jet(r).f
-            d = 1 + m + n
-            g = np.zeros((X.shape[0], d, d))
-            g[:, 0, 0] = 1.0
-            gm = _sphere_block(X, 1, m)
-            gn = _sphere_block(X, 1 + m, n)
-            g[:, 1:1 + m, 1:1 + m] = va[:, None, None] ** 2 * gm
-            g[:, 1 + m:, 1 + m:] = pa[:, None, None] ** 2 * gn
-            return g
-
-        def frame(X):
-            r = X[:, 0]
-            va = varphi.jet(r).f
-            pa = phi.jet(r).f
-            d = 1 + m + n
-            N = X.shape[0]
-            fr = np.zeros((N, 3, d))
-            fr[:, 0, 0] = 1.0
-            fr[:, 1, 1] = 1.0 / va      # first S^m coordinate direction
-            fr[:, 2, 1 + m] = 1.0 / pa  # first S^n coordinate direction
-            return fr
-
-        rr = ansatz.r_range or (varphi.a + 0.1, varphi.b - 0.1)
-        box = [rr] + [(0.4, 2.6)] * (m + n)
-        if m >= 2:
-            box[1] = (0.5, 2.5)
-        return Chart(box, metric, frame, name="double_warp",
-                     avoid={0: list(varphi.knots) + list(phi.knots)})
-
-    if isinstance(ansatz, LocalGlue):
-        glue = ansatz
-        half = glue.xi0 / 2.0
-
-        # normalized coordinates (u, v) with r = half*u, xi = half*v keep the
-        # finite-difference oracle at O(1) scale on the tiny glue box
-        def metric(X):
-            g = glue.metric(half * X[:, 0], half * X[:, 1])
-            g[:, 0, 0] = g[:, 1, 1] = half ** 2
-            return g
-
-        def frame(X):
-            r, xi = half * X[:, 0], half * X[:, 1]
-            A = glue.rho.jet(r).f / glue.n
-            B = np.sin(2 * xi) / 2.0
-            psi = glue.psi_jets(r, xi)[0]
-            N = X.shape[0]
-            fr = np.zeros((N, 4, 4))
-            fr[:, 0, 0] = 1.0 / half       # X1 = d/dr
-            fr[:, 1, 2] = 1.0 / A
-            fr[:, 2, 1] = 1.0 / half       # X3 = d/dxi
-            fr[:, 3, 2] = -psi / B
-            fr[:, 3, 3] = 1.0 / B
-            return fr
-
-        lines0 = [t / half for t in list(glue.rho.knots) + list(glue.eta1.knots) if t < glue.xi0 / 2]
-        lines1 = [t / half for t in glue.eta2.knots if t < glue.xi0 / 2]
-        return Chart([(0.02, 0.98), (0.02, 0.98), (0.1, 6.0), (0.1, 6.0)],
-                     metric, frame, name="local_glue",
-                     avoid={0: lines0, 1: lines1})
-
-    if isinstance(ansatz, TorusInvariant):
-        ti = ansatz
-
-        def metric(X):
-            g0, th = X[:, 0], X[:, 1]
-            P = ti.Phi(g0, th)
-            S = ti.Psi(g0, th)
-            U = ti.Ups(g0, th)
-            g = np.zeros((X.shape[0], 4, 4))
-            g[:, 0, 0] = 1.0
-            g[:, 1, 1] = P ** 2
-            g[:, 2, 2] = S ** 2
-            g[:, 3, 3] = U ** 2
-            return g
-
-        def frame(X):
-            g0, th = X[:, 0], X[:, 1]
-            P = ti.Phi(g0, th)
-            S = ti.Psi(g0, th)
-            U = ti.Ups(g0, th)
-            N = X.shape[0]
-            fr = np.zeros((N, 4, 4))
-            fr[:, 0, 0] = 1.0
-            fr[:, 1, 1] = 1.0 / P
-            fr[:, 2, 2] = 1.0 / S
-            fr[:, 3, 3] = 1.0 / U
-            return fr
-
-        return Chart(list(ti.box) + [(0.1, 1.4), (0.1, 1.4)],
-                     metric, frame, name="torus_invariant",
-                     avoid=dict(ti.avoid))
-
-    raise DomainError(f"no chart for ansatz {type(ansatz).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import construct as cn
 from .certify import DEFAULT_TOL, AtlasRegion, bound_report, run_checks
+from .curvature import round_f
 from .errors import NotFreeError, ParameterError, PipelineError
 from .groups import (
     GroupDescriptor,
@@ -52,14 +53,12 @@ class PipelineConfig:
     grid_2d: int = 128
     tol: float = DEFAULT_TOL
     cap_search_budget: int = 10
-    kappa: float = 2.0
 
     @classmethod
     def from_mapping(cls, mapping):
         cfg = cls()
         casts = {"tau": float, "mu": float, "r0_cap": float, "grid_1d": int,
-                 "grid_2d": int, "tol": float, "cap_search_budget": int,
-                 "kappa": float}
+                 "grid_2d": int, "tol": float, "cap_search_budget": int}
         for k, v in mapping.items():
             if k not in casts:
                 raise ParameterError(f"unknown config key {k!r}")
@@ -197,7 +196,7 @@ def _trivial_atlas(group, epsilon, cfg) -> SurgeryAtlas:
     lin = _linear_warp()
     atlas.regions.append(AtlasRegion("flat", "euclidean",
                                      "flat R^4; the resolution leaf",
-                                     warps={"rho": lin, "phi": lin, "f": _round_warp()}))
+                                     warps={"rho": lin, "phi": lin, "f": round_f()}))
     _certify_regions(atlas, cfg)
     atlas.cone_at_infinity = {"link": "round S^3", "delta_cone": 1.0,
                               "round": True}
@@ -210,11 +209,6 @@ def _linear_warp():
     return WarpFunction(0.0, 4.0, [], [ex.X], name="r")
 
 
-def _round_warp():
-    from . import expr as ex
-    return WarpFunction(0.0, math.pi / 2, [], [ex.sin(2.0 * ex.X) / 2.0], name="round_f")
-
-
 def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
     t0 = time.perf_counter()
     atlas = SurgeryAtlas(group=group, n=n, p=p, requested_epsilon=epsilon)
@@ -225,14 +219,14 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
 
     # 1. base-sphere profile; f_hat is not stored, so the report carries the
     # build's own per-piece sweep of its inequality ----------------------------
-    fk = cn.build_f_kappa(n, p, tau=cfg.tau, kappa=cfg.kappa)
+    fk = cn.build_f_kappa(n, p, tau=cfg.tau)
     atlas.params.merge(fk.params)
     atlas.reports["f_inequality_presmooth"] = bound_report(
         f"f_hat inequality <= -2 ({n},{p})", fk.presmooth_worst, -2.0,
         grid={"per_piece": 256, "conditioning": "bilateral"})
 
     # 2. edge body -----------------------------------------------------------
-    prof = cn.build_edge_profile(cfg.kappa, mu, n, fk)
+    prof = cn.build_edge_profile(2.0, mu, n, fk)
     atlas.params.merge(prof.params)
 
     # 3. glue collar -----------------------------------------------------------

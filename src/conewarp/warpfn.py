@@ -25,7 +25,6 @@ from .errors import DomainError, JoinFailure, SingularityError
 from .jets import Jet, jet_const, jet_var, jexp, jsin
 
 __all__ = [
-    "ScalarJet",
     "WarpFunction",
     "DescentSpline",
     "mollify_join",
@@ -49,21 +48,6 @@ PARITY_TAGS = (
     "even-derivatives-vanish-and-value-zero",
     "value-positive",
 )
-
-
-@dataclass
-class ScalarJet:
-    """Value and first two derivatives of a scalar function at a point."""
-
-    value: float
-    d1: float
-    d2: float
-
-    def as_array(self):
-        return np.array([self.value, self.d1, self.d2])
-
-    def __iter__(self):
-        return iter((self.value, self.d1, self.d2))
 
 
 @dataclass
@@ -141,8 +125,8 @@ class WarpFunction:
                 raise SingularityError(f"non-finite derivative order {k} at x={where}")
         return Jet(*out)
 
-    def eval_jet_onesided(self, x: float, side: str) -> ScalarJet:
-        """Jet using the piece to the given side of a junction point."""
+    def eval_jet_onesided(self, x: float, side: str) -> Jet:
+        """Jet (floats) using the piece to the given side of a junction point."""
         x = float(x)
         idx = int(self.piece_index(np.array([x]))[0])
         if side == "left":
@@ -164,8 +148,8 @@ class WarpFunction:
         """
         out = []
         for t in self.breakpoints:
-            left = self.eval_jet_onesided(t, "left").as_array()
-            right = self.eval_jet_onesided(t, "right").as_array()
+            left = np.array(self.eval_jet_onesided(t, "left").as_tuple())
+            right = np.array(self.eval_jet_onesided(t, "right").as_tuple())
             k = self.continuity_class
             scale = np.maximum.reduce([np.abs(left), np.abs(right), np.ones(3)])
             out.append(np.abs(left - right)[: k + 1] / scale[: k + 1])
@@ -258,10 +242,10 @@ class WarpFunction:
                    parity_left=pl, parity_right=pr, name=name)
 
 
-def _piece_jet(piece: ex.Expr, x: float) -> ScalarJet:
-    """Jet of one piece at one point."""
+def _piece_jet(piece: ex.Expr, x: float) -> Jet:
+    """Jet of one piece at one point, as floats."""
     j = piece.jet(jet_var(np.array([x])))
-    return ScalarJet(*(float(c[0]) for c in j.as_tuple()))
+    return Jet(*(float(c[0]) for c in j.as_tuple()))
 
 
 def _sample_open(lo: float, hi: float, n: int) -> np.ndarray:
@@ -286,14 +270,14 @@ def smoothstep_quintic_integral(u: ex.Expr) -> ex.Expr:
 # -- mollified joins -----------------------------------------------------------
 
 
-def _hermite_quintic(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float) -> tuple:
+def _hermite_quintic(lj: Jet, rj: Jet, e0: float, e1: float) -> tuple:
     """(w, (a5, a4, a3, a2, a1, a0)): the quintic sum_k a_k u^k in
     u = (var - e0)/w, w = e1 - e0, matching value/d1/d2 of lj at var = e0 and
     rj at var = e1.  The one Hermite builder: mollified joins, the rho tail
     and the cells of a DescentSpline all take their coefficients from it."""
     w = e1 - e0
-    v0, v0p, v0pp = lj.value, lj.d1 * w, lj.d2 * w * w
-    v1, v1p, v1pp = rj.value, rj.d1 * w, rj.d2 * w * w
+    v0, v0p, v0pp = lj.f, lj.f1 * w, lj.f2 * w * w
+    v1, v1p, v1pp = rj.f, rj.f1 * w, rj.f2 * w * w
     a0, a1, a2 = v0, v0p, 0.5 * v0pp
     A = v1 - (a0 + a1 + a2)
     B = v1p - (a1 + 2.0 * a2)
@@ -304,7 +288,7 @@ def _hermite_quintic(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float) -> tupl
     return w, (a5, a4, a3, a2, a1, a0)
 
 
-def _hermite_quintic_piece(lj: ScalarJet, rj: ScalarJet, e0: float, e1: float,
+def _hermite_quintic_piece(lj: Jet, rj: Jet, e0: float, e1: float,
                            var: ex.Expr = ex.X) -> ex.Expr:
     """``_hermite_quintic`` as a Horner tree in ``var`` (``var`` = pi/2 - x
     gives the tree of one DescentSpline cell's exponent)."""
@@ -338,7 +322,7 @@ class DescentSpline(ex.Expr):
                               "increasing in pi/2 - x")
         rows = []
         for r0, r1 in zip(self.table, self.table[1:]):
-            w, coeffs = _hermite_quintic(ScalarJet(*r0[1:]), ScalarJet(*r1[1:]),
+            w, coeffs = _hermite_quintic(Jet(*r0[1:]), Jet(*r1[1:]),
                                          r0[0], r1[0])
             rows.append((r0[0], w, *coeffs))
         # cells and knots in x order: the last knot in s is the first in x
@@ -400,12 +384,12 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> Wa
     lj = f.eval_jet_onesided(x0, "left")
     rj = f.eval_jet_onesided(x0, "right")
     for c in constraints:
-        if c[0] == "d2" and c[1] < 0 and rj.d1 - lj.d1 > 1e-9 * max(1.0, abs(lj.d1)):
+        if c[0] == "d2" and c[1] < 0 and rj.f1 - lj.f1 > 1e-9 * max(1.0, abs(lj.f1)):
             raise JoinFailure(
                 "derivative jump has the wrong sign for a concave join "
-                f"(left d1={lj.d1}, right d1={rj.d1})"
+                f"(left d1={lj.f1}, right d1={rj.f1})"
             )
-        if c[0] == "d2" and c[1] > 0 and lj.d1 - rj.d1 > 1e-9 * max(1.0, abs(lj.d1)):
+        if c[0] == "d2" and c[1] > 0 and lj.f1 - rj.f1 > 1e-9 * max(1.0, abs(lj.f1)):
             raise JoinFailure("derivative jump has the wrong sign for a convex join")
 
     e0, e1 = x0 - w, x0 + w
@@ -485,7 +469,7 @@ def check_parity(f: WarpFunction, endpoint: str, tag: str,
     x = f.a if endpoint == "left" else f.b
     side = "right" if endpoint == "left" else "left"
     j = f.eval_jet_onesided(x, side)
-    vals = j.as_array()
+    vals = np.array(j.as_tuple())
     rep = ParityReport(endpoint=endpoint, tag=tag,
                        derivatives={k: float(v) for k, v in enumerate(vals)})
     if tag == "value-positive":

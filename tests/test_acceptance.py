@@ -36,7 +36,6 @@ from conewarp.curvature import (
     ricci_berger_sphere,
     ricci_cone_berger,
     ricci_local_glue,
-    ricci_local_glue_display,
     ricci_torus_invariant,
 )
 from conewarp.groups import (
@@ -106,8 +105,9 @@ def test_criterion_1_exact_witnesses():
 def test_criterion_2_oracle_agreement():
     """Six families, 100 interior points each, 10 h^2 at h = 1e-3, order >= 1.8,
     < 60 s; the uncorrected X2/X3 assignment resolved in favor of the oracle."""
-    from tests.test_curvature import fd_ricci, generic_ansatze, make_glue
-    from conewarp.curvature import ansatz_to_chart, frame_project
+    from tests.test_curvature import (
+        fd_ricci, generic_ansatze, make_glue, ricci_local_glue_uncorrected)
+    from conewarp.curvature import frame_project
 
     t0 = time.perf_counter()
     ok = True
@@ -119,15 +119,15 @@ def test_criterion_2_oracle_agreement():
                     f"order {rep.details['convergence_order']:.2f}")
     # disambiguation: the uncorrected local-glue variant must lose to the oracle
     glue = make_glue()
-    chart = ansatz_to_chart(glue)
+    chart = glue.chart()
     half = glue.xi0 / 2
     u, v = 0.8 * glue.sigma1 / half, 0.8 * glue.sigma2 / half
     pt = np.array([u, v, 1.0, 1.0])
     ric = fd_ricci(chart, pt, h=3e-4, richardson=True)
     proj = frame_project(ric[None], chart.frame_batch(pt[None]))[0]
     r, x = np.array([half * u]), np.array([half * v])
-    dev_corr = float(np.max(np.abs(proj - ricci_local_glue_display(glue, r, x, "corrected").entries[0])))
-    dev_prnt = float(np.max(np.abs(proj - ricci_local_glue_display(glue, r, x, "uncorrected").entries[0])))
+    dev_corr = float(np.max(np.abs(proj - ricci_local_glue(glue, r, x).entries[0])))
+    dev_prnt = float(np.max(np.abs(proj - ricci_local_glue_uncorrected(glue, r, x)[0])))
     winner = "corrected" if dev_corr < dev_prnt else "uncorrected"
     ok = ok and winner == "corrected" and dev_prnt > 1.0
     dt = time.perf_counter() - t0

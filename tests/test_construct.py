@@ -73,9 +73,9 @@ def test_f_kappa_properties(n, p):
     rep0 = check_parity(f, "left", "even-derivatives-vanish-and-value-zero")
     assert rep0.passed and rep0.derivatives[1] == pytest.approx(1.0, abs=1e-9)
     j1 = f.eval_jet_onesided(math.pi / 2, "left")
-    assert j1.value == pytest.approx(0.0, abs=1e-15)
-    assert j1.d1 == pytest.approx(-p, rel=1e-8)
-    assert abs(j1.d2) <= 1e-6 * max(1.0, p)
+    assert j1.f == pytest.approx(0.0, abs=1e-15)
+    assert j1.f1 == pytest.approx(-p, rel=1e-8)
+    assert abs(j1.f2) <= 1e-6 * max(1.0, p)
 
 
 @pytest.mark.parametrize("n,p", [(2, 1), (3, 1), (5, 3), (7, 3)])

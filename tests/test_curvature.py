@@ -13,7 +13,6 @@ from conewarp.curvature import (
     LocalGlue,
     RicciFrame,
     TorusInvariant,
-    ansatz_to_chart,
     frame_project,
     ricci_berger_general,
     ricci_berger_sphere,
@@ -21,7 +20,6 @@ from conewarp.curvature import (
     ricci_double_warp,
     ricci_fd_batch,
     ricci_local_glue,
-    ricci_local_glue_display,
     ricci_torus_invariant,
 )
 from conewarp.errors import DegenerateMetricError, SingularityError
@@ -165,6 +163,30 @@ def make_glue(xi0=0.3, n=2):
                      sigma1=sigma1, sigma2=sigma2, xi0=xi0)
 
 
+def ricci_local_glue_uncorrected(glue, r, xi):
+    """The glue's displayed component equations before index correction, as
+    (N, 4, 4) entries on {X1..X4}: X1 couples X2, X3 couples X4, the second
+    circle row carries the flat value 4, and the X3-X4 coupling uses literal
+    squares of first derivatives.  The reference that the oracle must reject
+    in favour of ``ricci_local_glue``."""
+    r, xi = np.broadcast_arrays(np.atleast_1d(r), np.atleast_1d(xi))
+    s2, c2 = np.sin(2 * xi), np.cos(2 * xi)
+    ja = glue.rho.jet(r)
+    A, A1, A2 = ja.f / glue.n, ja.f1 / glue.n, ja.f2 / glue.n
+    psi, p_r, p_xi, p_rr, p_xixi = glue.psi_jets(r, xi)
+    w_r = A * p_r / s2
+    w_xi = A * p_xi / s2
+    out = np.zeros(r.shape + (4, 4))
+    out[:, 0, 0] = -A2 / A - 2.0 * w_r ** 2
+    out[:, 1, 1] = 4.0 - 2.0 * w_xi ** 2
+    out[:, 2, 2] = -A2 / A + 2.0 * (w_r ** 2 + w_xi ** 2)
+    out[:, 3, 3] = 4.0 - 2.0 * (w_r ** 2 + w_xi ** 2)
+    out[:, 0, 1] = out[:, 1, 0] = -2.0 * w_r * w_xi
+    out[:, 2, 3] = out[:, 3, 2] = -(3.0 * A1 * p_r / s2 + A * p_r ** 2 / s2
+                                    + A * p_xi ** 2 / s2 - 2.0 * A * p_xi * c2 / s2 ** 2)
+    return out
+
+
 def test_glue_product_region_diagonal():
     glue = make_glue()
     # both cutoffs equal 1: r, xi < sigma_i
@@ -208,7 +230,7 @@ def test_glue_axis_error():
 def test_glue_disambiguation_uncorrected_vs_corrected():
     """In the product region exactly one index assignment matches the oracle."""
     glue = make_glue()
-    chart = ansatz_to_chart(glue)
+    chart = glue.chart()
     half = glue.xi0 / 2.0
     # normalized chart point inside the product region (u < sigma1/half etc.)
     u, v = 0.8 * glue.sigma1 / half, 0.8 * glue.sigma2 / half
@@ -218,7 +240,7 @@ def test_glue_disambiguation_uncorrected_vs_corrected():
     proj = frame_project(ric[None, :, :], fr)[0]
     r, xi = np.array([half * u]), np.array([half * v])
     corrected = ricci_local_glue(glue, r, xi).entries[0]
-    uncorr = ricci_local_glue_display(glue, r, xi, variant="uncorrected").entries[0]
+    uncorr = ricci_local_glue_uncorrected(glue, r, xi)[0]
     dev_c = np.max(np.abs(proj - corrected))
     dev_p = np.max(np.abs(proj - uncorr))
     assert dev_c < 0.05
@@ -230,7 +252,7 @@ def test_glue_disambiguation_uncorrected_vs_corrected():
 
 def test_chart_components_berger_round():
     ans = BergerSphere(round_f(), 1.0)
-    chart = ansatz_to_chart(ans)
+    chart = ans.chart()
     g = chart.metric_batch(np.array([[np.pi / 4, 1.0, 1.0]]))[0]
     assert g[1, 1] == pytest.approx(1.0)
     assert g[1, 2] == pytest.approx(0.5)
@@ -243,7 +265,7 @@ def test_torus_chart_diagonal_and_gram():
     Psi = BivariateFn(lambda g, t: g * j2cos(t))
     Ups = BivariateFn(lambda g, t: g * j2sin(t))
     ti = TorusInvariant(Phi, Psi, Ups, box=[(0.2, 0.8), (0.3, 1.2)])
-    chart = ansatz_to_chart(ti)
+    chart = ti.chart()
     X = chart.interior_samples(20, rng=0)
     gram = frame_gram(chart, X)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), gram.shape), atol=1e-9)
@@ -251,7 +273,7 @@ def test_torus_chart_diagonal_and_gram():
 
 def test_glue_chart_gram_identity():
     glue = make_glue()
-    chart = ansatz_to_chart(glue)
+    chart = glue.chart()
     X = chart.interior_samples(20, rng=1)
     gram = frame_gram(chart, X)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), gram.shape), atol=1e-9)
@@ -259,7 +281,7 @@ def test_glue_chart_gram_identity():
 
 def test_fd_flat_cone():
     ans = ConeOverBerger(linear(), linear(), round_f(), r_range=(0.8, 2.0))
-    chart = ansatz_to_chart(ans)
+    chart = ans.chart()
     pt = np.array([1.2, 0.8, 1.0, 2.0])
     ric = fd_ricci(chart, pt, h=1e-3, richardson=True)
     assert np.max(np.abs(ric)) < 1e-6
@@ -267,36 +289,11 @@ def test_fd_flat_cone():
 
 def test_fd_round_berger_einstein():
     ans = BergerSphere(round_f(), 1.0)
-    chart = ansatz_to_chart(ans)
+    chart = ans.chart()
     pt = np.array([0.7, 1.0, 2.0])
     ric = fd_ricci(chart, pt, h=1e-3)
     g = chart.metric_batch(pt[None, :])[0]
     np.testing.assert_allclose(ric, 2.0 * g, atol=1e-5)
-
-
-def _closed_form_on_frame(ansatz, X):
-    """Dispatch: closed-form Ricci projected on the chart frame vectors."""
-    if isinstance(ansatz, BergerSphere):
-        return ricci_berger_sphere(ansatz.f, ansatz.t, X[:, 0]).entries
-    if isinstance(ansatz, ConeOverBerger):
-        return ricci_cone_berger(ansatz.rho, ansatz.phi, ansatz.f, X[:, 0], X[:, 1]).entries
-    if isinstance(ansatz, BergerGeneral):
-        d = ricci_berger_general(ansatz.rho, ansatz.phi, X[:, 0])
-        out = np.zeros((X.shape[0], 4, 4))
-        for i in range(4):
-            out[:, i, i] = d[i]
-        return out
-    if isinstance(ansatz, DoubleWarp):
-        lam = ricci_double_warp(ansatz.m, ansatz.n, ansatz.varphi, ansatz.phi, X[:, 0])
-        out = np.zeros((X.shape[0], 3, 3))
-        for i in range(3):
-            out[:, i, i] = lam[i]
-        return out
-    if isinstance(ansatz, LocalGlue):
-        return ricci_local_glue(ansatz, X[:, 0], X[:, 1]).entries
-    if isinstance(ansatz, TorusInvariant):
-        return ricci_torus_invariant(ansatz.Phi, ansatz.Psi, ansatz.Ups, X[:, 0], X[:, 1]).entries
-    raise AssertionError
 
 
 def generic_ansatze():
@@ -340,7 +337,7 @@ def test_scaled_round_family(delta):
     by chart scaling of the t = 1, f = sin(2 xi)/2 case and cross-checked
     against the oracle."""
     from conewarp.curvature import Chart
-    base = ansatz_to_chart(BergerSphere(round_f(), 1.0))
+    base = BergerSphere(round_f(), 1.0).chart()
 
     def scaled_metric(X):
         return delta**2 * base.metric_batch(X)

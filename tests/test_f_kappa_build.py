@@ -19,11 +19,11 @@ from conewarp.cli import main as cli_main
 from conewarp.construct import PIH, _bilateral_worst_q
 from conewarp.errors import ConstructionFailure
 from conewarp.groups import cyclic_group
+from conewarp.jets import Jet
 from conewarp.pipeline import PipelineConfig, assemble_atlas
 from conewarp.warpfn import (
     TOL_JOIN,
     DescentSpline,
-    ScalarJet,
     WarpFunction,
     _hermite_quintic_piece,
     _sample_open,
@@ -145,7 +145,7 @@ def cell_trees(spline):
     in x order, built by _hermite_quintic_piece from the node's knot rows."""
     out = []
     for r0, r1 in zip(spline.table, spline.table[1:]):
-        W = _hermite_quintic_piece(ScalarJet(*r0[1:]), ScalarJet(*r1[1:]),
+        W = _hermite_quintic_piece(Jet(*r0[1:]), Jet(*r1[1:]),
                                    r0[0], r1[0], ex.Const(PIH) - ex.X)
         out.append((PIH - r1[0], PIH - r0[0],
                     ex.Const(spline.c) * ex.sin(2.0 * ex.X) * ex.exp(W)))
@@ -255,8 +255,8 @@ def test_steep_power_piece_jet_is_finite_and_quiet():
         warnings.simplefilter("error", RuntimeWarning)
         one = f.eval_jet_onesided(t, "right")
         ref = f.jet(np.array([t]))
-    assert np.all(np.isfinite(one.as_array()))
-    assert list(one) == [ref.f[0], ref.f1[0], ref.f2[0]]
+    assert np.all(np.isfinite(one.as_tuple()))
+    assert list(one.as_tuple()) == [ref.f[0], ref.f1[0], ref.f2[0]]
 
 
 @pytest.fixture(scope="module")
@@ -341,8 +341,8 @@ def test_spline_node_evaluates_as_its_cell_trees(fk53, which):
     assert _jet_bytes(f.jet(xs)) == _jet_bytes(ref.jet(xs))
     for t in f.breakpoints:
         for side in ("left", "right"):
-            assert (f.eval_jet_onesided(t, side).as_array().tobytes()
-                    == ref.eval_jet_onesided(t, side).as_array().tobytes())
+            assert (np.array(f.eval_jet_onesided(t, side).as_tuple()).tobytes()
+                    == np.array(ref.eval_jet_onesided(t, side).as_tuple()).tobytes())
     mismatch = dict(zip(ref.breakpoints, ref.breakpoint_mismatch()))
     inner = [t for t in f.knots if t not in f.breakpoints]
     assert len(inner) > 100

@@ -172,6 +172,15 @@ def test_cli_recursion_and_errors(capsys):
     assert cli_main(["bogus-subcommand"]) == 2
 
 
+def test_cli_resolve_rejects_kappa_config_key(tmp_path, capsys):
+    """kappa is fixed at 2, as in the cap and the round-base body."""
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("kappa = 3.0\n")
+    assert cli_main(["resolve", "--group", "cyclic:2,1,1", "--out", str(tmp_path / "run"),
+                     "--config", str(cfg)]) == 2
+    assert "unknown config key 'kappa'" in capsys.readouterr().err
+
+
 def test_cli_certify_rejects_json_without_regions(tmp_path, capsys):
     path = tmp_path / "not_an_atlas.json"
     path.write_text(json.dumps({"group": "cyclic", "n": 5}))

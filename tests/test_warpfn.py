@@ -171,7 +171,7 @@ def test_breakpoint_onesided_jets():
                      continuity_class=1)
     assert g.check_joins()
     lj, rj = g.eval_jet_onesided(x0, "left"), g.eval_jet_onesided(x0, "right")
-    assert abs(lj.d2 - rj.d2) > 1.0
+    assert abs(lj.f2 - rj.f2) > 1.0
 
 
 def test_mollify_join_identity_outside_and_constraints():
@@ -218,7 +218,7 @@ def test_check_parity_round():
     rep2 = check_parity(f, "right", "even-derivatives-vanish-and-value-zero")
     assert rep2.passed
     j = f.eval_jet_onesided(np.pi / 2, "left")
-    assert j.d1 == pytest.approx(-1.0, abs=1e-12)
+    assert j.f1 == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_check_parity_odd():
