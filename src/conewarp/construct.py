@@ -73,6 +73,7 @@ __all__ = [
     "build_general_profiles",
 ]
 
+KAPPA = 2.0                    # the paper's kappa: the left side of f is sin(2x)/2
 BUMP_MU_FLOOR = 1e-10          # floor for the quartic-bump constant's mu_hat
 MIN_LOG10_SIN = -290.0         # representability floor for sin(kappa mu_hat)
 
@@ -105,22 +106,9 @@ class ConstructionParams:
 # ---------------------------------------------------------------------------
 
 
-def alpha_nominal(xi0: float, kappa: float) -> float:
+def alpha_nominal(xi0: float) -> float:
     """The tilt exponent nominal closed form (4 xi0/k) cot(2 xi0/k) - 4 xi0 cot(2 xi0)."""
-    return (4 * xi0 / kappa) / math.tan(2 * xi0 / kappa) - 4 * xi0 / math.tan(2 * xi0)
-
-
-def alpha_c1(xi0: float, kappa: float) -> float:
-    """Tilt exponent forced by C^1 continuity at the junction 2 xi0/kappa.
-
-    Matching the logarithmic derivatives of sin(kappa x)/kappa and
-    C sin(2x) x^(-alpha) at x = 2 xi0/kappa gives
-    alpha = (4 xi0/kappa) cot(4 xi0/kappa) - 2 xi0 cot(2 xi0); the nominal
-    closed form differs and would break the C^{1,1} regularity, so the
-    construction uses this one (for kappa = 2 it vanishes identically).
-    """
-    b = 2 * xi0 / kappa
-    return 2 * b / math.tan(2 * b) - 2 * xi0 / math.tan(2 * xi0)
+    return (4 * xi0 / KAPPA) / math.tan(2 * xi0 / KAPPA) - 4 * xi0 / math.tan(2 * xi0)
 
 
 def _coef_prefactor_log(xi0: float, log_kappa: float) -> float:
@@ -169,21 +157,21 @@ class KappaPrime:
     residual: float            # relative mismatch of the log tail coefficients
 
 
-def solve_kappa_prime(xi0: float, kappa: float, p: int, tau: float) -> KappaPrime:
-    """Solve C_infty(kappa') = C_infty(kappa)/p for kappa' >= kappa (log space).
+def solve_kappa_prime(xi0: float, p: int, tau: float) -> KappaPrime:
+    """Solve C_infty(kappa') = C_infty(KAPPA)/p for kappa' >= KAPPA (log space).
 
     The tail coefficient decreases to 0 as kappa' grows, so bisection on
-    log kappa' converges; for p = 1 the solution is kappa itself.  The value
+    log kappa' converges; for p = 1 the solution is KAPPA itself.  The value
     may exceed double range, hence the log-space return.
     """
     if p < 1:
         raise DomainError("p must be >= 1")
-    target = tail_coefficient_log(xi0, tau, math.log(kappa)) - math.log(p)
+    target = tail_coefficient_log(xi0, tau, math.log(KAPPA)) - math.log(p)
     if p == 1:
-        return KappaPrime(math.log(kappa), float(kappa), 0.0)
+        return KappaPrime(math.log(KAPPA), KAPPA, 0.0)
     # the coefficient decays like exp(-alpha_inf log kappa'), alpha_inf ~ 4 xi0^2/3,
     # so the faithful solution sits at log kappa' ~ ln(p) / alpha_inf
-    lo, hi = math.log(kappa), 100.0
+    lo, hi = math.log(KAPPA), 100.0
     while tail_coefficient_log(xi0, tau, hi) > target:
         hi *= 2.0
         if hi > 1e9:
@@ -201,7 +189,6 @@ class FKappa:
     f_hat: WarpFunction        # pre-smoothing profile (C^{1,1})
     n: int
     p: int
-    kappa: float
     kappa_prime: KappaPrime
     kappa_prime_eff: float
     xi0: float
@@ -216,6 +203,7 @@ class FKappa:
 
 BETA_MAX = 0.30        # pure-power drift budget; the inequality allows 3/7
 SEAL_KAPPA = 1.0e7     # end-piece frequency carrying the slope -p
+C_MID = 0.5            # sin(2x)/2 on the middle region, slope 1 at 0
 X_DESCENT = 2.0e-4     # where the drift hands over to the certified descent
 D_KILL = 6.0e-3        # residual drift handled by the final quintic taper
 DESCENT_SLACK = 0.95   # descent designed against LHS <= -2 - (1 - slack)
@@ -379,24 +367,14 @@ def _mirror_pieces(m: _MirrorSide, knot_stride=80):
             (PIH - m.x1, PIH, ex.Const(m.A_s) * ex.sin(ex.Const(m.kappa_a) * xp))]
 
 
-def _left_side_pieces(xi0, kappa, tau, alpha, q_b, var: ex.Expr = ex.X):
-    """Pieces of the profile near 0 (no extra tilt on this side), as
-    functions of ``var``; the intervals are in ``var``."""
-    b = 2 * xi0 / kappa
-    sin2 = ex.sin(2.0 * var)
-    if alpha == 0.0:
-        # sin(kappa x)/kappa happens to be C^infty-compatible with q_b sin 2x
-        return [(0.0, b, ex.sin(ex.Const(kappa) * var) / kappa),
-                (b, 2 * tau / 3, sin2 * ex.Const(q_b))]
-    pow_nat = (var / ex.Const(b)) ** (-alpha)
-    frozen = ((tau / 2) / b) ** (-alpha)
-    eta = ex.Const(1.0) - smoothstep_quintic((var - ex.Const(tau / 3)) / ex.Const(tau / 3))
-    mix = pow_nat * eta + ex.Const(frozen) * (ex.Const(1.0) - eta)
-    return [
-        (0.0, b, ex.sin(ex.Const(kappa) * var) / kappa),
-        (b, tau / 3, sin2 * ex.Const(q_b) * pow_nat),
-        (tau / 3, 2 * tau / 3, sin2 * ex.Const(q_b) * mix),
-    ]
+def _left_side_pieces(xi0, tau, var: ex.Expr = ex.X):
+    """The round profile sin(2x)/2 near 0 as two pieces of ``var`` (the
+    intervals are in ``var``): sin(KAPPA x)/KAPPA up to 2 xi0/KAPPA, then
+    C_MID sin(2x) up to 2 tau/3.  At KAPPA = 2 the two are one function, so
+    the junction is C^infty and this side carries no tilt."""
+    b = 2 * xi0 / KAPPA
+    return [(0.0, b, ex.sin(ex.Const(KAPPA) * var) / KAPPA),
+            (b, 2 * tau / 3, ex.sin(2.0 * var) * ex.Const(C_MID))]
 
 
 def _assemble(pieces) -> WarpFunction:
@@ -409,85 +387,57 @@ def _assemble(pieces) -> WarpFunction:
                         name="f_hat")
 
 
-def build_f_kappa(n: int, p: int, tau: float, kappa: float = 2.0) -> FKappa:
+def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
     """Base-sphere profile with f'(0) = 1, f'(pi/2) = -p, certified inequality.
 
-    The pre-smoothing profile must satisfy the inequality with bound -2
-    (margin 0.5 on the regional estimates driving the xi0 search), the
-    smoothed one with bound -1.  For p > 1 the faithful matching frequency
-    kappa' (log-space solve, recorded) compresses the slope seal far below
-    double resolution, so the mirror side is realized as a seal + pure-power
-    drift + maximal-rate descent whose exponent is bisected until the seal
-    amplitude carries exactly slope -p; every piece is re-certified.
+    The profile is the round sin(2x)/2 from 0 to the mirror side; for p = 1
+    the mirror side is the left side reflected.  For p > 1 the faithful
+    matching frequency kappa' (log-space solve, recorded) compresses the
+    slope seal far below double resolution, so the mirror side is realized
+    as a seal + pure-power drift + maximal-rate descent whose exponent is
+    bisected until the seal amplitude carries exactly slope -p; every piece
+    is re-certified.  xi0 = tau/20 only places the left junction, and the
+    mirror side does not depend on it, so the build is one try: the
+    pre-smoothing profile must satisfy the inequality with bound -2 (-2.5 on
+    the cells left of pi/4), the smoothed one with bound -1, or it raises.
     """
     if math.gcd(n, p) != 1:
         raise DomainError(f"n = {n} and p = {p} must be coprime")
     if not (0 < tau < 0.1):
         raise DomainError("tau must lie in (0, 1/10)")
-    if kappa < 2:
-        raise DomainError("kappa must be >= 2")
 
-    params = ConstructionParams()
     xi0 = tau / 20.0
-    fails = []
-    for halving in range(41):
-        try:
-            fk = _try_build_f(n, p, tau, kappa, xi0, params)
-            params.set("xi0", xi0, f"search: tau/20 halved {halving} times until the "
-                                   "regional estimates hold with margin 0.5")
-            params.set("xi0_halvings", halving, "search budget used")
-            return fk
-        except ConstructionFailure as e:
-            fails.append(str(e))
-            xi0 *= 0.5
-    raise ConstructionFailure(f"xi0 search exhausted 40 halvings: first cause (at "
-                              f"xi0 = tau/20): {fails[0]}; last cause: {fails[-1]}")
-
-
-def _try_build_f(n, p, tau, kappa, xi0, params) -> FKappa:
-    aL = alpha_c1(xi0, kappa)
-    if abs(aL) < 1e-15:
-        aL = 0.0
-    bL = 2 * xi0 / kappa
-    q_bL = math.sin(2 * xi0) / (kappa * math.sin(4 * xi0 / kappa))
-    c_mid = q_bL * (((tau / 2) / bL) ** (-aL) if aL != 0.0 else 1.0)
-
-    kp = solve_kappa_prime(xi0, kappa, p, tau)
-
-    left = _left_side_pieces(xi0, kappa, tau, aL, q_bL)
-    pieces = list(left)
+    pieces = _left_side_pieces(xi0, tau)
     if p == 1:
         # mirror the left side; the middle piece spans the bridge
-        pieces.append((2 * tau / 3, PIH - 2 * tau / 3, ex.Const(c_mid) * ex.sin(2.0 * ex.X)))
-        for (lo, hi, e) in _left_side_pieces(xi0, kappa, tau, aL, q_bL,
-                                             var=ex.Const(PIH) - ex.X):
+        pieces.append((2 * tau / 3, PIH - 2 * tau / 3, ex.Const(C_MID) * ex.sin(2.0 * ex.X)))
+        for (lo, hi, e) in _left_side_pieces(xi0, tau, var=ex.Const(PIH) - ex.X):
             pieces.append((PIH - hi, PIH - lo, e))
         beta = 0.0
-        kp_eff = kappa
-        x_end_r = 2 * tau / 3
+        kp_eff = KAPPA
     else:
         # drift exponent solved so the seal amplitude carries exactly slope -p
         grid = _descent_grid(X_DESCENT, tau)
         lo_b, hi_b = 1e-4, BETA_MAX
-        r_lo = _mirror_side(p, lo_b, c_mid, grid).resid
+        r_lo = _mirror_side(p, lo_b, C_MID, grid).resid
         r_hi = None
         while hi_b > lo_b:
             try:
-                r_hi = _mirror_side(p, hi_b, c_mid, grid).resid
+                r_hi = _mirror_side(p, hi_b, C_MID, grid).resid
                 break
             except ConstructionFailure:
                 hi_b *= 0.95
         if r_hi is None or r_lo > 0 or r_hi < 0:
             raise ConstructionFailure(
                 f"drift budget cannot reach slope -{p} (residuals {r_lo:.3f}, {r_hi})")
-        lo_b, hi_b = _bisect(lambda b: _mirror_side(p, b, c_mid, grid).resid < 0,
+        lo_b, hi_b = _bisect(lambda b: _mirror_side(p, b, C_MID, grid).resid < 0,
                              lo_b, hi_b, 80)
         beta = 0.5 * (lo_b + hi_b)
-        side = _mirror_side(p, beta, c_mid, grid)
+        side = _mirror_side(p, beta, C_MID, grid)
         if abs(side.resid) > 1e-9:
             raise ConstructionFailure(f"drift bisection residual too large: {side.resid:.2e}")
         x_end_r = side.descent[0][-1]
-        pieces.append((2 * tau / 3, PIH - x_end_r, ex.Const(c_mid) * ex.sin(2.0 * ex.X)))
+        pieces.append((2 * tau / 3, PIH - x_end_r, ex.Const(C_MID) * ex.sin(2.0 * ex.X)))
         pieces.extend(_mirror_pieces(side))
         kp_eff = SEAL_KAPPA
     f_hat = _assemble(pieces)
@@ -530,22 +480,27 @@ def _try_build_f(n, p, tau, kappa, xi0, params) -> FKappa:
     t_kappa = 0.1 * float(np.min(ratio ** -2.0))
     eps_kappa = 0.1 * float(min(np.min(ratio ** -2.0), np.min(ratio ** 2.0),
                                 np.min(-j.f2 / (4.0 * j.f))))
-    params.set("kappa", kappa, "input")
+    # kappa' only goes to the ledger, so it is solved after every check
+    # that names a real cause of failure
+    kp = solve_kappa_prime(xi0, p, tau)
+    params = ConstructionParams()
+    params.set("kappa", KAPPA, "fixed: the round left side sin(2x)/2")
     params.set("kappa_prime_log", kp.log_value, "log-space tail-coefficient solve")
     params.set("kappa_prime_eff", kp_eff,
                "seal frequency actually carrying the slope -p"
                if p > 1 else "faithful value (p = 1)")
-    params.set("alpha_left", aL, "exponent forced by C1 matching at the junction")
-    params.set("alpha_nominal", alpha_nominal(xi0, kappa), "nominal closed form, recorded for comparison")
+    params.set("alpha_left", 0.0, "no tilt on the round left side")
+    params.set("alpha_nominal", alpha_nominal(xi0), "nominal closed form, recorded for comparison")
     params.set("beta", beta, f"pure-power drift exponent (budget {BETA_MAX} < 3/7)")
-    params.set("c_mid", c_mid, "middle-region sine coefficient")
+    params.set("c_mid", C_MID, "middle-region sine coefficient of sin(2x)/2")
     params.set("t_kappa", t_kappa, "0.1 * inf (sin2xi/2f)^-2 on offset grid")
     params.set("eps_kappa", eps_kappa,
                "0.1 * inf min{(sin2xi/2f)^-2, (sin2xi/2f)^2, -f''/(4f)}; the "
                "squared branch added so Ric >= eps (t dalpha^2 + h_f) certifies")
-    return FKappa(f=f, f_hat=f_hat, n=n, p=p, kappa=kappa, kappa_prime=kp,
+    params.set("xi0", xi0, "tau/20: the left junction and the glue box")
+    return FKappa(f=f, f_hat=f_hat, n=n, p=p, kappa_prime=kp,
                   kappa_prime_eff=kp_eff, xi0=xi0, tau=tau, beta=beta,
-                  c_mid=c_mid, presmooth_worst=max(worst_left, worst_right),
+                  c_mid=C_MID, presmooth_worst=max(worst_left, worst_right),
                   t_kappa=t_kappa, eps_kappa=eps_kappa, params=params)
 
 
@@ -597,7 +552,6 @@ class EdgeProfile:
     rho: WarpFunction
     phi: WarpFunction
     n: int
-    kappa: float
     mu: float
     eps: float                  # realized dip factor (sin kappa mu_hat)^(mu/2)
     mu_hat: float
@@ -611,7 +565,7 @@ class EdgeProfile:
     params: ConstructionParams = field(default_factory=ConstructionParams)
 
 
-def _dip_mu_hat(kappa: float, mu: float, eps_target: float) -> float:
+def _dip_mu_hat(mu: float, eps_target: float) -> float:
     """mu_hat with (sin kappa mu_hat)^(mu/2) = eps_target, or raise."""
     log10_sin = (2.0 / mu) * math.log10(eps_target)
     if log10_sin < MIN_LOG10_SIN:
@@ -619,11 +573,11 @@ def _dip_mu_hat(kappa: float, mu: float, eps_target: float) -> float:
             f"dip factor {eps_target:.2e} needs sin(kappa mu_hat) = 1e{log10_sin:.0f}; "
             f"increase mu (currently {mu}) or the dip target")
     s = 10.0 ** log10_sin
-    return math.asin(s) / kappa
+    return math.asin(s) / KAPPA
 
 
-def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
-                       positions_kappa: float | None = None) -> EdgeProfile:
+def build_edge_profile(mu: float, n: int, fk: FKappa,
+                       positions_kappa: float = KAPPA) -> EdgeProfile:
     """Radial profiles: rho dips to a thin cone, phi bends to a linear tail.
 
     rho is n sin(kappa r)/kappa near 0, then the power-law
@@ -637,7 +591,7 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
     """
     if not (0 < mu < 0.1):
         raise ParameterError("mu must lie in (0, 1/10)")
-    pk = positions_kappa if positions_kappa is not None else kappa
+    pk = positions_kappa
     params = ConstructionParams()
 
     # dip depth: at most 2 mu; below the Berger-parameter bound
@@ -645,11 +599,11 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
     # term stays inside the dip-curvature PSD band (the quartic cutoff
     # second derivative against sqrt(d22 d44); the glue_mixed_bound report)
     eps_target = min(2 * mu,
-                     0.8 * kappa * math.sqrt(fk.t_kappa) / (0.1987 * n),
+                     0.8 * KAPPA * math.sqrt(fk.t_kappa) / (0.1987 * n),
                      29.5 * math.sqrt(mu) / n ** 3)
-    mu_hat = _dip_mu_hat(kappa, mu, eps_target)
-    eps = math.sin(kappa * mu_hat) ** (mu / 2)
-    mu_hat_strict_log10 = (2.0 / mu) * math.log10(fk.t_kappa / (100.0 * n * kappa))
+    mu_hat = _dip_mu_hat(mu, eps_target)
+    eps = math.sin(KAPPA * mu_hat) ** (mu / 2)
+    mu_hat_strict_log10 = (2.0 / mu) * math.log10(fk.t_kappa / (100.0 * n * KAPPA))
     params.set("eps", eps, "dip factor; desk-scale target recorded in ledger")
     params.set("mu_hat", mu_hat, "solves (sin kappa mu_hat)^(mu/2) = eps")
     params.set("mu_hat_strict_log10_sin", mu_hat_strict_log10,
@@ -657,10 +611,10 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
 
     # --- rho ---------------------------------------------------------------
     tail_lo, tail_hi = 1.0 / (5.0 * pk), 1.0 / (4.0 * pk)
-    kx = ex.Const(kappa) * ex.X
+    kx = ex.Const(KAPPA) * ex.X
     rho_pieces = [
-        (0.0, mu_hat, ex.Const(float(n)) * ex.sin(kx) / kappa),
-        (mu_hat, tail_lo, ex.Const(n / kappa * eps) * ex.sin(kx) ** (1.0 - mu / 2)),
+        (0.0, mu_hat, ex.Const(float(n)) * ex.sin(kx) / KAPPA),
+        (mu_hat, tail_lo, ex.Const(n / KAPPA * eps) * ex.sin(kx) ** (1.0 - mu / 2)),
     ]
 
     # --- phi ---------------------------------------------------------------
@@ -673,7 +627,7 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
     c2 = 4.0 * A * w40 ** 3
     val_bhi = 1.0 + A * w40 ** 4
     c3 = val_bhi / c2 - b_hi
-    c3_nominal = (40 * kappa) ** 3 / (4.0 * A) - 19.0 / (160 * kappa)
+    c3_nominal = (40 * KAPPA) ** 3 / (4.0 * A) - 19.0 / (160 * KAPPA)
     params.set("bump_const", A, f"(eps_kappa * mu_hat_bump)^20, mu_hat_bump floored at {BUMP_MU_FLOOR}")
     params.set("c2", c2, "4 A (1/(40 k))^3 closed form")
     params.set("c3", c3, "C1-consistent tail offset (nominal value recorded separately)")
@@ -687,7 +641,7 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
     ]
     phi = WarpFunction(0.0, R_out, [b_lo, b_hi], [e for (_, _, e) in phi_pieces],
                        continuity_class=1, parity_left="odd-derivatives-vanish",
-                       name=f"phi_{kappa}_{mu}")
+                       name=f"phi_{KAPPA}_{mu}")
     for t, w in ((b_lo, (b_hi - b_lo) / 10), (b_hi, (b_hi - b_lo) / 10)):
         lj, rj = phi.eval_jet_onesided(t, "left"), phi.eval_jet_onesided(t, "right")
         if abs(lj.f2 - rj.f2) > 1e-12 * max(1.0, abs(lj.f2), abs(rj.f2)):
@@ -724,10 +678,10 @@ def build_edge_profile(kappa: float, mu: float, n: int, fk: FKappa,
         [rho_pieces[0][2], rho_pieces[1][2], tail_piece,
          ex.Const(c1) * (ex.X + ex.Const(c3))],
         continuity_class=1, parity_left="even-derivatives-vanish-and-value-zero",
-        name=f"rho_{kappa}_{mu}")
+        name=f"rho_{KAPPA}_{mu}")
     rho = mollify_join(rho, mu_hat, mu_hat / 4, constraints=[("d2", -1), ("monotone", +1)])
 
-    prof = EdgeProfile(rho=rho, phi=phi, n=n, kappa=kappa, mu=mu, eps=eps,
+    prof = EdgeProfile(rho=rho, phi=phi, n=n, mu=mu, eps=eps,
                        mu_hat=mu_hat, mu_hat_strict_log10=mu_hat_strict_log10,
                        c1=c1, c2=c2, c3=c3, R_mu=tail_hi, r_out=R_out,
                        bump_const=A, params=params)
@@ -739,7 +693,7 @@ def _certify_edge_bullets(prof: EdgeProfile, pk: float):
     """The stated band properties of rho, checked where they are claimed; the
     exact linear tails are the atlas's tail_exact_linear / body_tail_exact
     reports."""
-    rho, n, kappa, mu = prof.rho, prof.n, prof.kappa, prof.mu
+    rho, n, mu = prof.rho, prof.n, prof.mu
     band_hi = 1.0 / (10.0 * pk)
     xs = _sample_open(1e-6 * band_hi, band_hi, 4096)
     # include per-piece samples so the sub-grid dip corner is also checked
@@ -747,11 +701,11 @@ def _certify_edge_bullets(prof: EdgeProfile, pk: float):
     for lo, hi in zip(edges[:-1], edges[1:]):
         xs = np.concatenate([xs, _sample_open(max(lo, 1e-300), hi, 64)])
     j = rho.jet(xs)
-    band = j.f1 * np.sin(kappa * xs) / (kappa * j.f * np.cos(kappa * xs))
+    band = j.f1 * np.sin(KAPPA * xs) / (KAPPA * j.f * np.cos(KAPPA * xs))
     if np.any(band < 1 - mu - 1e-9) or np.any(band > 1 + mu + 1e-9):
         raise ConstructionFailure("logarithmic-derivative band violated")
     with np.errstate(over="ignore"):
-        if np.any(-j.f2 / (kappa ** 2 * j.f) < 1 - mu - 1e-9):
+        if np.any(-j.f2 / (KAPPA ** 2 * j.f) < 1 - mu - 1e-9):
             raise ConstructionFailure("concavity band -rho''/(k^2 rho) >= 1-mu violated")
     if np.any(j.f / n > np.sin(xs) + 1e-12):
         raise ConstructionFailure("rho/n <= sin r violated")
@@ -838,30 +792,25 @@ def _build_eta_delta(r0: float, sigma_hat: float, delta: float) -> WarpFunction:
                         continuity_class=2, name="eta_delta")
 
 
-def _build_rho_cap(r0: float, mu: float, n: int, kappa: float = 2.0,
-                   eps_target: float | None = None) -> WarpFunction:
+def _build_rho_cap(r0: float, mu: float, n: int, eps_target: float) -> WarpFunction:
     """Dip profile for the cap: no linear tail, power law through r0."""
-    if eps_target is None:
-        eps_target = 2 * mu
-    mu_hat = _dip_mu_hat(kappa, mu, eps_target)
-    eps = math.sin(kappa * mu_hat) ** (mu / 2)
-    top = min(1.12 * r0, 0.99 * math.pi / kappa / 2 * 2)  # stay below sin(kappa r) zero
-    if kappa * top >= math.pi:
-        raise ParameterError("cap radius too large for the dip profile")
-    kx = ex.Const(kappa) * ex.X
+    mu_hat = _dip_mu_hat(mu, eps_target)
+    eps = math.sin(KAPPA * mu_hat) ** (mu / 2)
+    top = min(1.12 * r0, 0.99 * math.pi / KAPPA)  # stay below sin(KAPPA r) zero
+    kx = ex.Const(KAPPA) * ex.X
     rho = WarpFunction(0.0, top, [mu_hat],
-                       [ex.Const(float(n)) * ex.sin(kx) / kappa,
-                        ex.Const(n / kappa * eps) * ex.sin(kx) ** (1.0 - mu / 2)],
+                       [ex.Const(float(n)) * ex.sin(kx) / KAPPA,
+                        ex.Const(n / KAPPA * eps) * ex.sin(kx) ** (1.0 - mu / 2)],
                        continuity_class=1,
                        parity_left="even-derivatives-vanish-and-value-zero",
                        name="rho_cap")
     return mollify_join(rho, mu_hat, mu_hat / 4, constraints=[("d2", -1), ("monotone", +1)])
 
 
-def _assemble_cap(r0, mu, zeta, n, eps_target=None):
+def _assemble_cap(r0, mu, zeta, n, eps_target):
     sigma_hat = r0 / 20.0
     delta = sigma_hat / 10.0
-    rho_cap = _build_rho_cap(r0, mu, n, eps_target=eps_target)
+    rho_cap = _build_rho_cap(r0, mu, n, eps_target)
     phi1 = _build_phi1(r0, zeta)
     eta_delta = _build_eta_delta(r0, sigma_hat, delta)
     part1, part2 = cap_parts(phi1, eta_delta, rho_cap, n, zeta, r0)
@@ -879,13 +828,13 @@ def cap_link_ricci_margin(cap: ConicalCap, n_grid: int = 256) -> float:
     return float(np.min(m - cap_link_lower_bound(cap.zeta)))
 
 
-def _cap_passes(r0, mu, zeta, n, parts, link_grid, eps_target=None) -> bool:
+def _cap_passes(r0, mu, zeta, n, parts, link_grid, eps_target) -> bool:
     """Search predicate: the cap assembled at these constants has block
     margins >= -1e-8 on 40 x 40 probe grids of the given parts (0: part 1,
     1: part 2) and, when link_grid is set, a link margin >= -1e-8 on that
     many points; a cap that cannot be assembled does not pass."""
     try:
-        cap = _assemble_cap(r0, mu, zeta, n, eps_target=eps_target)
+        cap = _assemble_cap(r0, mu, zeta, n, eps_target)
         return (all(np.min(cap_block_margins((cap.part1, cap.part2)[i], 40)[2]) >= -1e-8
                     for i in parts)
                 and (not link_grid or cap_link_ricci_margin(cap, link_grid) >= -1e-8))
@@ -893,10 +842,9 @@ def _cap_passes(r0, mu, zeta, n, parts, link_grid, eps_target=None) -> bool:
         return False
 
 
-def build_conical_cap(r0: float, mu: float, n: int,
+def build_conical_cap(r0: float, mu: float, n: int, eps_target: float,
                       zeta: float | None = None,
-                      search_budget: int = 10,
-                      eps_target: float | None = None) -> ConicalCap:
+                      search_budget: int = 10) -> ConicalCap:
     """Cap families searched on probe grids, with the admissible-mu gate.
 
     zeta defaults to a bisection for the largest value <= min(0.1, r0^2/8)
@@ -917,14 +865,14 @@ def build_conical_cap(r0: float, mu: float, n: int,
         # input mu itself would always leave mu0 below it
         mu_search = min(2.2 * mu, 0.095)
         zeta = _bisect(lambda z: _cap_passes(r0, mu_search, z, n, (0, 1), 256,
-                                             eps_target=eps_target),
+                                             eps_target),
                        0.0, min(0.1, r0 * r0 / 8.0), search_budget)[0]
         if zeta == 0.0:
             raise ConstructionFailure("no certifiable zeta found for this (r0, mu, n)")
 
     # the largest passing probe, or 0.0 when none passes
     mu1, mu2, mu3 = (
-        _bisect(lambda m: _cap_passes(r0, m, zeta, n, parts, link, eps_target=eps_target),
+        _bisect(lambda m: _cap_passes(r0, m, zeta, n, parts, link, eps_target),
                 0.0, 0.1, search_budget)[0]
         for parts, link in (((0,), None), ((1,), None), ((), 96)))
     mu0 = 0.5 * min(mu1, mu2, mu3)
@@ -932,7 +880,7 @@ def build_conical_cap(r0: float, mu: float, n: int,
         raise ParameterError(
             f"mu = {mu} is not below the certified gate mu0 = {mu0:.4f} "
             f"(mu1={mu1:.4f}, mu2={mu2:.4f}, mu3={mu3:.4f})")
-    cap = _assemble_cap(r0, mu, zeta, n, eps_target=eps_target)
+    cap = _assemble_cap(r0, mu, zeta, n, eps_target)
     cap.mu0 = mu0
     cap.mu123 = (mu1, mu2, mu3)
     cap.params.set("zeta", zeta, f"bisection on certification, budget {search_budget}")
@@ -986,7 +934,7 @@ def build_general_profiles(n: int, mu: float, fk: FKappa) -> EdgeProfile:
     phi = 1 on (0, 1/10) and both tails exactly linear; certified through
     the round-base Ricci evaluator by the caller.
     """
-    prof = build_edge_profile(2.0, mu, n, fk, positions_kappa=1.0)
+    prof = build_edge_profile(mu, n, fk, positions_kappa=1.0)
     r = _sample_open(1e-4, 0.1, 512)
     if np.max(np.abs(prof.phi(r) - 1.0)) > 0.0:
         raise ConstructionFailure("phi must be identically 1 on (0, 1/10)")

@@ -446,7 +446,6 @@ class BergerGeneral:
 
     rho: WarpFunction
     phi: WarpFunction
-    n: int
     r_range: tuple | None = None
 
     def chart(self) -> Chart:

@@ -226,7 +226,7 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
         grid={"per_piece": 256, "conditioning": "bilateral"})
 
     # 2. edge body -----------------------------------------------------------
-    prof = cn.build_edge_profile(2.0, mu, n, fk)
+    prof = cn.build_edge_profile(mu, n, fk)
     atlas.params.merge(prof.params)
 
     # 3. glue collar -----------------------------------------------------------

@@ -130,8 +130,9 @@ class WarpFunction:
         x = float(x)
         idx = int(self.piece_index(np.array([x]))[0])
         if side == "left":
-            # piece whose closed interval has x as its right end
-            hits = np.where(np.isclose(self._edges[1:], x, rtol=0, atol=1e-14))[0]
+            # piece whose closed interval has x as its right end; exact
+            # equality, since breakpoints may be far closer than any tolerance
+            hits = np.flatnonzero(self._edges[1:] == x)
             idx = int(hits[0]) if len(hits) else idx
         return _piece_jet(self.pieces[idx], x)
 
@@ -371,12 +372,11 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> Wa
     """
     x0 = float(x0)
     w = float(width)
-    hits = [i for i, t in enumerate(f.breakpoints) if abs(t - x0) < 1e-13]
-    if not hits:
+    if x0 not in f.breakpoints:
         raise DomainError(f"{x0} is not a breakpoint of {f.name or 'warpfn'}")
-    k = hits[0]
+    k = f.breakpoints.index(x0)
     cells = [f.a, *f.knots, f.b]
-    c = cells.index(f.breakpoints[k])
+    c = cells.index(x0)
     if not (cells[c - 1] < x0 - w and x0 + w < cells[c + 1]):
         raise DomainError("join window leaves the two adjacent cells")
     left, right = f.pieces[k], f.pieces[k + 1]

@@ -74,7 +74,7 @@ def edge(n, p):
     key = ("edge", n, p)
     if key not in _built:
         from conewarp.pipeline import mu_floor
-        _built[key] = build_edge_profile(2.0, mu_floor(n, MU), n, fk(n, p))
+        _built[key] = build_edge_profile(mu_floor(n, MU), n, fk(n, p))
     return _built[key]
 
 

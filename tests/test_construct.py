@@ -9,6 +9,7 @@ from conewarp import certify
 from conewarp import expr as ex
 from conewarp.certify import AtlasRegion, Grid, certify_inequality, run_checks
 from conewarp.construct import (
+    KAPPA,
     alpha_nominal,
     build_conical_cap,
     build_edge_profile,
@@ -31,7 +32,7 @@ from conewarp.curvature import (
     ricci_torus_invariant,
 )
 from conewarp.errors import ParameterError, UnderflowError_
-from conewarp.warpfn import check_parity
+from conewarp.warpfn import _piece_jet, check_parity
 
 TAU = 0.099
 MU = 0.012
@@ -48,7 +49,7 @@ def fk_for(n, p):
 def edge_for(n, p, mu=MU):
     key = ("edge", n, p, mu)
     if key not in _cache:
-        _cache[key] = build_edge_profile(2.0, mu, n, fk_for(n, p))
+        _cache[key] = build_edge_profile(mu, n, fk_for(n, p))
     return _cache[key]
 
 
@@ -60,8 +61,8 @@ def test_f_kappa_properties(n, p):
     fk = fk_for(n, p)
     f = fk.f
     # (i): sin(kappa xi)/kappa on [0, xi0/kappa]
-    xs = np.linspace(1e-6, fk.xi0 / fk.kappa, 50)
-    np.testing.assert_allclose(f(xs), np.sin(fk.kappa * xs) / fk.kappa, rtol=1e-14)
+    xs = np.linspace(1e-6, fk.xi0 / KAPPA, 50)
+    np.testing.assert_allclose(f(xs), np.sin(KAPPA * xs) / KAPPA, rtol=1e-14)
     # (ii): positive and concave in the interior; c sin(2 xi) on [tau, pi/2 - tau]
     xi = _sample_open(1e-4, math.pi / 2 - 1e-4, 3000)
     j = f.jet(xi)
@@ -117,18 +118,18 @@ def test_round_case_is_exact():
 
 def test_alpha_nominal_formula_example():
     # evaluation of the nominal tilt-exponent closed form at xi0 = 0.01, kappa = 2
-    val = alpha_nominal(0.01, 2.0)
+    val = alpha_nominal(0.01)
     assert val == pytest.approx(2e-4, rel=2e-2)
     assert abs(val) <= 8 * 0.01
 
 
 def test_solve_kappa_prime():
     fk = fk_for(5, 3)
-    kp1 = solve_kappa_prime(fk.xi0, 2.0, 1, TAU)
+    kp1 = solve_kappa_prime(fk.xi0, 1, TAU)
     assert kp1.value == 2.0 and kp1.residual == 0.0
-    kp3 = solve_kappa_prime(fk.xi0, 2.0, 3, TAU)
+    kp3 = solve_kappa_prime(fk.xi0, 3, TAU)
     assert kp3.residual <= 1e-10
-    kp5 = solve_kappa_prime(fk.xi0, 2.0, 5, TAU)
+    kp5 = solve_kappa_prime(fk.xi0, 5, TAU)
     assert kp5.log_value > kp3.log_value > math.log(2.0)
 
 
@@ -168,7 +169,7 @@ def test_bisect_equals_the_fixed_step_loop():
 def test_edge_profile_bullets(n, p):
     prof = edge_for(n, p)
     rho, phi = prof.rho, prof.phi
-    kappa, mu = prof.kappa, prof.mu
+    kappa, mu = KAPPA, prof.mu
     # phi == 1 before the bump
     r = _sample_open(1e-8, 1.0 / (10 * kappa), 300)
     np.testing.assert_array_equal(phi(r), np.ones_like(r))
@@ -203,7 +204,7 @@ def test_edge_linear_tails_exact(n, p):
     assert np.max(np.abs(prof.phi(r) - lin_p) / lin_p) <= 1e-12
     assert prof.c1 > 0 and prof.c2 > 0 and prof.c3 > 0
     # c2 closed form: 4 (eps_k mu_hat_bump)^20 (1/(40 kappa))^3
-    assert prof.c2 == pytest.approx(4 * prof.bump_const * (1 / (40 * prof.kappa)) ** 3, rel=1e-12)
+    assert prof.c2 == pytest.approx(4 * prof.bump_const * (1 / (40 * KAPPA)) ** 3, rel=1e-12)
     assert "c3_nominal" in prof.params.values
 
 
@@ -218,10 +219,22 @@ def test_edge_metric_psd(n, p):
     assert float(np.min(np.linalg.eigvalsh(R.entries))) >= -1e-8
 
 
+def test_edge_rho_joins_at_its_dip_breakpoints():
+    """The blend of rho's dip starts and ends about 3e-271 apart, far closer
+    than any absolute tolerance: each left jet is the piece ending there,
+    and rho is C^2 at every breakpoint."""
+    rho = edge_for(5, 3).rho
+    t = rho.breakpoints[1]
+    assert t < 1e-200
+    left = rho.eval_jet_onesided(t, "left")
+    assert left.as_tuple() == _piece_jet(rho.pieces[1], t).as_tuple()
+    assert rho.check_joins()
+
+
 def test_edge_underflow_error():
     fk = fk_for(2, 1)
     with pytest.raises(UnderflowError_):
-        build_edge_profile(2.0, 0.004, 2, fk)
+        build_edge_profile(0.004, 2, fk)
 
 
 # ------------------------------------------------------------------ glue field

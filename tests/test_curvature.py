@@ -310,7 +310,7 @@ def generic_ansatze():
                    r_range=(0.35, 1.25)),
         make_glue(),
         TorusInvariant(Phi, Psi, Ups, box=[(0.3, 0.7), (0.3, 1.1)]),
-        BergerGeneral(gen_rho, gen_phi, 2, r_range=(0.35, 1.25)),
+        BergerGeneral(gen_rho, gen_phi, r_range=(0.35, 1.25)),
     ]
 
 

@@ -213,11 +213,24 @@ def test_beta_search_builds_one_descent_grid(fk53):
     assert (calls, grids) == (58, 1)
 
 
-def test_exhausted_xi0_search_names_its_first_cause():
-    """At xi0 = tau/20 the (64, 27) build fails on the drift budget; later
-    halvings fail on the record-only kappa' solve, which is not the cause."""
-    with pytest.raises(ConstructionFailure, match="drift budget cannot reach slope -27"):
-        construct.build_f_kappa(64, 27, 0.099)
+def test_failed_build_is_one_try_with_one_descent_grid():
+    """(64, 27) is past the drift budget: the build makes one try, builds one
+    descent grid and names that cause."""
+    grids = []
+    descent_grid = construct._descent_grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "_descent_grid", lambda *a: grids.append(a) or descent_grid(*a))
+        with pytest.raises(ConstructionFailure, match="drift budget cannot reach slope -27"):
+            construct.build_f_kappa(64, 27, 0.099)
+    assert len(grids) == 1
+
+
+def test_record_only_kappa_prime_does_not_mask_the_cause():
+    """At tau = 0.0005 the drift descent cannot finish before tau.  kappa'
+    only goes to the ledger, so its solve (which also fails there) comes
+    after the mirror side and does not hide that cause."""
+    with pytest.raises(ConstructionFailure, match="drift descent does not finish before tau"):
+        construct.build_f_kappa(5, 3, 0.0005)
 
 
 def test_kappa_prime_solve_stops_when_the_bracket_stops_moving():
@@ -227,7 +240,7 @@ def test_kappa_prime_solve_stops_when_the_bracket_stops_moving():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "tail_coefficient_log",
                    lambda *a: calls.append(a) or tail(*a))
-        kp = construct.solve_kappa_prime(0.099 / 20, 2.0, 3, 0.099)
+        kp = construct.solve_kappa_prime(0.099 / 20, 3, 0.099)
     assert kp.residual <= 1e-10
     assert len(calls) < 100
 

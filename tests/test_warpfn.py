@@ -186,6 +186,16 @@ def test_mollify_join_identity_outside_and_constraints():
     assert out.check_joins()
 
 
+def test_mollify_join_smooths_the_breakpoint_it_is_given():
+    """Of two breakpoints 5e-14 apart, the join replaces the second one only."""
+    t0 = 0.5
+    t1 = t0 + 5e-14
+    f = WarpFunction(0.0, 1.0, [t0, t1], [ex.X, ex.X, ex.Const(t1)], continuity_class=0)
+    g = mollify_join(f, t1, 1e-14)
+    assert g.breakpoints == [t0, t1 - 1e-14, t1 + 1e-14]
+    assert g.pieces[0] is f.pieces[0] and g.pieces[1] is f.pieces[1]
+
+
 def test_mollify_join_wrong_sign_errors():
     # convex corner (slope jumps up) cannot be smoothed concavely
     f = WarpFunction(0.0, 2.0, [1.0], [ex.Const(0.5) * ex.X, ex.X - 0.5], continuity_class=0)
