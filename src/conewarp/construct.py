@@ -367,16 +367,6 @@ def _mirror_pieces(m: _MirrorSide, knot_stride=80):
             (PIH - m.x1, PIH, ex.Const(m.A_s) * ex.sin(ex.Const(m.kappa_a) * xp))]
 
 
-def _left_side_pieces(xi0, tau, var: ex.Expr = ex.X):
-    """The round profile sin(2x)/2 near 0 as two pieces of ``var`` (the
-    intervals are in ``var``): sin(KAPPA x)/KAPPA up to 2 xi0/KAPPA, then
-    C_MID sin(2x) up to 2 tau/3.  At KAPPA = 2 the two are one function, so
-    the junction is C^infty and this side carries no tilt."""
-    b = 2 * xi0 / KAPPA
-    return [(0.0, b, ex.sin(ex.Const(KAPPA) * var) / KAPPA),
-            (b, 2 * tau / 3, ex.sin(2.0 * var) * ex.Const(C_MID))]
-
-
 def _assemble(pieces) -> WarpFunction:
     pieces = sorted(pieces, key=lambda t: t[0])
     bps = [hi for (_, hi, _) in pieces[:-1]]
@@ -390,14 +380,14 @@ def _assemble(pieces) -> WarpFunction:
 def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
     """Base-sphere profile with f'(0) = 1, f'(pi/2) = -p, certified inequality.
 
-    The profile is the round sin(2x)/2 from 0 to the mirror side; for p = 1
-    the mirror side is the left side reflected.  For p > 1 the faithful
+    The profile is one round piece sin(2x)/2 from 0 to the mirror side; for
+    p = 1 it is sin(2x)/2 on all of [0, pi/2].  For p > 1 the faithful
     matching frequency kappa' (log-space solve, recorded) compresses the
     slope seal far below double resolution, so the mirror side is realized
     as a seal + pure-power drift + maximal-rate descent whose exponent is
     bisected until the seal amplitude carries exactly slope -p; every piece
-    is re-certified.  xi0 = tau/20 only places the left junction, and the
-    mirror side does not depend on it, so the build is one try: the
+    is re-certified.  xi0 = tau/20 only sizes the glue box, and the mirror
+    side does not depend on it, so the build is one try: the
     pre-smoothing profile must satisfy the inequality with bound -2 (-2.5 on
     the cells left of pi/4), the smoothed one with bound -1, or it raises.
     """
@@ -407,12 +397,9 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
         raise DomainError("tau must lie in (0, 1/10)")
 
     xi0 = tau / 20.0
-    pieces = _left_side_pieces(xi0, tau)
+    round_part = ex.sin(2.0 * ex.X) / 2.0
     if p == 1:
-        # mirror the left side; the middle piece spans the bridge
-        pieces.append((2 * tau / 3, PIH - 2 * tau / 3, ex.Const(C_MID) * ex.sin(2.0 * ex.X)))
-        for (lo, hi, e) in _left_side_pieces(xi0, tau, var=ex.Const(PIH) - ex.X):
-            pieces.append((PIH - hi, PIH - lo, e))
+        pieces = [(0.0, PIH, round_part)]
         beta = 0.0
         kp_eff = KAPPA
     else:
@@ -436,9 +423,7 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
         side = _mirror_side(p, beta, C_MID, grid)
         if abs(side.resid) > 1e-9:
             raise ConstructionFailure(f"drift bisection residual too large: {side.resid:.2e}")
-        x_end_r = side.descent[0][-1]
-        pieces.append((2 * tau / 3, PIH - x_end_r, ex.Const(C_MID) * ex.sin(2.0 * ex.X)))
-        pieces.extend(_mirror_pieces(side))
+        pieces = [(0.0, PIH - side.descent[0][-1], round_part), *_mirror_pieces(side)]
         kp_eff = SEAL_KAPPA
     f_hat = _assemble(pieces)
 
@@ -497,7 +482,7 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
     params.set("eps_kappa", eps_kappa,
                "0.1 * inf min{(sin2xi/2f)^-2, (sin2xi/2f)^2, -f''/(4f)}; the "
                "squared branch added so Ric >= eps (t dalpha^2 + h_f) certifies")
-    params.set("xi0", xi0, "tau/20: the left junction and the glue box")
+    params.set("xi0", xi0, "tau/20: the glue box")
     return FKappa(f=f, f_hat=f_hat, n=n, p=p, kappa_prime=kp,
                   kappa_prime_eff=kp_eff, xi0=xi0, tau=tau, beta=beta,
                   c_mid=C_MID, presmooth_worst=max(worst_left, worst_right),
@@ -522,7 +507,8 @@ def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
     side of pi/4 is well conditioned (cot(2x) near x = pi/2 loses all digits
     in the x variable; the reflected function sees those cells near 0).
 
-    Returns (worst over cells left of pi/4, worst over cells right of pi/4).
+    Returns (worst over cells left of pi/4, worst over cells right of pi/4);
+    a side with no cell gives -inf.
     """
     edges = [f.a, *f.knots, f.b]
     left, right = [], []
@@ -531,8 +517,8 @@ def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
             left.append(_sample_open(lo, hi, n_per_piece))
         else:
             right.append(_sample_open(PIH - hi, PIH - lo, n_per_piece))
-    return (float(np.max(scalar_q_inequality(f, np.concatenate(left)))),
-            float(np.max(scalar_q_inequality(_Reflected(f), np.concatenate(right)))))
+    return tuple(float(np.max(scalar_q_inequality(g, np.concatenate(xs)))) if xs else -np.inf
+                 for g, xs in ((f, left), (_Reflected(f), right)))
 
 
 def _per_piece_samples(f: WarpFunction, n_per_piece: int) -> np.ndarray:
