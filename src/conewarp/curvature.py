@@ -35,11 +35,9 @@ from .errors import (
     ChartError,
     ConditioningError,
     DegenerateMetricError,
-    DomainError,
     SingularityError,
 )
-from .jets import Jet2, j2cos, j2sin, j2sinc, j2warp, jet2_var_x, jet2_var_y
-from .jets import jcos, jet_var, jsin, jsinc
+from .jets import Jet2, j2warp, jcos, jet2_var_x, jet2_var_y, jet_var, jsin, jsinc
 from .warpfn import WarpFunction
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "Chart",
     "BergerSphere",
     "ConeOverBerger",
-    "DoubleWarp",
     "LocalGlue",
     "TorusInvariant",
     "BergerGeneral",
@@ -59,7 +56,6 @@ __all__ = [
     "round_f",
     "ricci_berger_sphere",
     "ricci_cone_berger",
-    "ricci_double_warp",
     "ricci_local_glue",
     "ricci_torus_invariant",
     "ricci_berger_general",
@@ -249,59 +245,6 @@ class ConeOverBerger:
 
 
 @dataclass
-class DoubleWarp:
-    """dr^2 + varphi^2 g_{S^m} + phi^2 g_{S^n} on R^{m+1} x S^n."""
-
-    m: int
-    n: int
-    varphi: WarpFunction
-    phi: WarpFunction
-    r_range: tuple | None = None
-
-    def chart(self) -> Chart:
-        """Coordinates (r, S^m angles, S^n angles) for m + n <= 3; frame dr
-        and the unit first coordinate directions of S^m and S^n."""
-        m, n = self.m, self.n
-        if 1 + m + n > 4:
-            raise DomainError("double warp charts support m + n <= 3")
-        varphi, phi = self.varphi, self.phi
-
-        def metric(X):
-            r = X[:, 0]
-            va = varphi.jet(r).f
-            pa = phi.jet(r).f
-            d = 1 + m + n
-            g = np.zeros((X.shape[0], d, d))
-            g[:, 0, 0] = 1.0
-            gm = _sphere_block(X, 1, m)
-            gn = _sphere_block(X, 1 + m, n)
-            g[:, 1:1 + m, 1:1 + m] = va[:, None, None] ** 2 * gm
-            g[:, 1 + m:, 1 + m:] = pa[:, None, None] ** 2 * gn
-            return g
-
-        def frame(X):
-            r = X[:, 0]
-            va = varphi.jet(r).f
-            pa = phi.jet(r).f
-            fr = np.zeros((X.shape[0], 3, 1 + m + n))
-            fr[:, 0, 0] = 1.0
-            fr[:, 1, 1] = 1.0 / va      # first S^m coordinate direction
-            fr[:, 2, 1 + m] = 1.0 / pa  # first S^n coordinate direction
-            return fr
-
-        rr = self.r_range or (varphi.a + 0.1, varphi.b - 0.1)
-        box = [rr] + [(0.4, 2.6)] * (m + n)
-        if m >= 2:
-            box[1] = (0.5, 2.5)
-        return Chart(box, metric, frame, name="double_warp",
-                     avoid={0: list(varphi.knots) + list(phi.knots)})
-
-    def frame_ricci(self, X):
-        lam = ricci_double_warp(self.m, self.n, self.varphi, self.phi, X[:, 0])
-        return _sym(3, {(i, i): v for i, v in enumerate(lam)})
-
-
-@dataclass
 class LocalGlue:
     """Interpolation between the Berger form and the surface product.
 
@@ -467,13 +410,13 @@ def make_cap_families(phi1: WarpFunction, eta_delta: WarpFunction | None,
         return (1.0 - zeta) * g
 
     def Psi_fn(g, t):
-        c = j2cos(t)
+        c = jcos(t)
         arg_base = j2warp(eta_delta, g) if eta_delta is not None else g
         pref = j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
-        return pref * c * j2sinc(2.0 * arg_base * c)
+        return pref * c * jsinc(2.0 * arg_base * c)
 
     def Ups_fn(g, t):
-        s = j2sin(t)
+        s = jsin(t)
         arg_base = j2warp(eta_delta, g) if eta_delta is not None else g
         pref = j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
         return pref * j2warp(rho_cap, arg_base * s) / (float(n) * arg_base)
@@ -576,19 +519,6 @@ def ricci_cone_berger(rho: WarpFunction, phi: WarpFunction, f: WarpFunction,
     return RicciFrame(_sym(4, rows))
 
 
-def ricci_double_warp(m: int, n: int, varphi: WarpFunction, phi: WarpFunction, r):
-    """Eigenvalues (radial, S^m directions, S^n directions) of the double warp."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    jv = varphi.jet(r)
-    jp = phi.jet(r)
-    if np.any(jv.f <= 0) or np.any(jp.f <= 0):
-        raise DegenerateMetricError("warp factors must be positive on the sample")
-    lam0 = -(m * jv.f2 / jv.f + n * jp.f2 / jp.f)
-    lam1 = -jv.f2 / jv.f + (m - 1) * (1.0 - jv.f1 ** 2) / jv.f ** 2 - n * jv.f1 * jp.f1 / (jv.f * jp.f)
-    lam2 = -jp.f2 / jp.f + (n - 1) * (1.0 - jp.f1 ** 2) / jp.f ** 2 - m * jv.f1 * jp.f1 / (jv.f * jp.f)
-    return lam0, lam1, lam2
-
-
 def ricci_local_glue(glue: LocalGlue, r, xi) -> RicciFrame:
     """Ricci of the glue metric on its orthonormal frame {X1, X2, X3, X4}.
 
@@ -669,27 +599,6 @@ def ricci_berger_general(rho: WarpFunction, phi: WarpFunction, r):
 # ---------------------------------------------------------------------------
 # charts
 # ---------------------------------------------------------------------------
-
-
-def _sphere_block(coords, offset, m):
-    """Round S^m metric block and its coordinate slice, for m in 1..3."""
-    if m == 1:
-        g = np.ones(coords.shape[0])[:, None, None]
-        return g
-    if m == 2:
-        th = coords[:, offset]
-        g = np.zeros((coords.shape[0], 2, 2))
-        g[:, 0, 0] = 1.0
-        g[:, 1, 1] = np.sin(th) ** 2
-        return g
-    if m == 3:
-        ch, th = coords[:, offset], coords[:, offset + 1]
-        g = np.zeros((coords.shape[0], 3, 3))
-        g[:, 0, 0] = 1.0
-        g[:, 1, 1] = np.sin(ch) ** 2
-        g[:, 2, 2] = np.sin(ch) ** 2 * np.sin(th) ** 2
-        return g
-    raise DomainError("sphere factors implemented for dimension 1..3")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
 """Univariate expression trees with forward-mode jet evaluation.
 
 Warp-function pieces are stored as small expression trees over one variable
-``x``.  The node set is deliberately tiny: arithmetic, real powers, and the
-elementary functions the metric constructions actually use.  ``cotm1`` is
-cot(x) - 1/x as a single primitive so pole-adjacent evaluations never
-subtract two large numbers, and ``sinc`` is sin(x)/x.
+``x``.  The node set is deliberately tiny: arithmetic, real powers, and four
+elementary functions; ``sinc`` is sin(x)/x.
 
 Expressions serialize to a plain-text infix grammar::
 
@@ -13,7 +11,7 @@ Expressions serialize to a plain-text infix grammar::
     unary  := '-' unary | power
     power  := atom ('^' number)?
     atom   := number | 'x' | name '(' expr ')' | '(' expr ')'
-    name   := sin | cos | tan | cot | cotm1 | sinc | exp | log | sqrt
+    name   := sin | cos | sinc | exp
 
 The parser accepts exactly what ``to_str`` emits (plus whitespace), so
 serialized atlases round-trip bit-for-bit.
@@ -25,20 +23,7 @@ import re
 
 import numpy as np
 
-from .jets import (
-    Jet,
-    jcos,
-    jcot,
-    jcotm1,
-    jexp,
-    jlog,
-    jsin,
-    jsinc,
-    jsqrt,
-    jtan,
-    jet_const,
-    jet_var,
-)
+from .jets import Jet, jcos, jet_const, jet_var, jexp, jsin, jsinc
 
 __all__ = ["Expr", "Const", "Var", "Fun", "parse_expr", "X"]
 
@@ -192,17 +177,7 @@ class Pow(Expr):
         return f"({self.a.to_str()} ^ {repr(self.p)})"
 
 
-_FUNS = {
-    "sin": jsin,
-    "cos": jcos,
-    "tan": jtan,
-    "cot": jcot,
-    "cotm1": jcotm1,
-    "sinc": jsinc,
-    "exp": jexp,
-    "log": jlog,
-    "sqrt": jsqrt,
-}
+_FUNS = {"sin": jsin, "cos": jcos, "sinc": jsinc, "exp": jexp}
 
 
 class Fun(Expr):
@@ -226,32 +201,12 @@ def cos(e):
     return Fun("cos", _as_expr(e))
 
 
-def tan(e):
-    return Fun("tan", _as_expr(e))
-
-
-def cot(e):
-    return Fun("cot", _as_expr(e))
-
-
-def cotm1(e):
-    return Fun("cotm1", _as_expr(e))
-
-
 def sinc(e):
     return Fun("sinc", _as_expr(e))
 
 
 def exp(e):
     return Fun("exp", _as_expr(e))
-
-
-def log(e):
-    return Fun("log", _as_expr(e))
-
-
-def sqrt(e):
-    return Fun("sqrt", _as_expr(e))
 
 
 # -- parser ------------------------------------------------------------------

@@ -9,6 +9,9 @@ package:
 * :class:`Jet2` -- value and partial derivatives through second order of a
   function of two variables, used by the torus-invariant metric families.
 
+The elementary functions (``jsin``, ``jcos``, ``jexp``, ``jsinc``) read only
+``u.f`` and ``u.chain``, so each serves both algebras.
+
 Chain rules are written out explicitly (Faa di Bruno to the required order)
 rather than via a generic series product; at order <= 2 the explicit form is
 both faster and easier to audit.
@@ -148,44 +151,6 @@ def jexp(u: Jet) -> Jet:
     return u.chain(e, e, e)
 
 
-def jlog(u: Jet) -> Jet:
-    v = u.f
-    return u.chain(np.log(v), 1.0 / v, -1.0 / v ** 2)
-
-
-def jsqrt(u: Jet) -> Jet:
-    return u.power(0.5)
-
-
-def jtan(u: Jet) -> Jet:
-    t = np.tan(u.f)
-    s = 1.0 + t * t  # sec^2
-    return u.chain(t, s, 2.0 * t * s)
-
-
-def jcot(u: Jet) -> Jet:
-    c = 1.0 / np.tan(u.f)
-    d = 1.0 + c * c  # csc^2
-    # cot' = -(1+cot^2), cot'' = 2 cot (1+cot^2)
-    return u.chain(c, -d, 2.0 * c * d)
-
-
-# Series for cot(x) - 1/x, accurate to ~1e-16 relative on |x| <= 0.4.
-_COTM1 = np.array(
-    [
-        -1.0 / 3.0,
-        -1.0 / 45.0,
-        -2.0 / 945.0,
-        -1.0 / 4725.0,
-        -2.0 / 93555.0,
-        -1382.0 / 638512875.0,
-        -4.0 / 18243225.0,
-        -3617.0 / 325641566250.0,
-        -87734.0 / 38979295480125.0,
-    ]
-)
-
-
 def _poly_even(vs, coef):
     """sum_k coef[k] * x**(2k) evaluated by Horner in x^2."""
     x2 = vs * vs
@@ -204,40 +169,6 @@ def _even_series(vs, coef):
     s1 = vs * _poly_even(vs, d1)
     s2 = _poly_even(vs, d2)
     return s0, s1, s2
-
-
-def _odd_series(vs, coef):
-    """Derivatives 0..2 of f(x) = sum_k coef[k] * x**(2k+1) at points vs."""
-    coef = list(coef)
-    d1 = [coef[k] * (2 * k + 1) for k in range(len(coef))]
-    d2 = [coef[k] * (2 * k + 1) * (2 * k) for k in range(1, len(coef))]
-    s0 = vs * _poly_even(vs, coef)
-    s1 = _poly_even(vs, d1)
-    s2 = vs * _poly_even(vs, d2) if d2 else np.zeros_like(vs)
-    return s0, s1, s2
-
-
-def jcotm1(u: Jet) -> Jet:
-    """cot(x) - 1/x evaluated without cancellation near x = 0.
-
-    The subtracted form is what the cone-angle estimates need; for small
-    arguments the direct difference loses all significant digits.
-    """
-    v = u.f
-    small = np.abs(v) < 0.4
-    vs = np.where(small, v, 0.1)  # safe placeholder for the series branch
-    s0, s1, s2 = _odd_series(vs, _COTM1)
-    vb = np.where(small, 1.0, v)
-    cb = 1.0 / np.tan(vb)
-    db = 1.0 + cb * cb
-    d0 = cb - 1.0 / vb
-    d1 = -db + 1.0 / vb ** 2
-    d2 = 2.0 * cb * db - 2.0 / vb ** 3
-    return u.chain(
-        np.where(small, s0, d0),
-        np.where(small, s1, d1),
-        np.where(small, s2, d2),
-    )
 
 
 _SINC = np.array([1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0, 1.0 / 362880.0, -1.0 / 39916800.0])
@@ -327,12 +258,6 @@ class Jet2:
         inv = 1.0 / self.f
         return self.chain(inv, -inv * inv, 2.0 * inv ** 3)
 
-    def power(self, a: float):
-        if a == 2:
-            return self * self
-        v = self.f
-        return self.chain(v ** a, a * v ** (a - 1.0), a * (a - 1.0) * v ** (a - 2.0))
-
 
 def _as_jet2(x, like: Jet2) -> Jet2:
     if isinstance(x, Jet2):
@@ -358,22 +283,6 @@ def jet2_var_y(x, y) -> Jet2:
     one = np.ones_like(v)
     z = np.zeros_like(v)
     return Jet2(v, z, one, z.copy(), z.copy(), z.copy())
-
-
-def j2sin(u: Jet2) -> Jet2:
-    s, c = np.sin(u.f), np.cos(u.f)
-    return u.chain(s, c, -s)
-
-
-def j2cos(u: Jet2) -> Jet2:
-    s, c = np.sin(u.f), np.cos(u.f)
-    return u.chain(c, -s, -c)
-
-
-def j2sinc(u: Jet2) -> Jet2:
-    """sin(x)/x on bivariate jets (series branch near 0)."""
-    g = jsinc(jet_var(u.f))
-    return u.chain(g.f, g.f1, g.f2)
 
 
 def j2warp(w, u: Jet2) -> Jet2:

@@ -103,7 +103,7 @@ def test_criterion_1_exact_witnesses():
 
 
 def test_criterion_2_oracle_agreement():
-    """Six families, 100 interior points each, 10 h^2 at h = 1e-3, order >= 1.8,
+    """Five families, 100 interior points each, 10 h^2 at h = 1e-3, order >= 1.8,
     < 60 s; the uncorrected X2/X3 assignment resolved in favor of the oracle."""
     from tests.test_curvature import (
         fd_ricci, generic_ansatze, make_glue, ricci_local_glue_uncorrected)

@@ -9,7 +9,6 @@ from conewarp.curvature import (
     BergerSphere,
     BivariateFn,
     ConeOverBerger,
-    DoubleWarp,
     LocalGlue,
     RicciFrame,
     TorusInvariant,
@@ -17,13 +16,12 @@ from conewarp.curvature import (
     ricci_berger_general,
     ricci_berger_sphere,
     ricci_cone_berger,
-    ricci_double_warp,
     ricci_fd_batch,
     ricci_local_glue,
     ricci_torus_invariant,
 )
 from conewarp.errors import DegenerateMetricError, SingularityError
-from conewarp.jets import j2cos, j2sin
+from conewarp.jets import jcos, jsin
 from conewarp.warpfn import WarpFunction, build_cutoff
 
 PIH = np.pi / 2
@@ -97,26 +95,10 @@ def test_cone_sin_fiber():
     assert M[1, 1] == pytest.approx(2 * s**4 + s**2, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "m,n,vphi,ph,expected",
-    [
-        (1, 1, ex.sin(ex.X), ex.cos(ex.X), (2.0, 2.0, 2.0)),  # round S^3
-        (1, 1, ex.X, ex.Const(1.0), (0.0, 0.0, 0.0)),          # flat R^2 x S^1
-        (2, 1, ex.X, ex.Const(1.0), (0.0, 0.0, 0.0)),          # flat R^3 x S^1
-    ],
-)
-def test_double_warp_witnesses(m, n, vphi, ph, expected):
-    varphi = wf(vphi, 0.0, 1.4)
-    phi = wf(ph, 0.0, 1.4)
-    lam = ricci_double_warp(m, n, varphi, phi, np.array([0.7]))
-    for got, want in zip(lam, expected):
-        assert got[0] == pytest.approx(want, abs=1e-13)
-
-
 def test_torus_invariant_flat():
     Phi = BivariateFn(lambda g, t: g, "gamma")
-    Psi = BivariateFn(lambda g, t: g * j2cos(t), "gamma cos")
-    Ups = BivariateFn(lambda g, t: g * j2sin(t), "gamma sin")
+    Psi = BivariateFn(lambda g, t: g * jcos(t), "gamma cos")
+    Ups = BivariateFn(lambda g, t: g * jsin(t), "gamma sin")
     gm = np.linspace(0.2, 0.8, 4)
     th = np.linspace(0.3, 1.2, 4)
     R = ricci_torus_invariant(Phi, Psi, Ups, gm, th)
@@ -125,8 +107,8 @@ def test_torus_invariant_flat():
 
 def test_torus_invariant_axis_error():
     Phi = BivariateFn(lambda g, t: g)
-    Psi = BivariateFn(lambda g, t: g * j2cos(t))
-    Ups = BivariateFn(lambda g, t: g * j2sin(t))
+    Psi = BivariateFn(lambda g, t: g * jcos(t))
+    Ups = BivariateFn(lambda g, t: g * jsin(t))
     with pytest.raises(SingularityError):
         ricci_torus_invariant(Phi, Psi, Ups, np.array([0.5]), np.array([0.0]))
 
@@ -262,8 +244,8 @@ def test_chart_components_berger_round():
 
 def test_torus_chart_diagonal_and_gram():
     Phi = BivariateFn(lambda g, t: g)
-    Psi = BivariateFn(lambda g, t: g * j2cos(t))
-    Ups = BivariateFn(lambda g, t: g * j2sin(t))
+    Psi = BivariateFn(lambda g, t: g * jcos(t))
+    Ups = BivariateFn(lambda g, t: g * jsin(t))
     ti = TorusInvariant(Phi, Psi, Ups, box=[(0.2, 0.8), (0.3, 1.2)])
     chart = ti.chart()
     X = chart.interior_samples(20, rng=0)
@@ -300,21 +282,19 @@ def generic_ansatze():
     gen_rho = wf(ex.sin(ex.X) * ex.cos(0.4 * ex.X), 0.2, 1.4)
     gen_phi = wf(ex.cos(0.5 * ex.X) + 0.2, 0.2, 1.4)
     bumpy_f = wf(ex.sin(2.0 * ex.X) / 2.0 * (1.0 + 0.1 * ex.sin(ex.X)), name="bumpy")
-    Phi = BivariateFn(lambda g, t: g * (1.0 + 0.1 * j2sin(t)))
-    Psi = BivariateFn(lambda g, t: g * j2cos(t) * (1.0 + 0.05 * j2sin(g)))
-    Ups = BivariateFn(lambda g, t: g * j2sin(t))
+    Phi = BivariateFn(lambda g, t: g * (1.0 + 0.1 * jsin(t)))
+    Psi = BivariateFn(lambda g, t: g * jcos(t) * (1.0 + 0.05 * jsin(g)))
+    Ups = BivariateFn(lambda g, t: g * jsin(t))
     return [
         BergerSphere(bumpy_f, 0.3),
         ConeOverBerger(gen_rho, gen_phi, bumpy_f, r_range=(0.35, 1.25)),
-        DoubleWarp(2, 1, wf(ex.sin(ex.X), 0.2, 1.4), wf(ex.cos(0.4 * ex.X), 0.2, 1.4),
-                   r_range=(0.35, 1.25)),
         make_glue(),
         TorusInvariant(Phi, Psi, Ups, box=[(0.3, 0.7), (0.3, 1.1)]),
         BergerGeneral(gen_rho, gen_phi, r_range=(0.35, 1.25)),
     ]
 
 
-@pytest.mark.parametrize("idx", range(6))
+@pytest.mark.parametrize("idx", range(5))
 def test_oracle_agreement_each_family(idx):
     from conewarp.certify import certify_oracle_agreement
 
