@@ -274,12 +274,11 @@ def resolution_step(n: int, p: int) -> GroupDescriptor:
 
 
 def _projective_point_key(v: np.ndarray) -> tuple:
-    """Canonical key of [v] in CP^1 (phase and scale removed)."""
-    v = np.asarray(v, dtype=complex)
-    i = int(np.argmax(np.abs(v)))
-    v = v / v[i]
-    return (np.round(v[0].real, 7), np.round(v[0].imag, 7),
-            np.round(v[1].real, 7), np.round(v[1].imag, 7))
+    """Canonical key of [v] in CP^1: its image (2 conj(a) b, |a|^2 - |b|^2) on
+    the unit sphere under the Hopf map, which is single-valued on CP^1."""
+    a, b = np.asarray(v, dtype=complex) / np.linalg.norm(v)
+    h = 2.0 * np.conj(a) * b
+    return (np.round(h.real, 7), np.round(h.imag, 7), np.round(abs(a) ** 2 - abs(b) ** 2, 7))
 
 
 def _stabilizer_descriptor(elems, point_vec) -> GroupDescriptor:

@@ -151,6 +151,32 @@ def test_resolution_tree_noncyclic():
     assert "order" in text
 
 
+def quaternion(a, b, c, d):
+    """a + b i + c j + d k as a matrix of SU(2)."""
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+GOLDEN_RATIO = (1 + 5 ** 0.5) / 2
+
+
+@pytest.mark.parametrize("gens,orbits,children", [
+    (binary_dihedral_generators(3), [3, 3, 2], [(4, 1, 3), (4, 1, 3), (6, 1, 5)]),
+    ([quaternion(2 ** -0.5, 2 ** -0.5, 0, 0), quaternion(0.5, 0.5, 0.5, 0.5)],
+     [6, 12, 8], [(8, 1, 7), (4, 1, 3), (6, 1, 5)]),
+    ([quaternion(0.5, 0.5, 0.5, 0.5), quaternion(GOLDEN_RATIO / 2, 0.5, 0.5 / GOLDEN_RATIO, 0)],
+     [30, 20, 12], [(4, 1, 3), (6, 1, 5), (10, 1, 9)]),
+], ids=["D12", "O48", "I120"])
+def test_singular_orbits_of_the_polyhedral_groups(gens, orbits, children):
+    """The singular orbits on CP^1 of the order-12 binary dihedral, binary
+    octahedral and binary icosahedral groups: each orbit size times its
+    stabilizer's order is the group order, and O48 has its order-8 vertex
+    stabilizer."""
+    tree = resolution_tree(noncyclic_group(gens))
+    assert [c.note for c in tree.children] == [f"orbit size {k}" for k in orbits]
+    assert [(c.group.n, c.group.k, c.group.l) for c in tree.children] == children
+    assert all(k * c.order() == tree.order() for k, c in zip(orbits, tree.children))
+
+
 def test_resolution_tree_noncyclic_trivial_center_rejected():
     # order-3 cyclic embedded as "noncyclic" descriptor with trivial center
     g = np.diag([np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3)])
