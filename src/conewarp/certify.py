@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import (
+    KAPPA,
     ConeOverBerger,
     LocalGlue,
     cap_link_lower_bound,
@@ -36,6 +37,7 @@ from .warpfn import WarpFunction, _sample_open
 
 __all__ = [
     "Grid",
+    "CellGrid",
     "CertificationReport",
     "AtlasRegion",
     "certify_psd",
@@ -91,6 +93,9 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def size(self) -> int:
+        return math.prod(len(a) for a in self.axes())
+
     def cell_bound(self, margins: np.ndarray) -> float:
         """Lipschitz cell bound of values sampled at ``points()``: the largest
         sampled slope times half the largest cell diagonal."""
@@ -108,6 +113,49 @@ class Grid:
                "open_ends": self.open_ends}
         if self.refine:
             out["refine"] = self.refine
+        return out
+
+
+class CellGrid:
+    """The one per-cell sampler: ``per_cell`` midpoints in each cell of f
+    ([f.a, *f.knots, f.b], those ending at or below ``upto``), a row of ``x``
+    per cell; ``bilateral`` moves a cell whose midpoint lies right of pi/4 to
+    ``s``, in s = pi/2 - x, where cot(2s) keeps the digits cot(2x) loses.
+    Points and margins list the x rows first."""
+
+    def __init__(self, f: WarpFunction, per_cell: int, bilateral: bool = False,
+                 upto: float = math.inf):
+        edges = [f.a, *f.knots, f.b]
+        cells = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi <= upto]
+        right = [bilateral and lo + hi > PIH for lo, hi in cells]
+        self.x = np.reshape([_sample_open(lo, hi, per_cell)
+                             for (lo, hi), r in zip(cells, right) if not r], (-1, per_cell))
+        self.s = np.reshape([_sample_open(PIH - hi, PIH - lo, per_cell)
+                             for (lo, hi), r in zip(cells, right) if r], (-1, per_cell))
+        self.per_cell, self.bilateral, self.upto = per_cell, bilateral, upto
+
+    def q(self, f: WarpFunction):
+        """The inequality's left side on the x rows and on the s rows."""
+        return (scalar_q_inequality(f, self.x.ravel()),
+                scalar_q_inequality(f, self.s.ravel(), reflected=True))
+
+    def points(self) -> np.ndarray:
+        return np.concatenate([self.x.ravel(), self.s.ravel()])[:, None]
+
+    def size(self) -> int:
+        return self.x.size + self.s.size
+
+    def cell_bound(self, margins: np.ndarray) -> float:
+        """Per cell, the largest sampled slope times half the spacing (half
+        the largest step between neighbouring samples); the worst cell."""
+        steps = np.abs(np.diff(margins.reshape(-1, self.per_cell), axis=1))
+        return 0.5 * float(np.max(steps, initial=0.0))
+
+    def spec(self):
+        out = {"per_cell": self.per_cell, "cells": len(self.x) + len(self.s),
+               "conditioning": "bilateral" if self.bilateral else "x"}
+        if self.upto < math.inf:
+            out["upto"] = self.upto
         return out
 
 
@@ -151,8 +199,8 @@ def _margin_report(target, grid, tol, margins: np.ndarray, pts: np.ndarray, t0: 
                    details=None) -> CertificationReport:
     """Common reduction: margins >= -tol everywhere means pass.
 
-    ``grid`` is the Grid the points came from, or a list of Grids whose
-    points were concatenated in order; ``t0`` is when the caller began
+    ``grid`` is the Grid or CellGrid the points came from, or a list of them
+    whose points were concatenated in order; ``t0`` is when the caller began
     evaluating the field, so ``wall_time`` covers the evaluation.
     """
     if not np.all(np.isfinite(margins)):
@@ -161,12 +209,10 @@ def _margin_report(target, grid, tol, margins: np.ndarray, pts: np.ndarray, t0: 
     i_min = int(np.argmin(margins))
     viol = np.flatnonzero(margins < -tol)
     viol = viol[np.argsort(margins[viol], kind="stable")][:32]
-    single = isinstance(grid, Grid)
-    grids = [grid] if single else grid
-    sizes = [math.prod(len(a) for a in g.axes()) for g in grids]
-    parts = np.split(margins, np.cumsum(sizes)[:-1])
+    grids = grid if isinstance(grid, list) else [grid]
+    parts = np.split(margins, np.cumsum([g.size() for g in grids])[:-1])
     rep = CertificationReport(
-        target=target, grid=grid.spec() if single else [g.spec() for g in grids],
+        target=target, grid=[g.spec() for g in grid] if grids is grid else grid.spec(),
         tolerance=float(tol), min_margin=float(margins[i_min]), argmin=pts[i_min].tolist(),
         violations=[{"point": pts[i].tolist(), "value": float(margins[i])} for i in viol],
         lipschitz_cell_bound=max(g.cell_bound(m) for g, m in zip(grids, parts)),
@@ -198,27 +244,29 @@ def certify_psd(field_fn, grid: Grid, tol: float = DEFAULT_TOL,
     return rep
 
 
-def scalar_q_inequality(f: WarpFunction, xi: np.ndarray) -> np.ndarray:
-    """(2 cot 2xi - f'/f)^2 + 3 f''/(4 f), the collapsed-fiber Ricci criterion."""
-    j = f.jet(xi)
+def scalar_q_inequality(f: WarpFunction, xi: np.ndarray, reflected: bool = False) -> np.ndarray:
+    """(2 cot 2xi - f'/f)^2 + 3 f''/(4 f), the collapsed-fiber Ricci criterion;
+    ``reflected`` evaluates it for xi -> f(pi/2 - xi) through f, whose odd
+    derivatives change sign, which is exact."""
+    j = f.jet(PIH - xi if reflected else xi)
     if np.any(j.f <= 0):
         raise DomainError("f must be positive at every sample")
-    d = 2.0 / np.tan(2.0 * xi) - j.f1 / j.f
+    d = 2.0 / np.tan(2.0 * xi) + (j.f1 if reflected else -j.f1) / j.f
     return d * d + 0.75 * j.f2 / j.f
 
 
-def certify_inequality(f: WarpFunction, bound: float, grid: Grid,
+def certify_inequality(f: WarpFunction, bound: float, grid,
                        tol: float = DEFAULT_TOL, target: str = "") -> CertificationReport:
-    """Certify (2 cot 2xi - f'/f)^2 + 3 f''/(4f) <= bound on the grid."""
+    """Certify (2 cot 2xi - f'/f)^2 + 3 f''/(4f) <= bound on the grid: a
+    Grid in x, or a CellGrid, whose report says in which variable its argmin is."""
     t0 = time.perf_counter()
     pts = grid.points()
-    xi = pts[:, 0]
-    lhs = scalar_q_inequality(f, xi)
-    margins = bound - lhs
+    cells = isinstance(grid, CellGrid)
+    margins = bound - (np.concatenate(grid.q(f)) if cells else scalar_q_inequality(f, pts[:, 0]))
     name = target or f"inequality<= {bound} for {f.name or 'f'}"
-    rep = _margin_report(name, grid, tol, margins, pts, t0)
-    rep.details["bound"] = bound
-    rep.details["max_lhs"] = float(np.max(lhs))
+    rep = _margin_report(name, grid, tol, margins, pts, t0, details={"bound": bound})
+    if cells:
+        rep.details["argmin_variable"] = "x" if np.argmin(margins) < grid.x.size else "s = pi/2 - x"
     return rep
 
 
@@ -395,10 +443,12 @@ def _leaf_flat(regions, n_1d, n_2d, tol):
 
 
 def _f_inequality(regions, n_1d, n_2d, tol):
+    """Every cell of f at max(192, n_1d / cells) midpoints, bilateral."""
     e = regions["edge_body"]
+    f = e.warps["f"]
+    grid = CellGrid(f, max(192, math.ceil(n_1d / (len(f.knots) + 1))), bilateral=True)
     return {"f_inequality_smoothed": certify_inequality(
-        e.warps["f"], -1.0, Grid([(0.0, PIH)], [n_1d]), tol,
-        target=f"f inequality <= -1 ({e.data['n']},{e.data['p']})")}
+        f, -1.0, grid, tol, target=f"f inequality <= -1 ({e.data['n']},{e.data['p']})")}
 
 
 def _edge_ricci(regions, n_1d, n_2d, tol):
@@ -430,6 +480,38 @@ def _tail_exact_linear(regions, n_1d, n_2d, tol):
 
 def _body_tail_exact(regions, n_1d, n_2d, tol):
     return {"body_tail_exact": _exact_tail(regions["berger_body"], regions["berger_body"])}
+
+
+def _rho_bands(regions, n_1d, n_2d, tol):
+    """rho below band_hi, on 4096 uniform points and 64 per piece (the dip
+    corner is below the uniform spacing): at tol 1e-9 the smaller margin of
+    1 - mu <= rho' sin(kr) / (k rho cos(kr)) <= 1 + mu and -rho''/(k^2 rho)
+    >= 1 - mu (which overflows to +inf, and passes, deep in the dip); at
+    1e-12 rho/n <= min(sin r, mu (1 + sin r)); phi = 1 for the round base."""
+    t0 = time.perf_counter()
+    prefix, region = ("edge", regions["edge_body"]) if "edge_body" in regions else \
+        ("body", regions["berger_body"])
+    d, rho, k = region.data, region.warps["rho"], KAPPA
+    mu, hi, n = d["mu"], d["band_hi"], d.get("n", d.get("order"))   # the body's n is its order
+    grids = [Grid([(1e-6 * hi, hi)], [4096]), CellGrid(rho, 64, upto=hi)]
+    pts = np.concatenate([g.points() for g in grids])
+    r = pts[:, 0]
+    j = rho.jet(r)
+    band = j.f1 * np.sin(k * r) / (k * j.f * np.cos(k * r))
+    with np.errstate(over="ignore"):
+        concave = -j.f2 / (k * k * j.f)
+    out = {f"{prefix}_rho_bands": _margin_report(
+               f"{prefix} rho log-derivative and concavity bands 1 -/+ mu", grids, 1e-9,
+               np.minimum.reduce([band - (1 - mu), 1 + mu - band, concave - (1 - mu)]), pts, t0),
+           f"{prefix}_rho_bounds": _margin_report(
+               f"{prefix} rho/n <= min(sin r, mu (1 + sin r))", grids, 1e-12,
+               np.minimum(np.sin(r), mu * (1 + np.sin(r))) - j.f / n, pts, t0)}
+    if prefix == "body":
+        grid = Grid([(1e-4, hi)], [512])
+        out["body_phi_one"] = _identity_report(
+            "round-base body phi = 1 on (0, band_hi)", grid, grid.points(),
+            np.abs(region.warps["phi"](grid.axes()[0]) - 1.0), 0.0, 0.0, t0)
+    return out
 
 
 def _glue_ricci(regions, n_1d, n_2d, tol):
@@ -663,9 +745,11 @@ CHECKS = {
     "iface_cap_cone": (("conical_cap",), _cap_cone),
     "body_ricci_psd": (("berger_body",), _body_ricci),
     "body_tail_exact": (("berger_body",), _body_tail_exact),
+    "edge_bands": (("edge_body",), _rho_bands),
+    "body_bands": (("berger_body",), _rho_bands),
 }
 FILE_CHECKS = ("f_inequality_smoothed", "edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd",
-               "cap_link_bound", "body_ricci_psd")
+               "cap_link_bound", "body_ricci_psd", "edge_bands", "body_bands")
 GLUING_CHECKS = ("tail_exact_linear", "iface_edge_glue", "iface_glue_product",
                  "iface_cap_collar", "iface_cap_cone")
 

@@ -107,7 +107,7 @@ def _load_atlas(path):
 
 
 def cmd_certify(args) -> int:
-    """Re-run the region Ricci checks of resolve on a written atlas file."""
+    """Re-run resolve's file checks (``certify.FILE_CHECKS``) on a written atlas file."""
     reports = recertify(_load_atlas(args.atlas), n_2d=args.grid, tol=args.tol)
     if not reports:
         print("no recertifiable regions found in atlas", file=sys.stderr)

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .certify import cap_block_margins, scalar_q_inequality
-from .curvature import LocalGlue, TorusInvariant, cap_parts
+from .certify import CellGrid, cap_block_margins
+from .curvature import KAPPA, LocalGlue, TorusInvariant, cap_parts
 from .curvature import cap_link_lower_bound, link_ricci_margins
 from .curvature import make_cap_families  # noqa: F401  (kept importable from here)
 from .errors import (
@@ -73,7 +73,6 @@ __all__ = [
     "build_general_profiles",
 ]
 
-KAPPA = 2.0                    # the paper's kappa: the left side of f is sin(2x)/2
 BUMP_MU_FLOOR = 1e-10          # floor for the quartic-bump constant's mu_hat
 MIN_LOG10_SIN = -290.0         # representability floor for sin(kappa mu_hat)
 
@@ -195,7 +194,7 @@ class FKappa:
     tau: float
     beta: float                # extra tilt closing the coefficient gap
     c_mid: float               # coefficient of sin(2 xi) on the middle region
-    presmooth_worst: float     # max of f_hat's inequality, 256 points per piece
+    presmooth_worst: float     # max of f_hat's inequality, 256 points per cell
     t_kappa: float = 0.0
     eps_kappa: float = 0.0
     params: ConstructionParams = field(default_factory=ConstructionParams)
@@ -387,9 +386,10 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
     as a seal + pure-power drift + maximal-rate descent whose exponent is
     bisected until the seal amplitude carries exactly slope -p; every piece
     is re-certified.  xi0 = tau/20 only sizes the glue box, and the mirror
-    side does not depend on it, so the build is one try: the
-    pre-smoothing profile must satisfy the inequality with bound -2 (-2.5 on
-    the cells left of pi/4), the smoothed one with bound -1, or it raises.
+    side does not depend on it, so the build is one try: the pre-smoothing
+    profile must satisfy the inequality with bound -2 (-2.5 on the cells
+    left of pi/4), or it raises.  The smoothed f is not checked here: its
+    bound -1 is the atlas's f_inequality_smoothed report.
     """
     if math.gcd(n, p) != 1:
         raise DomainError(f"n = {n} and p = {p} must be coprime")
@@ -427,7 +427,9 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
         kp_eff = SEAL_KAPPA
     f_hat = _assemble(pieces)
 
-    worst_left, worst_right = _bilateral_worst_q(f_hat, 256)
+    # per cell, on whichever side of pi/4 the cell is well conditioned
+    worst_left, worst_right = (float(np.max(q, initial=-np.inf))
+                               for q in CellGrid(f_hat, 256, bilateral=True).q(f_hat))
     if worst_left > -2.5:
         raise ConstructionFailure(
             f"pre-smoothing regional estimates failed (max {worst_left:.3f} > -2.5)")
@@ -452,14 +454,8 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
     f.name = f"f_kappa_{n}_{p}"
     f_hat.name = f"f_hat_{n}_{p}"
 
-    wl, wr = _bilateral_worst_q(f, 192)
-    worst = max(wl, wr)
-    if worst > -1.0:
-        raise ConstructionFailure(
-            f"post-smoothing inequality fails bound -1 (max {worst:.4f})")
-
     # the infima defining the admissible Berger parameter and the Ricci margin
-    xs = _per_piece_samples(f, 128)
+    xs = CellGrid(f, 128).x.ravel()
     j = f.jet(xs)
     ratio = np.sin(2 * xs) / (2 * j.f)
     t_kappa = 0.1 * float(np.min(ratio ** -2.0))
@@ -489,45 +485,6 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
                   t_kappa=t_kappa, eps_kappa=eps_kappa, params=params)
 
 
-class _Reflected:
-    """x -> f(pi/2 - x), evaluated through f: the odd derivatives change
-    sign, which is exact, so every value equals that of f's pieces with
-    x replaced by pi/2 - x."""
-
-    def __init__(self, f: WarpFunction):
-        self.f = f
-
-    def jet(self, x) -> Jet:
-        j = self.f.jet(PIH - np.asarray(x, dtype=float))
-        return Jet(j.f, -j.f1, j.f2)
-
-
-def _bilateral_worst_q(f: WarpFunction, n_per_piece: int):
-    """Worst inequality values over per-cell grids, evaluated on whichever
-    side of pi/4 is well conditioned (cot(2x) near x = pi/2 loses all digits
-    in the x variable; the reflected function sees those cells near 0).
-
-    Returns (worst over cells left of pi/4, worst over cells right of pi/4);
-    a side with no cell gives -inf.
-    """
-    edges = [f.a, *f.knots, f.b]
-    left, right = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if 0.5 * (lo + hi) <= np.pi / 4:
-            left.append(_sample_open(lo, hi, n_per_piece))
-        else:
-            right.append(_sample_open(PIH - hi, PIH - lo, n_per_piece))
-    return tuple(float(np.max(scalar_q_inequality(g, np.concatenate(xs)))) if xs else -np.inf
-                 for g, xs in ((f, left), (_Reflected(f), right)))
-
-
-def _per_piece_samples(f: WarpFunction, n_per_piece: int) -> np.ndarray:
-    """The open grids of every cell (pieces, and the cells of a spline piece)."""
-    edges = [f.a, *f.knots, f.b]
-    return np.concatenate([_sample_open(lo, hi, n_per_piece)
-                           for lo, hi in zip(edges[:-1], edges[1:])])
-
-
 # ---------------------------------------------------------------------------
 # edge profiles (rho, phi)
 # ---------------------------------------------------------------------------
@@ -546,6 +503,7 @@ class EdgeProfile:
     c2: float
     c3: float
     R_mu: float
+    band_hi: float              # the bands hold below 1/(10 kappa-position)
     r_out: float
     bump_const: float
     params: ConstructionParams = field(default_factory=ConstructionParams)
@@ -573,7 +531,8 @@ def build_edge_profile(mu: float, n: int, fk: FKappa,
     (eps_k mu_hat_bump)^20, then exactly c2 (r + c3).
 
     ``positions_kappa`` rescales the phi-bump and tail junctions (the
-    round-base body uses the same shapes at unit scale).
+    round-base body uses the same shapes at unit scale).  The bands rho
+    keeps below ``band_hi`` are the atlas's rho band reports, not checked here.
     """
     if not (0 < mu < 0.1):
         raise ParameterError("mu must lie in (0, 1/10)")
@@ -669,34 +628,10 @@ def build_edge_profile(mu: float, n: int, fk: FKappa,
 
     prof = EdgeProfile(rho=rho, phi=phi, n=n, mu=mu, eps=eps,
                        mu_hat=mu_hat, mu_hat_strict_log10=mu_hat_strict_log10,
-                       c1=c1, c2=c2, c3=c3, R_mu=tail_hi, r_out=R_out,
+                       c1=c1, c2=c2, c3=c3, R_mu=tail_hi, band_hi=1.0 / (10.0 * pk),
+                       r_out=R_out,
                        bump_const=A, params=params)
-    _certify_edge_bullets(prof, pk)
     return prof
-
-
-def _certify_edge_bullets(prof: EdgeProfile, pk: float):
-    """The stated band properties of rho, checked where they are claimed; the
-    exact linear tails are the atlas's tail_exact_linear / body_tail_exact
-    reports."""
-    rho, n, mu = prof.rho, prof.n, prof.mu
-    band_hi = 1.0 / (10.0 * pk)
-    xs = _sample_open(1e-6 * band_hi, band_hi, 4096)
-    # include per-piece samples so the sub-grid dip corner is also checked
-    edges = [e for e in [rho.a, *rho.breakpoints, rho.b] if e <= band_hi]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs = np.concatenate([xs, _sample_open(max(lo, 1e-300), hi, 64)])
-    j = rho.jet(xs)
-    band = j.f1 * np.sin(KAPPA * xs) / (KAPPA * j.f * np.cos(KAPPA * xs))
-    if np.any(band < 1 - mu - 1e-9) or np.any(band > 1 + mu + 1e-9):
-        raise ConstructionFailure("logarithmic-derivative band violated")
-    with np.errstate(over="ignore"):
-        if np.any(-j.f2 / (KAPPA ** 2 * j.f) < 1 - mu - 1e-9):
-            raise ConstructionFailure("concavity band -rho''/(k^2 rho) >= 1-mu violated")
-    if np.any(j.f / n > np.sin(xs) + 1e-12):
-        raise ConstructionFailure("rho/n <= sin r violated")
-    if np.any(j.f / n > mu * (1 + np.sin(xs)) + 1e-12):
-        raise ConstructionFailure("rho/n <= mu (1 + sin r) violated")
 
 
 # ---------------------------------------------------------------------------
@@ -915,13 +850,7 @@ def build_interpolation_family(cap: ConicalCap) -> InterpolationFamily:
 
 
 def build_general_profiles(n: int, mu: float, fk: FKappa) -> EdgeProfile:
-    """Profiles for the round-base Berger body: same shapes at unit positions.
-
-    phi = 1 on (0, 1/10) and both tails exactly linear; certified through
-    the round-base Ricci evaluator by the caller.
-    """
-    prof = build_edge_profile(mu, n, fk, positions_kappa=1.0)
-    r = _sample_open(1e-4, 0.1, 512)
-    if np.max(np.abs(prof.phi(r) - 1.0)) > 0.0:
-        raise ConstructionFailure("phi must be identically 1 on (0, 1/10)")
-    return prof
+    """Profiles for the round-base Berger body: the edge shapes at unit
+    positions, so phi = 1 on (0, 1/10) and both tails are exactly linear
+    (the atlas's body_phi_one and body_tail_exact reports)."""
+    return build_edge_profile(mu, n, fk, positions_kappa=1.0)

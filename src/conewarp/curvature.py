@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 AXIS_TOL = 1e-12
+KAPPA = 2.0            # the paper's kappa: the round fiber is sin(KAPPA x)/KAPPA
 
 
 @dataclass

@@ -252,7 +252,8 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
         AtlasRegion("edge_body", "cone_over_berger",
                     "cone over the warped Berger sphere with the edge-flattening dip",
                     data={"n": n, "p": p, "mu": mu, "eps": prof.eps,
-                          "quotient": quotient, "r_out": prof.r_out},
+                          "quotient": quotient, "r_out": prof.r_out,
+                          "band_hi": prof.band_hi},
                     warps={"rho": prof.rho, "phi": prof.phi, "f": fk.f}),
         AtlasRegion("glue_collar", "local_glue",
                     "twist interpolation between the Berger form and the surface product",
@@ -329,7 +330,7 @@ def _noncyclic_atlas(group, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
         "berger_body", "berger_general",
         "round-base Berger body over the projectivized quotient",
         data={"order": order, "mu": mu, "r_out": prof.r_out, "R_mu": prof.R_mu,
-              "c1": prof.c1, "c2": prof.c2, "c3": prof.c3},
+              "c1": prof.c1, "c2": prof.c2, "c3": prof.c3, "band_hi": prof.band_hi},
         warps={"rho": prof.rho, "phi": prof.phi}))
     _certify_regions(atlas, cfg)
 

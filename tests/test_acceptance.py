@@ -16,6 +16,7 @@ from test_construct import cap_region
 
 from conewarp import expr as ex
 from conewarp.certify import (
+    CellGrid,
     Grid,
     certify_inequality,
     certify_oracle_agreement,
@@ -29,7 +30,6 @@ from conewarp.construct import (
     build_glue_field,
     build_interpolation_family,
     cap_link_ricci_margin,
-    _bilateral_worst_q,
     _sample_open,
 )
 from conewarp.curvature import (
@@ -141,7 +141,8 @@ def test_criterion_3_f_inequalities(n, p):
     t0 = time.perf_counter()
     f = fk(n, p)
     rep = certify_inequality(f.f, -1.0, Grid([(0.0, math.pi / 2)], [10_000]))
-    wl, wr = _bilateral_worst_q(f.f_hat, 512)
+    wl, wr = (np.max(q, initial=-np.inf)
+              for q in CellGrid(f.f_hat, 512, bilateral=True).q(f.f_hat))
     pre_ok = max(wl, wr) <= -2.0
     rep_hat = certify_inequality(f.f_hat, -2.0, Grid([(0.0, math.pi / 2)], [10_000]))
     dt = time.perf_counter() - t0

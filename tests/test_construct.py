@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from conewarp import certify
+from conewarp import certify, construct
 from conewarp import expr as ex
-from conewarp.certify import AtlasRegion, Grid, certify_inequality, run_checks
+from conewarp.certify import (
+    AtlasRegion,
+    CellGrid,
+    Grid,
+    certify_inequality,
+    run_checks,
+    scalar_q_inequality,
+)
 from conewarp.construct import (
     KAPPA,
     alpha_nominal,
@@ -18,9 +25,7 @@ from conewarp.construct import (
     build_glue_field,
     build_interpolation_family,
     solve_kappa_prime,
-    _bilateral_worst_q,
     _bisect,
-    _Reflected,
     _sample_open,
 )
 from conewarp.curvature import (
@@ -82,10 +87,9 @@ def test_f_kappa_properties(n, p):
 @pytest.mark.parametrize("n,p", [(2, 1), (3, 1), (5, 3), (7, 3)])
 def test_f_kappa_inequalities(n, p):
     fk = fk_for(n, p)
-    wl, wr = _bilateral_worst_q(fk.f_hat, 256)
-    assert max(wl, wr) <= -2.0
-    wl, wr = _bilateral_worst_q(fk.f, 256)
-    assert max(wl, wr) <= -1.0
+    for f, bound in ((fk.f_hat, -2.0), (fk.f, -1.0)):
+        assert all(np.max(q, initial=-np.inf) <= bound
+                   for q in CellGrid(f, 256, bilateral=True).q(f))
     # uniform 1e4-point certification of the smoothed profile, bound -1
     rep = certify_inequality(fk.f, -1.0, Grid([(0.0, math.pi / 2)], [10_000]))
     assert rep.passed, rep.summary()
@@ -134,11 +138,14 @@ def test_solve_kappa_prime():
 
 
 def test_reflect_warp():
+    """The reflected inequality, of x -> f(pi/2 - x) through f, is the one of
+    f's jets at pi/2 - x with f' negated, bit for bit."""
     fk = fk_for(5, 3)
-    xs = np.linspace(0.0, math.pi / 2, 777)
-    jr, j = _Reflected(fk.f).jet(xs), fk.f.jet(math.pi / 2 - xs)
-    assert np.array_equal(jr.f, j.f) and np.array_equal(jr.f1, -j.f1)
-    assert np.array_equal(jr.f2, j.f2)
+    xs = np.linspace(0.01, math.pi / 2 - 0.01, 777)
+    j = fk.f.jet(math.pi / 2 - xs)
+    d = 2.0 / np.tan(2.0 * xs) - (-j.f1) / j.f
+    assert np.array_equal(scalar_q_inequality(fk.f, xs, reflected=True),
+                          d * d + 0.75 * j.f2 / j.f)
 
 
 def test_bisect_equals_the_fixed_step_loop():
@@ -192,6 +199,19 @@ def test_edge_profile_bullets(n, p):
     # rho/n <= min(sin r, mu (1 + sin r))
     assert np.all(jall.f / n <= np.sin(rall) * (1 + 1e-12))
     assert np.all(jall.f / n <= mu * (1 + np.sin(rall)) + 1e-12)
+
+
+def test_rho_out_of_its_bands_is_a_fail_report_not_a_build_failure(monkeypatch):
+    """A dip factor far above its target lifts rho/n over mu (1 + sin r):
+    build_edge_profile returns the profile, and the table's band report
+    fails."""
+    monkeypatch.setattr(construct, "_dip_mu_hat", lambda mu, eps: math.asin(0.02) / KAPPA)
+    prof = build_edge_profile(MU, 5, fk_for(5, 3))
+    region = AtlasRegion("edge_body", "cone_over_berger", "",
+                         {"n": 5, "mu": MU, "band_hi": prof.band_hi}, {"rho": prof.rho})
+    reports = run_checks({"edge_body": region}, ["edge_bands"])
+    assert not reports["edge_rho_bounds"].passed
+    assert reports["edge_rho_bounds"].min_margin < -1e-3
 
 
 @pytest.mark.parametrize("n,p", [(2, 1), (5, 3)])

@@ -12,11 +12,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conewarp import construct
+from conewarp import certify, construct
 from conewarp import expr as ex
-from conewarp.certify import AtlasRegion, certify_gluing, recertify, scalar_q_inequality
+from conewarp.certify import (
+    AtlasRegion,
+    CellGrid,
+    certify_gluing,
+    recertify,
+    run_checks,
+    scalar_q_inequality,
+)
 from conewarp.cli import main as cli_main
-from conewarp.construct import PIH, _bilateral_worst_q
+from conewarp.construct import PIH
 from conewarp.errors import ConstructionFailure
 from conewarp.groups import cyclic_group
 from conewarp.jets import Jet
@@ -198,7 +205,7 @@ def _worst_q_per_piece(f, n_per_piece):
 def test_bilateral_sweep_equals_per_piece_loop(fk53, which):
     f = getattr(fk53[0], which)
     for n in (192, 256):
-        got = _bilateral_worst_q(f, n)
+        got = [float(np.max(q, initial=-np.inf)) for q in CellGrid(f, n, bilateral=True).q(f)]
         assert [repr(v) for v in got] == [repr(v) for v in _worst_q_per_piece(f, n)]
 
 
@@ -246,17 +253,19 @@ def test_kappa_prime_solve_stops_when_the_bracket_stops_moving():
 
 
 def test_atlas_reports_the_builds_presmoothing_sweep():
-    """f_inequality_presmooth is the build's own sweep of f_hat, not a second one."""
+    """f_inequality_presmooth is the build's own sweep of f_hat, not a second
+    one; the only other inequality sweep is the f_inequality_smoothed report."""
     sweeps = []
-    sweep = construct._bilateral_worst_q
+    sweep = CellGrid.q
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "_bilateral_worst_q",
-                   lambda *a: sweeps.append(sweep(*a)) or sweeps[-1])
+        mp.setattr(CellGrid, "q",
+                   lambda grid, f: sweeps.append((grid.per_cell, sweep(grid, f))) or sweeps[-1][1])
         atlas = assemble_atlas(cyclic_group(3, 1, 2), 0.05,
                                PipelineConfig(grid_1d=4096, grid_2d=64, cap_search_budget=8))
-    assert len(sweeps) == 2
+    assert [per_cell for per_cell, _ in sweeps] == [256, 192]
     rep = atlas.reports["f_inequality_presmooth"]
-    assert rep.details["value"] == max(sweeps[0]) and rep.passed
+    assert rep.details["value"] == max(np.max(q, initial=-np.inf) for q in sweeps[0][1])
+    assert rep.passed
 
 
 def test_steep_power_piece_jet_is_finite_and_quiet():
@@ -310,6 +319,48 @@ def test_conewarp_certify_rechecks_the_f_inequality(written_513, capsys):
         capsys.readouterr()
         assert cli_main(["certify", "--atlas", str(path)]) == 0
         assert rep.target in capsys.readouterr().out
+
+
+def test_conewarp_certify_rechecks_the_rho_bands(written_513, capsys):
+    """conewarp certify prints the edge body's rho band reports, with the
+    margins resolve wrote."""
+    for path in sorted(written_513.glob("atlas_*.json")):
+        data = json.loads(path.read_text())
+        reports = recertify(data)
+        capsys.readouterr()
+        assert cli_main(["certify", "--atlas", str(path)]) == 0
+        out = capsys.readouterr().out
+        for key in ("edge_rho_bands", "edge_rho_bounds"):
+            stored = data["reports"][key]
+            assert reports[key].passed and stored["passed"]
+            assert reports[key].min_margin == stored["min_margin"], key
+            assert reports[key].argmin == stored["argmin"], key
+            assert reports[key].target in out
+
+
+def test_f_report_samples_every_cell_at_192_points(fk53):
+    """The f report sweeps each cell of f, the narrow seal and window cells
+    too, at 192 midpoints or more; cells right of pi/4 in s = pi/2 - x."""
+    f = fk53[0].f
+    calls = []
+    q = certify.scalar_q_inequality
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "scalar_q_inequality", lambda g, xi, reflected=False:
+                   calls.append((not reflected, np.array(xi)))
+                   or (q(g, xi, reflected=True) if reflected else q(g, xi)))
+        region = AtlasRegion("edge_body", "cone_over_berger", "", {"n": 5, "p": 3}, {"f": f})
+        rep = run_checks({"edge_body": region}, ["f_inequality_smoothed"])
+    assert rep["f_inequality_smoothed"].passed
+    edges = np.array([f.a, *f.knots, f.b])
+    cells = len(edges) - 1
+    counts = np.zeros(cells, dtype=int)
+    for in_x, xi in calls:
+        cell = (np.searchsorted(edges, xi) - 1 if in_x
+                else cells - np.searchsorted((PIH - edges)[::-1], xi))
+        counts += np.bincount(cell, minlength=cells)
+    narrow = np.diff(edges) < 1e-7
+    assert narrow.any() and counts.sum() == sum(len(xi) for _, xi in calls)
+    assert counts.min() >= 192 and counts[narrow].min() >= 192
 
 
 def test_written_warps_read_back_byte_for_byte(written_513):
