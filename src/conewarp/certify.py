@@ -1,6 +1,7 @@
 """Grid-based certification: positive semidefiniteness, scalar differential
 inequalities, oracle agreement, interface gluing, and the one table of atlas
-region checks that resolve, certify_gluing and ``conewarp certify`` share.
+region checks that resolve, certify_gluing and ``conewarp certify`` share;
+the builders in ``construct`` leave every property an atlas claims to it.
 
 Certification here is sampled, not interval-verified: every report states the
 grid, the tolerance, the margin achieved, and a Lipschitz cell bound estimated

@@ -1,11 +1,14 @@
 """Builders for the explicit warp profiles and metric families, with every
 constant resolved and recorded in a ledger.  A property the atlas claims is
-certified by its report in ``certify.CHECKS``, not re-checked here.
+certified by its report in ``certify.CHECKS``, not re-checked here; what a
+builder does check is a search predicate or a local guard: the pre-smoothing
+sweep of f_hat (which the atlas does not store), mollify_join's constraints,
+the rho-tail and cap searches.
 
 Layout mirrors the construction chain:
 
 * ``build_f_kappa``      -- the base-sphere profile with prescribed endpoint
-  slopes (1 at 0, -p at pi/2) satisfying the collapsed-fiber inequality;
+  slopes (1 at 0, -p at pi/2) for the collapsed-fiber inequality;
 * ``solve_kappa_prime``  -- the faithful log-space tail-coefficient solve;
 * ``build_edge_profile`` -- radial profiles (rho, phi) turning the cone over
   the Berger sphere into an edge-flattened body with exact linear tails;
