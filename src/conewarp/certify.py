@@ -483,17 +483,15 @@ def _body_tail_exact(regions, n_1d, n_2d, tol):
     return {"body_tail_exact": _exact_tail(regions["berger_body"], regions["berger_body"])}
 
 
-def _rho_bands(regions, n_1d, n_2d, tol):
+def _rho_bands(prefix, region, n):
     """rho below band_hi, on 4096 uniform points and 64 per piece (the dip
     corner is below the uniform spacing): at tol 1e-9 the smaller margin of
     1 - mu <= rho' sin(kr) / (k rho cos(kr)) <= 1 + mu and -rho''/(k^2 rho)
     >= 1 - mu (which overflows to +inf, and passes, deep in the dip); at
-    1e-12 rho/n <= min(sin r, mu (1 + sin r)); phi = 1 for the round base."""
+    1e-12 rho/n <= min(sin r, mu (1 + sin r))."""
     t0 = time.perf_counter()
-    prefix, region = ("edge", regions["edge_body"]) if "edge_body" in regions else \
-        ("body", regions["berger_body"])
     d, rho, k = region.data, region.warps["rho"], KAPPA
-    mu, hi, n = d["mu"], d["band_hi"], d.get("n", d.get("order"))   # the body's n is its order
+    mu, hi = d["mu"], d["band_hi"]
     grids = [Grid([(1e-6 * hi, hi)], [4096]), CellGrid(rho, 64, upto=hi)]
     pts = np.concatenate([g.points() for g in grids])
     r = pts[:, 0]
@@ -501,17 +499,29 @@ def _rho_bands(regions, n_1d, n_2d, tol):
     band = j.f1 * np.sin(k * r) / (k * j.f * np.cos(k * r))
     with np.errstate(over="ignore"):
         concave = -j.f2 / (k * k * j.f)
-    out = {f"{prefix}_rho_bands": _margin_report(
-               f"{prefix} rho log-derivative and concavity bands 1 -/+ mu", grids, 1e-9,
-               np.minimum.reduce([band - (1 - mu), 1 + mu - band, concave - (1 - mu)]), pts, t0),
-           f"{prefix}_rho_bounds": _margin_report(
-               f"{prefix} rho/n <= min(sin r, mu (1 + sin r))", grids, 1e-12,
-               np.minimum(np.sin(r), mu * (1 + np.sin(r))) - j.f / n, pts, t0)}
-    if prefix == "body":
-        grid = Grid([(1e-4, hi)], [512])
-        out["body_phi_one"] = _identity_report(
-            "round-base body phi = 1 on (0, band_hi)", grid, grid.points(),
-            np.abs(region.warps["phi"](grid.axes()[0]) - 1.0), 0.0, 0.0, t0)
+    return {f"{prefix}_rho_bands": _margin_report(
+                f"{prefix} rho log-derivative and concavity bands 1 -/+ mu", grids, 1e-9,
+                np.minimum.reduce([band - (1 - mu), 1 + mu - band, concave - (1 - mu)]), pts, t0),
+            f"{prefix}_rho_bounds": _margin_report(
+                f"{prefix} rho/n <= min(sin r, mu (1 + sin r))", grids, 1e-12,
+                np.minimum(np.sin(r), mu * (1 + np.sin(r))) - j.f / n, pts, t0)}
+
+
+def _edge_bands(regions, n_1d, n_2d, tol):
+    e = regions["edge_body"]
+    return _rho_bands("edge", e, int(e.data["n"]))
+
+
+def _body_bands(regions, n_1d, n_2d, tol):
+    """The round-base body's rho bands (its rho is built at n = the group
+    order), and phi = 1 exactly on (1e-4, band_hi)."""
+    b = regions["berger_body"]
+    out = _rho_bands("body", b, int(b.data["order"]))
+    t0 = time.perf_counter()
+    grid = Grid([(1e-4, b.data["band_hi"])], [512])
+    out["body_phi_one"] = _identity_report(
+        "round-base body phi = 1 on (0, band_hi)", grid, grid.points(),
+        np.abs(b.warps["phi"](grid.axes()[0]) - 1.0), 0.0, 0.0, t0)
     return out
 
 
@@ -746,8 +756,8 @@ CHECKS = {
     "iface_cap_cone": (("conical_cap",), _cap_cone),
     "body_ricci_psd": (("berger_body",), _body_ricci),
     "body_tail_exact": (("berger_body",), _body_tail_exact),
-    "edge_bands": (("edge_body",), _rho_bands),
-    "body_bands": (("berger_body",), _rho_bands),
+    "edge_bands": (("edge_body",), _edge_bands),
+    "body_bands": (("berger_body",), _body_bands),
 }
 FILE_CHECKS = ("f_inequality_smoothed", "edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd",
                "cap_link_bound", "body_ricci_psd", "edge_bands", "body_bands")

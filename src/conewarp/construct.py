@@ -369,16 +369,6 @@ def _mirror_pieces(m: _MirrorSide, knot_stride=80):
             (PIH - m.x1, PIH, ex.Const(m.A_s) * ex.sin(ex.Const(m.kappa_a) * xp))]
 
 
-def _assemble(pieces) -> WarpFunction:
-    pieces = sorted(pieces, key=lambda t: t[0])
-    bps = [hi for (_, hi, _) in pieces[:-1]]
-    return WarpFunction(pieces[0][0], pieces[-1][1], bps, [e for (_, _, e) in pieces],
-                        continuity_class=1,
-                        parity_left="even-derivatives-vanish-and-value-zero",
-                        parity_right="even-derivatives-vanish-and-value-zero",
-                        name="f_hat")
-
-
 def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
     """Base-sphere profile with f'(0) = 1, f'(pi/2) = -p, certified inequality.
 
@@ -428,7 +418,9 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
             raise ConstructionFailure(f"drift bisection residual too large: {side.resid:.2e}")
         pieces = [(0.0, PIH - side.descent[0][-1], round_part), *_mirror_pieces(side)]
         kp_eff = SEAL_KAPPA
-    f_hat = _assemble(pieces)
+    f_hat = WarpFunction(0.0, PIH, [hi for (_, hi, _) in pieces[:-1]], [e for (_, _, e) in pieces],
+                         continuity_class=1, parity_left="even-derivatives-vanish-and-value-zero",
+                         parity_right="even-derivatives-vanish-and-value-zero", name="f_hat")
 
     # per cell, on whichever side of pi/4 the cell is well conditioned
     worst_left, worst_right = (float(np.max(q, initial=-np.inf))
