@@ -1,7 +1,6 @@
 """Grid-based certification: positive semidefiniteness, scalar differential
 inequalities, oracle agreement, interface gluing, and the one table of atlas
-region checks that resolve, certify_gluing and ``conewarp certify`` share;
-the builders in ``construct`` leave every property an atlas claims to it.
+region checks that resolve, certify_gluing and ``conewarp certify`` share.
 
 Certification here is sampled, not interval-verified: every report states the
 grid, the tolerance, the margin achieved, and a Lipschitz cell bound estimated
@@ -15,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -118,11 +118,10 @@ class Grid:
 
 
 class CellGrid:
-    """The one per-cell sampler: ``per_cell`` midpoints in each cell of f
-    ([f.a, *f.knots, f.b], those ending at or below ``upto``), a row of ``x``
-    per cell; ``bilateral`` moves a cell whose midpoint lies right of pi/4 to
-    ``s``, in s = pi/2 - x, where cot(2s) keeps the digits cot(2x) loses.
-    Points and margins list the x rows first."""
+    """The one per-cell sampler: ``per_cell`` midpoints in each cell of f up to
+    ``upto``, a row of ``x`` per cell; ``bilateral`` moves a cell whose midpoint
+    lies right of pi/4 to ``s`` = pi/2 - x, where cot(2s) keeps the digits
+    cot(2x) loses.  Margins list the x rows first; points state all in x."""
 
     def __init__(self, f: WarpFunction, per_cell: int, bilateral: bool = False,
                  upto: float = math.inf):
@@ -133,7 +132,7 @@ class CellGrid:
                              for (lo, hi), r in zip(cells, right) if not r], (-1, per_cell))
         self.s = np.reshape([_sample_open(PIH - hi, PIH - lo, per_cell)
                              for (lo, hi), r in zip(cells, right) if r], (-1, per_cell))
-        self.per_cell, self.bilateral, self.upto = per_cell, bilateral, upto
+        self.per_cell, self.bilateral = per_cell, bilateral
 
     def q(self, f: WarpFunction):
         """The inequality's left side on the x rows and on the s rows."""
@@ -141,23 +140,19 @@ class CellGrid:
                 scalar_q_inequality(f, self.s.ravel(), reflected=True))
 
     def points(self) -> np.ndarray:
-        return np.concatenate([self.x.ravel(), self.s.ravel()])[:, None]
+        return np.concatenate([self.x.ravel(), PIH - self.s.ravel()])[:, None]
 
     def size(self) -> int:
         return self.x.size + self.s.size
 
     def cell_bound(self, margins: np.ndarray) -> float:
-        """Per cell, the largest sampled slope times half the spacing (half
-        the largest step between neighbouring samples); the worst cell."""
+        """Half the largest step between neighbouring samples of one cell."""
         steps = np.abs(np.diff(margins.reshape(-1, self.per_cell), axis=1))
         return 0.5 * float(np.max(steps, initial=0.0))
 
     def spec(self):
-        out = {"per_cell": self.per_cell, "cells": len(self.x) + len(self.s),
-               "conditioning": "bilateral" if self.bilateral else "x"}
-        if self.upto < math.inf:
-            out["upto"] = self.upto
-        return out
+        return {"per_cell": self.per_cell, "cells": len(self.x) + len(self.s),
+                "conditioning": "bilateral" if self.bilateral else "x"}
 
 
 @dataclass
@@ -247,8 +242,7 @@ def certify_psd(field_fn, grid: Grid, tol: float = DEFAULT_TOL,
 
 def scalar_q_inequality(f: WarpFunction, xi: np.ndarray, reflected: bool = False) -> np.ndarray:
     """(2 cot 2xi - f'/f)^2 + 3 f''/(4 f), the collapsed-fiber Ricci criterion;
-    ``reflected`` evaluates it for xi -> f(pi/2 - xi) through f, whose odd
-    derivatives change sign, which is exact."""
+    ``reflected``: of xi -> f(pi/2 - xi), exactly (f's odd derivatives flip sign)."""
     j = f.jet(PIH - xi if reflected else xi)
     if np.any(j.f <= 0):
         raise DomainError("f must be positive at every sample")
@@ -258,8 +252,8 @@ def scalar_q_inequality(f: WarpFunction, xi: np.ndarray, reflected: bool = False
 
 def certify_inequality(f: WarpFunction, bound: float, grid,
                        tol: float = DEFAULT_TOL, target: str = "") -> CertificationReport:
-    """Certify (2 cot 2xi - f'/f)^2 + 3 f''/(4f) <= bound on the grid: a
-    Grid in x, or a CellGrid, whose report says in which variable its argmin is."""
+    """Certify (2 cot 2xi - f'/f)^2 + 3 f''/(4f) <= bound on a Grid in x, or on a
+    CellGrid, whose report says in which variable its argmin was evaluated."""
     t0 = time.perf_counter()
     pts = grid.points()
     cells = isinstance(grid, CellGrid)
@@ -267,7 +261,8 @@ def certify_inequality(f: WarpFunction, bound: float, grid,
     name = target or f"inequality<= {bound} for {f.name or 'f'}"
     rep = _margin_report(name, grid, tol, margins, pts, t0, details={"bound": bound})
     if cells:
-        rep.details["argmin_variable"] = "x" if np.argmin(margins) < grid.x.size else "s = pi/2 - x"
+        rep.details["argmin_evaluated_in"] = ("x" if np.argmin(margins) < grid.x.size
+                                              else "s = pi/2 - x")
     return rep
 
 
@@ -483,15 +478,18 @@ def _body_tail_exact(regions, n_1d, n_2d, tol):
     return {"body_tail_exact": _exact_tail(regions["berger_body"], regions["berger_body"])}
 
 
-def _rho_bands(prefix, region, n):
-    """rho below band_hi, on 4096 uniform points and 64 per piece (the dip
-    corner is below the uniform spacing): at tol 1e-9 the smaller margin of
-    1 - mu <= rho' sin(kr) / (k rho cos(kr)) <= 1 + mu and -rho''/(k^2 rho)
-    >= 1 - mu (which overflows to +inf, and passes, deep in the dip); at
-    1e-12 rho/n <= min(sin r, mu (1 + sin r))."""
+def _rho_bands(body, regions, n_1d, n_2d, tol):
+    """rho below band_hi of ``body``, the edge body or the round-base body
+    (whose rho is built at n = the group order), on 4096 uniform points and
+    64 per piece (the dip corner is below the uniform spacing): at tol 1e-9
+    the smaller margin of 1 - mu <= rho' sin(kr) / (k rho cos(kr)) <= 1 + mu
+    and -rho''/(k^2 rho) >= 1 - mu (which overflows to +inf, and passes, deep
+    in the dip); at 1e-12 rho/n <= min(sin r, mu (1 + sin r)).  The round-base
+    body's phi must also be 1 exactly on (1e-4, band_hi)."""
     t0 = time.perf_counter()
-    d, rho, k = region.data, region.warps["rho"], KAPPA
-    mu, hi = d["mu"], d["band_hi"]
+    b, edge, k = regions[body], body == "edge_body", KAPPA
+    rho, mu, hi = b.warps["rho"], b.data["mu"], b.data["band_hi"]
+    prefix, n = ("edge", b.data["n"]) if edge else ("body", b.data["order"])
     grids = [Grid([(1e-6 * hi, hi)], [4096]), CellGrid(rho, 64, upto=hi)]
     pts = np.concatenate([g.points() for g in grids])
     r = pts[:, 0]
@@ -499,29 +497,17 @@ def _rho_bands(prefix, region, n):
     band = j.f1 * np.sin(k * r) / (k * j.f * np.cos(k * r))
     with np.errstate(over="ignore"):
         concave = -j.f2 / (k * k * j.f)
-    return {f"{prefix}_rho_bands": _margin_report(
-                f"{prefix} rho log-derivative and concavity bands 1 -/+ mu", grids, 1e-9,
-                np.minimum.reduce([band - (1 - mu), 1 + mu - band, concave - (1 - mu)]), pts, t0),
-            f"{prefix}_rho_bounds": _margin_report(
-                f"{prefix} rho/n <= min(sin r, mu (1 + sin r))", grids, 1e-12,
-                np.minimum(np.sin(r), mu * (1 + np.sin(r))) - j.f / n, pts, t0)}
-
-
-def _edge_bands(regions, n_1d, n_2d, tol):
-    e = regions["edge_body"]
-    return _rho_bands("edge", e, int(e.data["n"]))
-
-
-def _body_bands(regions, n_1d, n_2d, tol):
-    """The round-base body's rho bands (its rho is built at n = the group
-    order), and phi = 1 exactly on (1e-4, band_hi)."""
-    b = regions["berger_body"]
-    out = _rho_bands("body", b, int(b.data["order"]))
-    t0 = time.perf_counter()
-    grid = Grid([(1e-4, b.data["band_hi"])], [512])
-    out["body_phi_one"] = _identity_report(
-        "round-base body phi = 1 on (0, band_hi)", grid, grid.points(),
-        np.abs(b.warps["phi"](grid.axes()[0]) - 1.0), 0.0, 0.0, t0)
+    out = {f"{prefix}_rho_bands": _margin_report(
+               f"{prefix} rho log-derivative and concavity bands 1 -/+ mu", grids, 1e-9,
+               np.minimum.reduce([band - (1 - mu), 1 + mu - band, concave - (1 - mu)]), pts, t0),
+           f"{prefix}_rho_bounds": _margin_report(
+               f"{prefix} rho/n <= min(sin r, mu (1 + sin r))", grids, 1e-12,
+               np.minimum(np.sin(r), mu * (1 + np.sin(r))) - j.f / n, pts, t0)}
+    if not edge:
+        grid = Grid([(1e-4, hi)], [512])
+        out["body_phi_one"] = _identity_report(
+            "round-base body phi = 1 on (0, band_hi)", grid, grid.points(),
+            np.abs(b.warps["phi"](grid.axes()[0]) - 1.0), 0.0, 0.0, t0)
     return out
 
 
@@ -756,8 +742,8 @@ CHECKS = {
     "iface_cap_cone": (("conical_cap",), _cap_cone),
     "body_ricci_psd": (("berger_body",), _body_ricci),
     "body_tail_exact": (("berger_body",), _body_tail_exact),
-    "edge_bands": (("edge_body",), _edge_bands),
-    "body_bands": (("berger_body",), _body_bands),
+    "edge_bands": (("edge_body",), partial(_rho_bands, "edge_body")),
+    "body_bands": (("berger_body",), partial(_rho_bands, "berger_body")),
 }
 FILE_CHECKS = ("f_inequality_smoothed", "edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd",
                "cap_link_bound", "body_ricci_psd", "edge_bands", "body_bands")

@@ -1,9 +1,6 @@
 """Builders for the explicit warp profiles and metric families, with every
 constant resolved and recorded in a ledger.  A property the atlas claims is
-certified by its report in ``certify.CHECKS``, not re-checked here; what a
-builder does check is a search predicate or a local guard: the pre-smoothing
-sweep of f_hat (which the atlas does not store), mollify_join's constraints,
-the rho-tail and cap searches.
+certified by its report in ``certify.CHECKS``, not re-checked here.
 
 Layout mirrors the construction chain:
 
@@ -381,8 +378,7 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
     is re-certified.  xi0 = tau/20 only sizes the glue box, and the mirror
     side does not depend on it, so the build is one try: the pre-smoothing
     profile must satisfy the inequality with bound -2 (-2.5 on the cells
-    left of pi/4), or it raises.  The smoothed f is not checked here: its
-    bound -1 is the atlas's f_inequality_smoothed report.
+    left of pi/4), or it raises; f's bound -1 is the f_inequality_smoothed report.
     """
     if math.gcd(n, p) != 1:
         raise DomainError(f"n = {n} and p = {p} must be coprime")
@@ -422,7 +418,6 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
                          continuity_class=1, parity_left="even-derivatives-vanish-and-value-zero",
                          parity_right="even-derivatives-vanish-and-value-zero", name="f_hat")
 
-    # per cell, on whichever side of pi/4 the cell is well conditioned
     worst_left, worst_right = (float(np.max(q, initial=-np.inf))
                                for q in CellGrid(f_hat, 256, bilateral=True).q(f_hat))
     if worst_left > -2.5:
@@ -526,8 +521,7 @@ def build_edge_profile(mu: float, n: int, fk: FKappa,
     (eps_k mu_hat_bump)^20, then exactly c2 (r + c3).
 
     ``positions_kappa`` rescales the phi-bump and tail junctions (the
-    round-base body uses the same shapes at unit scale).  The bands rho
-    keeps below ``band_hi`` are the atlas's rho band reports, not checked here.
+    round-base body uses the same shapes at unit scale).
     """
     if not (0 < mu < 0.1):
         raise ParameterError("mu must lie in (0, 1/10)")
@@ -623,9 +617,8 @@ def build_edge_profile(mu: float, n: int, fk: FKappa,
 
     prof = EdgeProfile(rho=rho, phi=phi, n=n, mu=mu, eps=eps,
                        mu_hat=mu_hat, mu_hat_strict_log10=mu_hat_strict_log10,
-                       c1=c1, c2=c2, c3=c3, R_mu=tail_hi, band_hi=1.0 / (10.0 * pk),
-                       r_out=R_out,
-                       bump_const=A, params=params)
+                       c1=c1, c2=c2, c3=c3, R_mu=tail_hi, r_out=R_out,
+                       band_hi=1.0 / (10.0 * pk), bump_const=A, params=params)
     return prof
 
 

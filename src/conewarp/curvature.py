@@ -1,8 +1,7 @@
 """Closed-form Ricci tensors for the metric families, charts, and an
 independent finite-difference oracle.
 
-Every metric family class (``BergerSphere``, ``ConeOverBerger``,
-``LocalGlue``, ``TorusInvariant``, ``BergerGeneral``) carries two methods:
+Every metric family class carries two methods:
 
 * ``chart()``: coordinate box, metric components and a frame of
   coordinate-expressed vector fields, which feed the central-difference

@@ -252,8 +252,7 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
         AtlasRegion("edge_body", "cone_over_berger",
                     "cone over the warped Berger sphere with the edge-flattening dip",
                     data={"n": n, "p": p, "mu": mu, "eps": prof.eps,
-                          "quotient": quotient, "r_out": prof.r_out,
-                          "band_hi": prof.band_hi},
+                          "quotient": quotient, "r_out": prof.r_out, "band_hi": prof.band_hi},
                     warps={"rho": prof.rho, "phi": prof.phi, "f": fk.f}),
         AtlasRegion("glue_collar", "local_glue",
                     "twist interpolation between the Berger form and the surface product",

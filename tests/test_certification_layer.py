@@ -42,10 +42,11 @@ def test_conewarp_certify_reproduces_resolve_reports(run_513, tmp_path):
         path.write_text(atlas.to_json())
         data = json.loads(path.read_text())
         reports = recertify(data, n_2d=FAST.grid_2d, tol=FAST.tol)
-        # a check of several reports (the rho bands) is not named by them
-        assert set(FILE_CHECKS) & set(data["reports"]) <= set(reports) <= set(data["reports"])
-        assert {"edge_ricci_psd", "glue_ricci_psd", "cap_blocks_psd", "cap_link_bound",
-                "edge_rho_bands", "edge_rho_bounds"} <= set(reports)
+        # exactly FILE_CHECKS' reports: glue_bounds and family stay out for cost;
+        # the band check's reports are named edge_rho_*, not edge_bands
+        assert set(reports) == {"f_inequality_smoothed", "edge_ricci_psd", "glue_ricci_psd",
+                                "cap_blocks_psd", "cap_link_bound", "edge_rho_bands",
+                                "edge_rho_bounds"} <= set(data["reports"])
         # certify sweeps f on resolve's default grid, not FAST's; that report is
         # compared at the default grid in test_f_kappa_build
         assert reports.pop("f_inequality_smoothed").passed

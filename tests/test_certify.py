@@ -8,6 +8,7 @@ import pytest
 
 from conewarp import expr as ex
 from conewarp.certify import (
+    CellGrid,
     CertificationReport,
     Grid,
     certify_inequality,
@@ -108,6 +109,13 @@ def test_inequality_round_and_failing():
     rep_bad = certify_inequality(bad, -2.0, Grid([(0.0, math.pi / 2)], [4096]))
     assert not rep_bad.passed
     assert rep_bad.argmin[0] > 1.4
+    # per cell: the cell right of pi/4 is evaluated in s = pi/2 - x, and its
+    # argmin and violations are still stated in x
+    halves = WarpFunction(0.0, math.pi / 2, [math.pi / 4], [ex.sin(ex.X), ex.sin(ex.X)])
+    rep_cells = certify_inequality(halves, -2.0, CellGrid(halves, 512, bilateral=True))
+    assert not rep_cells.passed and rep_cells.details["argmin_evaluated_in"] == "s = pi/2 - x"
+    assert rep_cells.argmin[0] > 1.4
+    assert rep_cells.violations and all(v["point"][0] > 1.4 for v in rep_cells.violations)
 
 
 def test_inequality_rejects_nonpositive():
