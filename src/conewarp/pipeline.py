@@ -320,7 +320,7 @@ def _noncyclic_atlas(group, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
     elems = generate_elements(group)
     order = len(elems)
     atlas = SurgeryAtlas(group=group, n=order, p=0, requested_epsilon=epsilon)
-    mu = cfg.mu if cfg.mu is not None else mu_floor(min(order, 8))
+    mu = cfg.mu if cfg.mu is not None else mu_floor(order)
     # round-base Berger body over the projectivized quotient
     fk = cn.build_f_kappa(2, 1, tau=cfg.tau)   # round base profile data
     prof = cn.build_general_profiles(order, mu, fk)

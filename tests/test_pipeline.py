@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from test_certification_layer import _golden_module
-from test_groups import binary_dihedral_generators
+from test_groups import GOLDEN_RATIO, binary_dihedral_generators, quaternion
 
 from conewarp import certify, cli, construct, pipeline
 from conewarp.cli import main as cli_main
@@ -131,6 +131,21 @@ def test_noncyclic_atlas():
     for sp in atlas.singular_points:
         assert sp.child.kind == "cyclic"
     assert atlas.cone_at_infinity["round"] is False
+
+
+@pytest.mark.parametrize("gens", [
+    binary_dihedral_generators(4),
+    [quaternion(0, 1, 0, 0), quaternion(0.5, 0.5, 0.5, 0.5)],
+    [quaternion(2 ** -0.5, 2 ** -0.5, 0, 0), quaternion(0.5, 0.5, 0.5, 0.5)],
+    [quaternion(0.5, 0.5, 0.5, 0.5), quaternion(GOLDEN_RATIO / 2, 0.5, 0.5 / GOLDEN_RATIO, 0)],
+], ids=["D16", "T24", "O48", "I120"])
+def test_polyhedral_root_atlases_pass(gens):
+    """The round-base body takes its band exponent from the full group
+    order, whose dip target it meets; mu from min(order, 8) underflowed."""
+    group = noncyclic_group(gens)
+    atlas = assemble_atlas(group, 0.05, fast_cfg())
+    assert atlas.regions[0].data["mu"] == mu_floor(atlas.n)
+    assert atlas.passed, atlas.summary()
 
 
 # ------------------------------------------------------------------ CLI
