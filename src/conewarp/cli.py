@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import AtlasRegion, Grid, recertify, scalar_q_inequality
+from .certify import AtlasRegion, CellGrid, Grid, recertify
 from .curvature import ricci_cone_berger
 from .errors import ConewarpError, DomainError
 from .groups import (
@@ -32,7 +32,6 @@ from .groups import (
     resolution_tree,
 )
 from .pipeline import PipelineConfig, run_full_resolution
-from .warpfn import _sample_open
 
 
 def _parse_group(args):
@@ -137,9 +136,10 @@ def cmd_plot_data(args) -> int:
         rows = np.column_stack([r, w["rho"](r), w["phi"](r)])
         header = "r,rho,phi"
     elif args.field == "margin":
-        xi = _sample_open(0.0, np.pi / 2, 2048)
-        q = scalar_q_inequality(w["f"], xi)
-        rows = np.column_stack([xi, -1.0 - q])
+        # the f_inequality_smoothed report's cells, so the seal is plotted too
+        grid = CellGrid(w["f"], 192, bilateral=True)
+        rows = np.column_stack([grid.points()[:, 0], -1.0 - np.concatenate(grid.q(w["f"]))])
+        rows = rows[np.argsort(rows[:, 0])]
         header = "xi,margin_to_bound_-1"
     else:
         print(f"unknown field {args.field}", file=sys.stderr)

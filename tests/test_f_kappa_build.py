@@ -363,6 +363,22 @@ def test_f_report_samples_every_cell_at_192_points(fk53):
     assert counts.min() >= 192 and counts[narrow].min() >= 192
 
 
+def test_margin_plot_samples_the_seal_cell(written_513, tmp_path):
+    """plot-data --field margin plots the f report's per-cell samples, so the
+    seal cell next to pi/2, narrower than 1e-7, has rows."""
+    path = written_513 / "atlas_node0.json"
+    edge = next(r for r in json.loads(path.read_text())["regions"] if r["id"] == "edge_body")
+    f = WarpFunction.deserialize(edge["warps"]["f"])
+    seal = (f.breakpoints[-1], f.b)
+    assert seal[1] - seal[0] < 1e-7
+    csv = tmp_path / "margin.csv"
+    assert cli_main(["plot-data", "--atlas", str(path), "--field", "margin",
+                     "--out", str(csv)]) == 0
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert np.any((seal[0] < rows[:, 0]) & (rows[:, 0] < seal[1]))
+    assert np.all(rows[:, 1] >= 0.0)
+
+
 def test_written_warps_read_back_byte_for_byte(written_513):
     texts = [text for path in sorted(written_513.glob("atlas_*.json"))
              for reg in json.loads(path.read_text())["regions"] for text in reg["warps"].values()]
