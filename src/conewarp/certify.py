@@ -125,7 +125,7 @@ class CellGrid:
 
     def __init__(self, f: WarpFunction, per_cell: int, bilateral: bool = False,
                  upto: float = math.inf):
-        edges = [f.a, *f.knots, f.b]
+        edges = [f.a, *f.breakpoints, f.b]
         cells = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi <= upto]
         right = [bilateral and lo + hi > PIH for lo, hi in cells]
         self.x = np.reshape([_sample_open(lo, hi, per_cell)
@@ -442,7 +442,7 @@ def _f_inequality(regions, n_1d, n_2d, tol):
     """Every cell of f at max(192, n_1d / cells) midpoints, bilateral."""
     e = regions["edge_body"]
     f = e.warps["f"]
-    grid = CellGrid(f, max(192, math.ceil(n_1d / (len(f.knots) + 1))), bilateral=True)
+    grid = CellGrid(f, max(192, math.ceil(n_1d / (len(f.breakpoints) + 1))), bilateral=True)
     return {"f_inequality_smoothed": certify_inequality(
         f, -1.0, grid, tol, target=f"f inequality <= -1 ({e.data['n']},{e.data['p']})")}
 

@@ -46,9 +46,8 @@ from .errors import (
 from .jets import Jet, jet_var
 from .warpfn import (
     PIH,
-    DescentSpline,
     WarpFunction,
-    _hermite_quintic_piece,
+    _hermite_quintic,
     _sample_open,
     build_cutoff,
     mollify_join,
@@ -203,10 +202,21 @@ class FKappa:
 BETA_MAX = 0.30        # pure-power drift budget; the inequality allows 3/7
 SEAL_KAPPA = 1.0e7     # end-piece frequency carrying the slope -p
 C_MID = 0.5            # sin(2x)/2 on the middle region, slope 1 at 0
-X_DESCENT = 2.0e-4     # where the drift hands over to the certified descent
-D_KILL = 6.0e-3        # residual drift handled by the final quintic taper
+X_DESCENT = 2.0e-4     # where the drift hands over to the descent
 DESCENT_SLACK = 0.95   # descent designed against LHS <= -2 - (1 - slack)
 DESCENT_FRAC = 0.97    # fraction of the maximal admissible descent rate
+RAMP_POWER = 40.0      # the ramp's descent rate grows like s^40
+D_TAIL = 0.1           # drift at which the Bernoulli body hands over to the tail
+
+# The descent -D' = k(slack + 3 cot(2s) D - 7/4 D^2), k = DESCENT_FRAC 4/3,
+# with 3 cot(2s) read as 1.5/s: the body drops the slack and solves the
+# Bernoulli equation D = 1/(C s^M + E s); the tail drops -7/4 D^2 and solves
+# the linear equation D = A s^-M - B s.
+_K = DESCENT_FRAC * 4.0 / 3.0
+_M = 1.5 * _K
+_E = 1.75 * _K / (_M - 1.0)
+_GAMMA = 1.0 / ((_M - 1.0) * _E)
+_B = DESCENT_SLACK * _K / (_M + 1.0)
 
 
 def _seal_phase(beta: float, kappa_a: float) -> float:
@@ -226,144 +236,115 @@ def _seal_phase(beta: float, kappa_a: float) -> float:
     return 0.5 * (lo + hi)
 
 
-DESCENT_STEPS = 16000  # geometric steps from X_DESCENT to 0.99 tau
-
-
-@dataclass
-class _DescentGrid:
-    """The beta-independent part of the descent: the geometric grid from xd
-    to 0.99 tau (each x the previous one times r) and 3 cot(2x) on it,
-    shared by every beta the search tries."""
-
-    x_cap: float
-    r: float
-    xs: list                   # xd, xd r, xd r^2, ...: DESCENT_STEPS + 1 values
-    cot3: list                 # 3/tan(2x) at xs[:-1]
-
-
-def _descent_grid(xd: float, tau: float) -> _DescentGrid:
-    x_cap = 0.99 * tau
-    r = (x_cap / xd) ** (1.0 / DESCENT_STEPS)
-    xs = [xd]
-    for _ in range(DESCENT_STEPS):
-        xs.append(xs[-1] * r)
-    return _DescentGrid(x_cap, r, xs, [3.0 / math.tan(2 * x) for x in xs[:-1]])
-
-
-def _integrate_descent(beta: float, grid: _DescentGrid):
-    """Maximal-rate descent of the drift D from beta/xd to zero.
-
-    Integrates -D' = frac * (4/3)(slack + 3 cot(2x) D - 7/4 D^2) on the
-    geometric grid (stable through the stiff start), then a quintic taper
-    once D <= D_KILL.  Returns arrays (x, D, Dp, W) with W(x) = int_x^end D,
-    or raises when the descent cannot finish before 0.99 tau.
-    """
-    xd = grid.xs[0]
-    x_cap = grid.x_cap
-    D = beta / xd
-    Ds = [D]
-    Dps = []
-    taper_at = None
-    prev_rate = beta / (xd * xd)   # the plateau's own descent rate: C^2 handoff
-    growth = grid.r ** 40.0        # growth-limited ramp toward the design rate
-    frac = DESCENT_FRAC * (4.0 / 3.0)
-    rm1 = grid.r - 1.0
-    for x, cot3 in zip(grid.xs, grid.cot3):
-        design = frac * (DESCENT_SLACK + cot3 * D - 1.75 * D * D)
-        if design <= 0:
-            raise ConstructionFailure(f"drift descent stalled at x={x:.5f}")
-        ramp = prev_rate * growth
-        rate = ramp if ramp < design else design     # min(design, ramp), NaN alike
-        prev_rate = rate
-        Dps.append(-rate)
-        if D <= D_KILL:
-            taper_at = (x, D, rate)
-            break
-        D -= x * rm1 * rate
-        if D < 0.0:                                  # max(D, 0.0), NaN alike
-            D = 0.0
-        Ds.append(D)
-    xs = grid.xs[:len(Ds)]
-    if taper_at is None:
-        raise ConstructionFailure("drift descent does not finish before tau")
-    # cubic Hermite taper matching the arrival slope: D from (Dk, -rate_k) to (0, 0)
-    xk, Dk, rate_k = taper_at
-    w = max(4.0 * Dk, 0.015)
-    w = min(w, x_cap - xk)
-    if w <= 2.0 * Dk:
-        raise ConstructionFailure("no room for the drift taper before tau")
-    m = 64
-    for j in range(1, m + 1):
-        u = j / m
-        h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-        h10 = u * (1.0 - u) ** 2
-        dh00 = 6.0 * u * (u - 1.0)
-        dh10 = (1.0 - u) * (1.0 - 3.0 * u)
-        xs.append(xk + w * u)
-        Ds.append(Dk * h00 - rate_k * w * h10)
-        Dps.append((Dk * dh00 - rate_k * w * dh10) / w)
-    Dps[len(xs) - m - 1] = -rate_k  # knot value at the taper start
-    xs = np.array(xs)
-    Ds = np.array(Ds)
-    Dps = np.array(Dps)
-    # W by trapezoid from the end backwards
-    W = np.concatenate([np.cumsum((0.5 * (Ds[1:] + Ds[:-1]) * np.diff(xs))[::-1])[::-1], [0.0]])
-    return xs, Ds, Dps, W
-
-
 @dataclass
 class _MirrorSide:
-    """Seal, drift and descent data of the mirror profile at one beta."""
+    """The mirror profile's constants at one beta, in s = pi/2 - x.
+
+    W(s) is the integral of the drift D from s to s0, so each piece of the
+    descent is c_mid sin(2x) exp(W); the W_* fields are W at the joins."""
 
     c_mid: float
     beta: float
     kappa_a: float
-    x1: float                  # seal/drift junction in xi' = pi/2 - x
-    descent: tuple             # (xs, Ds, Dps, W) from _integrate_descent
+    x1: float                  # seal/drift join
+    sh: float                  # ramp/body join: the ramp rate meets the body's
+    sk: float                  # body/tail join: D = D_TAIL
+    s0: float                  # the tail ends with D = 0
+    C: float                   # body: D = 1/(C s^M + E s)
+    A: float                   # tail: D = A s^-M - B s
+    W_sk: float
+    W_sh: float
     Kd: float                  # drift constant exp(W(xd)) xd^beta
     A_s: float                 # seal amplitude, from value continuity at x1
     resid: float               # slope residual A_s kappa_a / p - 1
 
 
-def _mirror_side(p, beta, c_mid, grid: _DescentGrid, kappa_a=SEAL_KAPPA) -> _MirrorSide:
-    """The mirror side's data at one beta (structure at ``_mirror_pieces``).
+def _ramp_drift(beta: float, s: float) -> float:
+    """D on the ramp: D(xd) = beta/xd and -D' = (beta/xd^2)(s/xd)^RAMP_POWER,
+    the drift's own rate at xd, so D is C^1 there."""
+    u = (s / X_DESCENT) ** (RAMP_POWER + 1.0)
+    return beta / X_DESCENT * (1.0 - (u - 1.0) / (RAMP_POWER + 1.0))
+
+
+def _ramp_integral(beta: float, s: float) -> float:
+    """An antiderivative of ``_ramp_drift`` in s."""
+    q = RAMP_POWER + 1.0
+    return beta / X_DESCENT * (s * (1.0 + 1.0 / q)
+                               - X_DESCENT / (q * (q + 1.0)) * (s / X_DESCENT) ** (q + 1.0))
+
+
+def _mirror_side(p, beta, c_mid, tau, kappa_a=SEAL_KAPPA) -> _MirrorSide:
+    """The mirror side's constants at one beta (pieces at ``_mirror_pieces``).
 
     The beta search reads only the slope residual, which vanishes when the
-    seal carries exactly slope -p; no expression tree is built here.
+    seal carries exactly slope -p; every step is a scalar closed form or a
+    scalar root, and no expression tree is built here.
     """
     th_s = _seal_phase(beta, kappa_a)
     x1 = th_s / kappa_a
-    xs, Ds, Dps, W = _integrate_descent(beta, grid)
-    xd = xs[0]
+    xd = X_DESCENT
     if x1 * 1.5 >= xd:
         raise ConstructionFailure("seal phase leaves no room for the drift piece")
-    Kd = math.exp(W[0]) * xd ** beta
+
+    def rate_gap(s):                  # ramp rate minus the body's rate at the ramp's D
+        D = _ramp_drift(beta, s)
+        return beta / xd ** 2 * (s / xd) ** RAMP_POWER - _K * (1.5 * D / s - 1.75 * D * D)
+
+    if not (rate_gap(xd) < 0 < rate_gap(2.0 * xd)):
+        raise ConstructionFailure("the drift ramp does not meet the descent rate")
+    sh = _bisect(lambda s: rate_gap(s) < 0, xd, 2.0 * xd, 200)[1]
+    C = (1.0 / _ramp_drift(beta, sh) - _E * sh) / sh ** _M
+    if not C > 0:
+        raise ConstructionFailure(f"drift {beta} is past the descent's reach (C = {C:.3e})")
+    sk = _bisect(lambda s: C * s ** _M + _E * s < 1.0 / D_TAIL,
+                 sh, (1.0 / (D_TAIL * C)) ** (1.0 / _M), 200)[1]
+    A = (D_TAIL + _B * sk) * sk ** _M
+    s0 = (A / _B) ** (1.0 / (_M + 1.0))
+    if s0 >= 0.99 * tau:
+        raise ConstructionFailure("drift descent does not finish before tau")
+    W_sk = (A * (s0 ** (1.0 - _M) - sk ** (1.0 - _M)) / (1.0 - _M)
+            - _B * (s0 * s0 - sk * sk) / 2.0)
+    W_sh = W_sk + _GAMMA * math.log((C + _E * sh ** (1.0 - _M)) / (C + _E * sk ** (1.0 - _M)))
+    W_xd = W_sh + _ramp_integral(beta, sh) - _ramp_integral(beta, xd)
+    Kd = math.exp(W_xd) * xd ** beta
     A_s = c_mid * Kd * math.sin(2 * x1) * x1 ** (-beta) / math.sin(th_s)
-    return _MirrorSide(c_mid, beta, kappa_a, x1, (xs, Ds, Dps, W), Kd, A_s,
+    return _MirrorSide(c_mid, beta, kappa_a, x1, sh, sk, s0, C, A, W_sk, W_sh, Kd, A_s,
                        A_s * kappa_a / p - 1.0)
 
 
-def _mirror_pieces(m: _MirrorSide, knot_stride=80):
+def _mirror_pieces(m: _MirrorSide):
     """Pieces (in x) of the mirror profile carrying the slope -p at pi/2.
 
-    Structure in the reflected variable xi' = pi/2 - x:
+    Structure in the reflected variable s = pi/2 - x, each piece c_mid
+    sin(2x) exp(W) with W the integral of the drift D from s to s0:
 
-    * seal  [0, x1]:        A_s sin(kappa_a xi'), slope p at 0;
-    * drift [x1, xd]:       c_mid sin(2 xi') K (xi')^(-beta), the pure-power
-      drift (admissible for beta < 3/7);
-    * descent [xd, x_end]:  c_mid sin(2 xi') exp(W(xi')) with W from the
-      maximal-rate descent, realized as one quintic-Hermite spline node in W;
-    * beyond x_end the profile is exactly c_mid sin(2 xi').
+    * seal  [0, x1]:   A_s sin(kappa_a s), slope p at 0;
+    * drift [x1, xd]:  D = beta/s, the pure-power drift (admissible for
+      beta < 3/7);
+    * ramp  [xd, sh]:  -D' = (beta/xd^2)(s/xd)^RAMP_POWER, so D' is
+      continuous at xd and, by the choice of sh, at sh;
+    * body  [sh, sk]:  the Bernoulli descent D = 1/(C s^M + E s), whose
+      exp(W) is a power of C + E s^(1-M);
+    * tail  [sk, s0]:  the linear descent D = A s^-M - B s from D_TAIL to 0;
+    * beyond s0 the profile is exactly c_mid sin(2x).
     """
-    xs, Ds, Dps, W = m.descent
-    xp = ex.Const(PIH) - ex.X
-    # spline knots every knot_stride steps, plus both ends of the 64-step taper
-    idx = sorted(set(range(0, len(xs) - 1, knot_stride)) | {len(xs) - 65, len(xs) - 1})
-    spline = DescentSpline(m.c_mid, [(xs[a], W[a], -Ds[a], -Dps[a]) for a in idx])
-    return [(PIH - xs[-1], PIH - xs[0], spline),
-            (PIH - xs[0], PIH - m.x1,
-             ex.Const(m.c_mid * m.Kd) * ex.sin(2.0 * ex.X) * xp ** (-m.beta)),
-            (PIH - m.x1, PIH, ex.Const(m.A_s) * ex.sin(ex.Const(m.kappa_a) * xp))]
+    c, b, xd = m.c_mid, m.beta, X_DESCENT
+    s = ex.Const(PIH) - ex.X
+    sin2 = ex.sin(2.0 * ex.X)
+    q = RAMP_POWER + 1.0
+    W0_tail = m.A * m.s0 ** (1.0 - _M) / (1.0 - _M) - _B * m.s0 * m.s0 / 2.0
+    tail = ex.exp(ex.Const(m.A / (_M - 1.0)) * s ** (1.0 - _M) + ex.Const(_B / 2.0) * s ** 2.0)
+    body = (ex.Const(m.C) + ex.Const(_E) * s ** (1.0 - _M)) ** _GAMMA
+    ramp = ex.exp(ex.Const(-b / xd * (1.0 + 1.0 / q)) * s
+                  + ex.Const(b / (q * (q + 1.0))) * (s / xd) ** (q + 1.0))
+    return [(PIH - m.s0, PIH - m.sk, ex.Const(c * math.exp(W0_tail)) * sin2 * tail),
+            (PIH - m.sk, PIH - m.sh,
+             ex.Const(c * math.exp(m.W_sk) * (m.C + _E * m.sk ** (1.0 - _M)) ** -_GAMMA)
+             * sin2 * body),
+            (PIH - m.sh, PIH - xd,
+             ex.Const(c * math.exp(m.W_sh + _ramp_integral(b, m.sh))) * sin2 * ramp),
+            (PIH - xd, PIH - m.x1, ex.Const(c * m.Kd) * sin2 * s ** (-b)),
+            (PIH - m.x1, PIH, ex.Const(m.A_s) * ex.sin(ex.Const(m.kappa_a) * s))]
 
 
 def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
@@ -373,9 +354,9 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
     p = 1 it is sin(2x)/2 on all of [0, pi/2].  For p > 1 the faithful
     matching frequency kappa' (log-space solve, recorded) compresses the
     slope seal far below double resolution, so the mirror side is realized
-    as a seal + pure-power drift + maximal-rate descent whose exponent is
-    bisected until the seal amplitude carries exactly slope -p; every piece
-    is re-certified.  xi0 = tau/20 only sizes the glue box, and the mirror
+    as a seal, a pure-power drift and a closed-form descent (``_mirror_pieces``),
+    with the drift exponent bisected until the seal amplitude carries exactly
+    slope -p.  xi0 = tau/20 only sizes the glue box, and the mirror
     side does not depend on it, so the build is one try: the pre-smoothing
     profile must satisfy the inequality with bound -2 (-2.5 on the cells
     left of pi/4), or it raises; f's bound -1 is the f_inequality_smoothed report.
@@ -393,26 +374,25 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
         kp_eff = KAPPA
     else:
         # drift exponent solved so the seal amplitude carries exactly slope -p
-        grid = _descent_grid(X_DESCENT, tau)
         lo_b, hi_b = 1e-4, BETA_MAX
-        r_lo = _mirror_side(p, lo_b, C_MID, grid).resid
+        r_lo = _mirror_side(p, lo_b, C_MID, tau).resid
         r_hi = None
         while hi_b > lo_b:
             try:
-                r_hi = _mirror_side(p, hi_b, C_MID, grid).resid
+                r_hi = _mirror_side(p, hi_b, C_MID, tau).resid
                 break
             except ConstructionFailure:
                 hi_b *= 0.95
         if r_hi is None or r_lo > 0 or r_hi < 0:
             raise ConstructionFailure(
                 f"drift budget cannot reach slope -{p} (residuals {r_lo:.3f}, {r_hi})")
-        lo_b, hi_b = _bisect(lambda b: _mirror_side(p, b, C_MID, grid).resid < 0,
+        lo_b, hi_b = _bisect(lambda b: _mirror_side(p, b, C_MID, tau).resid < 0,
                              lo_b, hi_b, 80)
         beta = 0.5 * (lo_b + hi_b)
-        side = _mirror_side(p, beta, C_MID, grid)
+        side = _mirror_side(p, beta, C_MID, tau)
         if abs(side.resid) > 1e-9:
             raise ConstructionFailure(f"drift bisection residual too large: {side.resid:.2e}")
-        pieces = [(0.0, PIH - side.descent[0][-1], round_part), *_mirror_pieces(side)]
+        pieces = [(0.0, PIH - side.s0, round_part), *_mirror_pieces(side)]
         kp_eff = SEAL_KAPPA
     f_hat = WarpFunction(0.0, PIH, [hi for (_, hi, _) in pieces[:-1]], [e for (_, _, e) in pieces],
                          continuity_class=1, parity_left="even-derivatives-vanish-and-value-zero",
@@ -429,15 +409,14 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
 
     f = f_hat
     # smooth the genuine C^{1,1} corners (second-derivative jumps) among the
-    # junctions; a spline's own knots are C^2 by construction.  The window
-    # stays inside the cells next to the junction.
+    # junctions; the window stays inside the cells next to the junction
     for t in f_hat.breakpoints:
         lj = f.eval_jet_onesided(t, "left")
         rj = f.eval_jet_onesided(t, "right")
         scale = max(abs(lj.f2), abs(rj.f2), 1.0)
         if abs(lj.f2 - rj.f2) < 1e-9 * scale:
             continue
-        edges = [f.a, *f.knots, f.b]
+        edges = [f.a, *f.breakpoints, f.b]
         i = edges.index(t)
         w = 0.25 * min(t - edges[i - 1], edges[i + 1] - t)
         f = mollify_join(f, t, w)
@@ -593,7 +572,7 @@ def build_edge_profile(mu: float, n: int, fk: FKappa,
     d2_scale = max(abs(jL.f2), 1e-30)
     for factor in np.linspace(1.02, 1.35, 34):
         c1_try = float(factor) * v / (c3 + tail_lo)
-        hermite = _hermite_quintic_piece(
+        hermite = _hermite_quintic(
             jL, Jet(c1_try * (tail_hi + c3), c1_try, 0.0), tail_lo, tail_hi)
         xs = np.linspace(tail_lo, tail_hi, 512)
         jj = hermite.jet(jet_var(xs))

@@ -189,7 +189,7 @@ class BergerSphere:
         eps = 0.05 * (f.b - f.a)
         return Chart([(f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
                      metric, frame, name="berger_sphere",
-                     avoid={0: list(f.knots)})
+                     avoid={0: list(f.breakpoints)})
 
     def frame_ricci(self, X):
         return ricci_berger_sphere(self.f, self.t, X[:, 0]).entries
@@ -238,8 +238,8 @@ class ConeOverBerger:
         eps = 0.05 * (f.b - f.a)
         return Chart([rr, (f.a + eps, f.b - eps), (0.1, 6.0), (0.1, 6.0)],
                      metric, frame, name=name,
-                     avoid={0: list(rho.knots) + list(phi.knots),
-                            1: list(f.knots)})
+                     avoid={0: rho.breakpoints + phi.breakpoints,
+                            1: list(f.breakpoints)})
 
     def frame_ricci(self, X):
         return ricci_cone_berger(self.rho, self.phi, self.f, X[:, 0], X[:, 1]).entries
@@ -314,8 +314,8 @@ class LocalGlue:
             fr[:, 3, 3] = 1.0 / B
             return fr
 
-        lines0 = [t / half for t in list(self.rho.knots) + list(self.eta1.knots) if t < half]
-        lines1 = [t / half for t in self.eta2.knots if t < half]
+        lines0 = [t / half for t in self.rho.breakpoints + self.eta1.breakpoints if t < half]
+        lines1 = [t / half for t in self.eta2.breakpoints if t < half]
         return Chart([(0.02, 0.98), (0.02, 0.98), (0.1, 6.0), (0.1, 6.0)],
                      metric, frame, name="local_glue",
                      avoid={0: lines0, 1: lines1})

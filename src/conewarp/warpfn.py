@@ -1,16 +1,12 @@
 """Piecewise smooth scalar functions on an interval.
 
-A :class:`WarpFunction` is an ordered list of pieces on a closed interval.
-A piece is an expression tree, or a :class:`DescentSpline`: one node for a
-whole run of quintic-Hermite cells, stored as its knots' Hermite data and
-evaluated through one row lookup instead of one tree per cell.  A warp
-function knows how to evaluate jets (value through second derivative), check
-the boundary parity conditions that make warped metrics close smoothly, and
-blend away corners with polynomial smoothsteps.  Everything is immutable
-after construction and vectorized over numpy arrays.
+A :class:`WarpFunction` is an ordered list of expression-tree pieces on a
+closed interval.  A warp function knows how to evaluate jets (value through
+second derivative), check the boundary parity conditions that make warped
+metrics close smoothly, and blend away corners with polynomial smoothsteps.
+Everything is immutable after construction and vectorized over numpy arrays.
 
-Text form: ``warpfn v1`` holds expression pieces only; ``warpfn v2`` adds
-spline pieces, and the writer uses it exactly when a function has one.
+Text form: ``warpfn v1``, one ``piece lo hi : expr`` line per piece.
 """
 
 from __future__ import annotations
@@ -22,11 +18,10 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, JoinFailure, SingularityError
-from .jets import Jet, jet_const, jet_var, jexp, jsin
+from .jets import Jet, jet_var
 
 __all__ = [
     "WarpFunction",
-    "DescentSpline",
     "mollify_join",
     "build_cutoff",
     "check_parity",
@@ -57,10 +52,9 @@ class WarpFunction:
     ``breakpoints`` are the interior junctions; ``pieces[i]`` is valid on
     [edges[i], edges[i+1]] where edges = [a, *breakpoints, b].  At a junction
     the right piece wins (one-sided data of the left piece remains available
-    through ``eval_jet_onesided``).  ``knots`` are the interior cell edges:
-    the breakpoints and every spline knot inside its piece's span; per-cell
-    sample grids and chart avoid lists read them.  ``continuity_class`` is
-    0, 1 or 2: a jet holds orders 0..2, so no higher class can be checked.
+    through ``eval_jet_onesided``); per-cell sample grids and chart avoid
+    lists read the breakpoints as cell edges.  ``continuity_class`` is 0, 1
+    or 2: a jet holds orders 0..2, so no higher class can be checked.
     """
 
     a: float
@@ -85,14 +79,7 @@ class WarpFunction:
         bp = self.breakpoints
         if any(not (self.a < t < self.b) for t in bp) or sorted(bp) != bp:
             raise DomainError("breakpoints must be ordered and interior")
-        edges = [self.a, *bp, self.b]
-        self._edges = np.array(edges, dtype=float)
-        cells = []
-        for lo, hi, piece in zip(edges, edges[1:], self.pieces):
-            if isinstance(piece, DescentSpline):
-                cells += piece.knots_inside(lo, hi)
-            cells.append(hi)
-        self.knots = cells[:-1]
+        self._edges = np.array([self.a, *bp, self.b], dtype=float)
 
     # -- evaluation --------------------------------------------------------
 
@@ -162,9 +149,8 @@ class WarpFunction:
     # -- serialization --------------------------------------------------------
 
     def serialize(self) -> str:
-        has_spline = any(isinstance(piece, DescentSpline) for piece in self.pieces)
         lines = [
-            f"warpfn {'v2' if has_spline else 'v1'}",
+            "warpfn v1",
             f"name {self.name}",
             f"domain {self.a!r} {self.b!r}",
             f"continuity {self.continuity_class}",
@@ -175,41 +161,25 @@ class WarpFunction:
             lines.append(f"parity_right {self.parity_right}")
         edges = [self.a, *self.breakpoints, self.b]
         for lo, hi, piece in zip(edges, edges[1:], self.pieces):
-            if isinstance(piece, DescentSpline):
-                lines.append(f"spline {lo!r} {hi!r} : {piece.c!r}")
-                lines += ["knot " + " ".join(map(repr, row)) for row in piece.table]
-            else:
-                lines.append(f"piece {lo!r} {hi!r} : {piece.to_str()}")
+            lines.append(f"piece {lo!r} {hi!r} : {piece.to_str()}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def deserialize(cls, text: str) -> "WarpFunction":
         """Parse ``serialize`` output.  Raises DomainError on a version other
-        than ``warpfn v1`` or ``v2``, an unknown key (``spline`` and ``knot``
-        are v2 keys), a knot row that does not follow a spline line or does
-        not hold four numbers, spline knots that do not chain over their
-        piece's span, or piece spans that do not chain from the domain's
-        start to its end."""
+        than ``warpfn v1``, an unknown key, or piece spans that do not chain
+        from the domain's start to its end."""
         a = b = None
-        version, cont, pl, pr, name = "v1", 2, None, None, ""
+        cont, pl, pr, name = 2, None, None, ""
         edges, pieces = [], []
-        table = None                  # knot rows of the spline being read
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, rest = line.partition(" ")
-            if key == "knot" and table is not None:
-                row = tuple(float(v) for v in rest.split())
-                if len(row) != 4:
-                    raise DomainError(f"spline knot row needs 4 numbers (s W W' W''), "
-                                      f"got {len(row)}")
-                table.append(row)
-                continue
-            table = None
             if key == "warpfn":
                 version = rest.strip()
-                if version not in ("v1", "v2"):
+                if version != "v1":
                     raise DomainError(f"unsupported warpfn version {version!r}")
             elif key == "name":
                 name = rest.strip()
@@ -221,15 +191,11 @@ class WarpFunction:
                 pl = rest.strip()
             elif key == "parity_right":
                 pr = rest.strip()
-            elif key == "piece" or (key == "spline" and version == "v2"):
+            elif key == "piece":
                 span, _, body = rest.partition(":")
                 lo, hi = (float(v) for v in span.split())
                 edges.append((lo, hi))
-                if key == "piece":
-                    pieces.append(ex.parse_expr(body))
-                else:
-                    table = []
-                    pieces.append((float(body), table))
+                pieces.append(ex.parse_expr(body))
             else:
                 raise DomainError(f"unknown warpfn key {key!r}")
         if a is None or not pieces:
@@ -238,7 +204,6 @@ class WarpFunction:
         if [lo for (lo, hi) in edges] != ends[:-1] or ends[-1] != b:
             raise DomainError(f"piece spans {edges} do not chain from {a!r} to {b!r}")
         bps = [hi for (lo, hi) in edges[:-1]]
-        pieces = [DescentSpline(*p) if isinstance(p, tuple) else p for p in pieces]
         return cls(a, b, bps, pieces, continuity_class=cont,
                    parity_left=pl, parity_right=pr, name=name)
 
@@ -271,11 +236,10 @@ def smoothstep_quintic_integral(u: ex.Expr) -> ex.Expr:
 # -- mollified joins -----------------------------------------------------------
 
 
-def _hermite_quintic(lj: Jet, rj: Jet, e0: float, e1: float) -> tuple:
-    """(w, (a5, a4, a3, a2, a1, a0)): the quintic sum_k a_k u^k in
-    u = (var - e0)/w, w = e1 - e0, matching value/d1/d2 of lj at var = e0 and
-    rj at var = e1.  The one Hermite builder: mollified joins, the rho tail
-    and the cells of a DescentSpline all take their coefficients from it."""
+def _hermite_quintic(lj: Jet, rj: Jet, e0: float, e1: float) -> ex.Expr:
+    """The quintic in x matching value/d1/d2 of lj at e0 and rj at e1, as a
+    Horner tree in u = (x - e0)/(e1 - e0).  The one Hermite builder:
+    mollified joins and the rho tail take their pieces from it."""
     w = e1 - e0
     v0, v0p, v0pp = lj.f, lj.f1 * w, lj.f2 * w * w
     v1, v1p, v1pp = rj.f, rj.f1 * w, rj.f2 * w * w
@@ -286,72 +250,11 @@ def _hermite_quintic(lj: Jet, rj: Jet, e0: float, e1: float) -> tuple:
     a3 = 10.0 * A - 4.0 * B + 0.5 * C
     a4 = -15.0 * A + 7.0 * B - C
     a5 = 6.0 * A - 3.0 * B + 0.5 * C
-    return w, (a5, a4, a3, a2, a1, a0)
-
-
-def _hermite_quintic_piece(lj: Jet, rj: Jet, e0: float, e1: float,
-                           var: ex.Expr = ex.X) -> ex.Expr:
-    """``_hermite_quintic`` as a Horner tree in ``var`` (``var`` = pi/2 - x
-    gives the tree of one DescentSpline cell's exponent)."""
-    w, coeffs = _hermite_quintic(lj, rj, e0, e1)
-    u = (var - ex.Const(e0)) / ex.Const(w)
-    poly = ex.Const(coeffs[0])
-    for c in coeffs[1:]:
+    u = (ex.X - ex.Const(e0)) / ex.Const(w)
+    poly = ex.Const(a5)
+    for c in (a4, a3, a2, a1, a0):
         poly = poly * u + ex.Const(c)
     return poly
-
-
-class DescentSpline(ex.Expr):
-    """c sin(2x) exp(W(pi/2 - x)), W a quintic Hermite spline in s = pi/2 - x.
-
-    ``table`` holds one row (s, W, W', W'') per knot, s increasing.  The cell
-    between two knots evaluates the pp-form row (e0, w, a5..a0) that
-    ``_hermite_quintic`` builds from its end rows, through the same Jet
-    operations, in the same order, as the tree
-    ``c * sin(2x) * exp(_hermite_quintic_piece(.., pi/2 - x))``; each row
-    constant is broadcast as ``Const`` broadcasts its value, so every point's
-    jet equals that tree's bit for bit.  A point on a knot takes the cell to
-    its right in x, as a warp function's junction does.
-    """
-
-    def __init__(self, c: float, table):
-        self.c = float(c)
-        self.table = [tuple(float(v) for v in row) for row in table]
-        s = [row[0] for row in self.table]
-        if len(s) < 2 or any(s1 <= s0 for s0, s1 in zip(s, s[1:])):
-            raise DomainError("spline knots do not chain: need two or more, "
-                              "increasing in pi/2 - x")
-        rows = []
-        for r0, r1 in zip(self.table, self.table[1:]):
-            w, coeffs = _hermite_quintic(Jet(*r0[1:]), Jet(*r1[1:]),
-                                         r0[0], r1[0])
-            rows.append((r0[0], w, *coeffs))
-        # cells and knots in x order: the last knot in s is the first in x
-        self._rows = np.array(rows[::-1]).T          # e0, w, a5, ..., a0
-        self._x_knots = [PIH - v for v in reversed(s)]
-        self._inner = np.array(self._x_knots[1:-1])
-
-    def knots_inside(self, lo: float, hi: float) -> list:
-        """The knots strictly inside the span [lo, hi], which the knots must cover."""
-        if not (self._x_knots[0] <= lo and hi <= self._x_knots[-1]):
-            raise DomainError(f"spline knots [{self._x_knots[0]!r}, {self._x_knots[-1]!r}] "
-                              f"do not chain over its span [{lo!r}, {hi!r}]")
-        return [t for t in self._x_knots if lo < t < hi]
-
-    def jet(self, x: Jet) -> Jet:
-        rows = self._rows[:, np.searchsorted(self._inner, x.f, side="right")]
-
-        def const(v):
-            return jet_const(v, like=x.f)
-
-        u = ((const(PIH) - x) - const(rows[0])) * (1.0 / rows[1])
-        W = const(rows[2])
-        for a in rows[3:]:
-            W = W * u + const(a)
-        return (const(self.c) * jsin(const(2.0) * x)) * jexp(W)
-
-    def __repr__(self):
-        return f"DescentSpline(c={self.c!r}, {len(self.table)} knots)"
 
 
 def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> WarpFunction:
@@ -375,7 +278,7 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> Wa
     if x0 not in f.breakpoints:
         raise DomainError(f"{x0} is not a breakpoint of {f.name or 'warpfn'}")
     k = f.breakpoints.index(x0)
-    cells = [f.a, *f.knots, f.b]
+    cells = [f.a, *f.breakpoints, f.b]
     c = cells.index(x0)
     if not (cells[c - 1] < x0 - w and x0 + w < cells[c + 1]):
         raise DomainError("join window leaves the two adjacent cells")
@@ -393,7 +296,7 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> Wa
             raise JoinFailure("derivative jump has the wrong sign for a convex join")
 
     e0, e1 = x0 - w, x0 + w
-    blended = _hermite_quintic_piece(_piece_jet(left, e0), _piece_jet(right, e1), e0, e1)
+    blended = _hermite_quintic(_piece_jet(left, e0), _piece_jet(right, e1), e0, e1)
     new_bps = f.breakpoints[:k] + [e0, e1] + f.breakpoints[k + 1:]
     new_pieces = f.pieces[:k] + [left, blended, right] + f.pieces[k + 2:]
     # the smoothed corner is C^2; remaining corners must already be at least C^2

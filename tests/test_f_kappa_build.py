@@ -1,11 +1,9 @@
 """The f_kappa build computes each quantity once: the beta search reads a
-scalar residual on one shared descent grid, the inequality sweep is one call
-per side and is not repeated by the atlas, and an atlas stores f once, its
-descent as one spline node that evaluates bit for bit as the per-cell
-expression trees it replaces."""
+scalar closed-form residual, the inequality sweep is one call per side and
+is not repeated by the atlas, and an atlas stores f once, as a few
+closed-form expression pieces."""
 
 import json
-import math
 import warnings
 from types import SimpleNamespace
 
@@ -26,108 +24,20 @@ from conewarp.cli import main as cli_main
 from conewarp.construct import PIH
 from conewarp.errors import ConstructionFailure
 from conewarp.groups import cyclic_group
-from conewarp.jets import Jet
 from conewarp.pipeline import PipelineConfig, assemble_atlas
-from conewarp.warpfn import (
-    TOL_JOIN,
-    DescentSpline,
-    WarpFunction,
-    _hermite_quintic_piece,
-    _sample_open,
-)
+from conewarp.warpfn import WarpFunction, _sample_open
 
 
 @pytest.fixture(scope="module")
 def fk53():
-    """build_f_kappa(5, 3, 0.099), the number of descent integrations it made
-    and the number of descent grids it built."""
-    calls, grids = [], []
-    integrate = construct._integrate_descent
-    descent_grid = construct._descent_grid
+    """build_f_kappa(5, 3, 0.099) and the number of mirror sides it evaluated."""
+    calls = []
+    mirror_side = construct._mirror_side
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "_integrate_descent",
-                   lambda *a, **k: calls.append(a) or integrate(*a, **k))
-        mp.setattr(construct, "_descent_grid",
-                   lambda *a: grids.append(a) or descent_grid(*a))
+        mp.setattr(construct, "_mirror_side",
+                   lambda *a, **k: calls.append(a) or mirror_side(*a, **k))
         fk = construct.build_f_kappa(5, 3, 0.099)
-    return fk, len(calls), len(grids)
-
-
-def _integrate_descent_reference(beta, xd, tau, n_grid=16000):
-    """Reference: the descent loop that derives its grid at every step."""
-    D_KILL, DESCENT_SLACK, DESCENT_FRAC = (construct.D_KILL, construct.DESCENT_SLACK,
-                                           construct.DESCENT_FRAC)
-    x_cap = 0.99 * tau
-    r = (x_cap / xd) ** (1.0 / n_grid)
-    xs = [xd]
-    Ds = [beta / xd]
-    Dps = []
-    taper_at = None
-    prev_rate = beta / (xd * xd)
-    growth = r ** 40.0
-    for i in range(n_grid):
-        x, D = xs[-1], Ds[-1]
-        design = DESCENT_FRAC * (4.0 / 3.0) * (
-            DESCENT_SLACK + 3.0 / math.tan(2 * x) * D - 1.75 * D * D)
-        if design <= 0:
-            raise ConstructionFailure(f"drift descent stalled at x={x:.5f}")
-        rate = min(design, prev_rate * growth)
-        prev_rate = rate
-        if D <= D_KILL:
-            taper_at = (x, D, rate)
-            Dps.append(-rate)
-            break
-        h = x * (r - 1.0)
-        Dps.append(-rate)
-        xs.append(x * r)
-        Ds.append(max(D - h * rate, 0.0))
-    if taper_at is None:
-        raise ConstructionFailure("drift descent does not finish before tau")
-    xk, Dk, rate_k = taper_at
-    w = max(4.0 * Dk, 0.015)
-    w = min(w, x_cap - xk)
-    if w <= 2.0 * Dk:
-        raise ConstructionFailure("no room for the drift taper before tau")
-    m = 64
-    for j in range(1, m + 1):
-        u = j / m
-        h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-        h10 = u * (1.0 - u) ** 2
-        dh00 = 6.0 * u * (u - 1.0)
-        dh10 = (1.0 - u) * (1.0 - 3.0 * u)
-        xs.append(xk + w * u)
-        Ds.append(Dk * h00 - rate_k * w * h10)
-        Dps.append((Dk * dh00 - rate_k * w * dh10) / w)
-    Dps[len(xs) - m - 1] = -rate_k
-    xs = np.array(xs)
-    Ds = np.array(Ds)
-    Dps = np.array(Dps)
-    W = np.concatenate([np.cumsum((0.5 * (Ds[1:] + Ds[:-1]) * np.diff(xs))[::-1])[::-1], [0.0]])
-    return xs, Ds, Dps, W
-
-
-def _descent_or_failure(integrate, *args):
-    try:
-        return [a.tobytes() for a in integrate(*args)]
-    except ConstructionFailure as e:
-        return str(e)
-
-
-@pytest.mark.parametrize("tau, n_finished", [(0.099, 7), (0.05, 3)])
-def test_descent_on_the_shared_grid_equals_the_per_step_loop(tau, n_finished):
-    """xs, Ds, Dps and W bit for bit, and the same failure where it fails
-    (at tau = 0.05 the larger betas run out of room before 0.99 tau; a NaN
-    drift passes through min and max and never finishes)."""
-    xd = construct.X_DESCENT
-    grid = construct._descent_grid(xd, tau)
-    betas = (1e-4, 0.03, 0.06898702692510963, 0.1111281410630468, 0.1984310081415538,
-             0.27, construct.BETA_MAX, math.nan)
-    outcomes = []
-    for beta in betas:
-        ref = _descent_or_failure(_integrate_descent_reference, beta, xd, tau)
-        assert _descent_or_failure(construct._integrate_descent, beta, grid) == ref, beta
-        outcomes.append(isinstance(ref, list))
-    assert sum(outcomes) == n_finished
+    return fk, len(calls)
 
 
 def _reflect_expr(e):
@@ -147,39 +57,11 @@ def _reflect_expr(e):
     raise TypeError(f"cannot reflect node {type(e).__name__}")
 
 
-def cell_trees(spline):
-    """Reference: one expression tree per cell of a spline node, (lo, hi, tree)
-    in x order, built by _hermite_quintic_piece from the node's knot rows."""
-    out = []
-    for r0, r1 in zip(spline.table, spline.table[1:]):
-        W = _hermite_quintic_piece(Jet(*r0[1:]), Jet(*r1[1:]),
-                                   r0[0], r1[0], ex.Const(PIH) - ex.X)
-        out.append((PIH - r1[0], PIH - r0[0],
-                    ex.Const(spline.c) * ex.sin(2.0 * ex.X) * ex.exp(W)))
-    return out[::-1]
-
-
-def tree_cells(f):
-    """(lo, hi, tree) for every cell of f: a spline piece gives one tree per
-    cell of its span."""
-    edges = [f.a, *f.breakpoints, f.b]
-    out = []
-    for lo, hi, e in zip(edges, edges[1:], f.pieces):
-        if not isinstance(e, DescentSpline):
-            out.append((lo, hi, e))
-            continue
-        cuts = [lo, *e.knots_inside(lo, hi), hi]
-        trees = cell_trees(e)
-        for c0, c1 in zip(cuts, cuts[1:]):
-            out.append((c0, c1, next(t for (a, b, t) in trees if a <= c0 < b)))
-    return out
-
-
 def reflect_warp(f):
-    """Reference: the function x -> f(pi/2 - x) as reflected expression trees,
-    a spline piece reflected cell by cell through its rows' trees."""
-    pieces = sorted(((PIH - hi, PIH - lo, _reflect_expr(e)) for lo, hi, e in tree_cells(f)),
-                    key=lambda t: t[0])
+    """Reference: the function x -> f(pi/2 - x) as reflected expression trees."""
+    edges = [f.a, *f.breakpoints, f.b]
+    pieces = sorted(((PIH - hi, PIH - lo, _reflect_expr(e))
+                     for lo, hi, e in zip(edges, edges[1:], f.pieces)), key=lambda t: t[0])
     return WarpFunction(PIH - f.b, PIH - f.a, [hi for (_, hi, _) in pieces[:-1]],
                         [e for (_, _, e) in pieces], continuity_class=f.continuity_class)
 
@@ -188,7 +70,7 @@ def _worst_q_per_piece(f, n_per_piece):
     """Reference: one scalar_q_inequality call per cell, each on the side of
     pi/4 where the cell is well conditioned."""
     fr = reflect_warp(f)
-    edges = [f.a, *f.knots, f.b]
+    edges = [f.a, *f.breakpoints, f.b]
     worst_l, worst_r = -np.inf, -np.inf
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
@@ -210,26 +92,18 @@ def test_bilateral_sweep_equals_per_piece_loop(fk53, which):
 
 
 def test_beta_search_stops_when_the_bracket_stops_moving(fk53):
-    fk, calls, _ = fk53
+    """Two bracket ends, the bisection until its bracket stops moving, and
+    the final side."""
+    fk, calls = fk53
     assert fk.p == 3 and 0.0 < fk.beta < construct.BETA_MAX
-    assert calls <= 60
+    assert calls == 58
 
 
-def test_beta_search_builds_one_descent_grid(fk53):
-    _, calls, grids = fk53
-    assert (calls, grids) == (58, 1)
-
-
-def test_failed_build_is_one_try_with_one_descent_grid():
-    """(64, 27) is past the drift budget: the build makes one try, builds one
-    descent grid and names that cause."""
-    grids = []
-    descent_grid = construct._descent_grid
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "_descent_grid", lambda *a: grids.append(a) or descent_grid(*a))
-        with pytest.raises(ConstructionFailure, match="drift budget cannot reach slope -27"):
-            construct.build_f_kappa(64, 27, 0.099)
-    assert len(grids) == 1
+@pytest.mark.parametrize("n, p", [(40, 21), (64, 27)])
+def test_failed_build_names_the_drift_budget(n, p):
+    """Past p = 20 the seal cannot carry slope -p within BETA_MAX."""
+    with pytest.raises(ConstructionFailure, match=f"drift budget cannot reach slope -{p}"):
+        construct.build_f_kappa(n, p, 0.099)
 
 
 def test_record_only_kappa_prime_does_not_mask_the_cause():
@@ -262,7 +136,7 @@ def test_atlas_reports_the_builds_presmoothing_sweep():
                    lambda grid, f: sweeps.append((grid.per_cell, sweep(grid, f))) or sweeps[-1][1])
         atlas = assemble_atlas(cyclic_group(3, 1, 2), 0.05,
                                PipelineConfig(grid_1d=4096, grid_2d=64, cap_search_budget=8))
-    assert [per_cell for per_cell, _ in sweeps] == [256, 192]
+    assert [per_cell for per_cell, _ in sweeps] == [256, 456]     # 4096 / 9 cells
     rep = atlas.reports["f_inequality_presmooth"]
     assert rep.details["value"] == max(np.max(q, initial=-np.inf) for q in sweeps[0][1])
     assert rep.passed
@@ -351,7 +225,7 @@ def test_f_report_samples_every_cell_at_192_points(fk53):
         region = AtlasRegion("edge_body", "cone_over_berger", "", {"n": 5, "p": 3}, {"f": f})
         rep = run_checks({"edge_body": region}, ["f_inequality_smoothed"])
     assert rep["f_inequality_smoothed"].passed
-    edges = np.array([f.a, *f.knots, f.b])
+    edges = np.array([f.a, *f.breakpoints, f.b])
     cells = len(edges) - 1
     counts = np.zeros(cells, dtype=int)
     for in_x, xi in calls:
@@ -382,48 +256,36 @@ def test_margin_plot_samples_the_seal_cell(written_513, tmp_path):
 def test_written_warps_read_back_byte_for_byte(written_513):
     texts = [text for path in sorted(written_513.glob("atlas_*.json"))
              for reg in json.loads(path.read_text())["regions"] for text in reg["warps"].values()]
-    assert any(text.startswith("warpfn v2\n") for text in texts)
     for text in texts:
+        assert text.startswith("warpfn v1\n")
         assert WarpFunction.deserialize(text).serialize() == text
 
 
-def test_spline_keeps_f_and_the_atlas_small(written_513, fk53):
-    """133,722 bytes was the atlas with f's descent as one tree per cell; the
-    176 knot rows of four repr numbers are about 15 KB of the new file.  The
-    pinned 3.5x is below ROADMAP item 3's goal of 4x, which stays open."""
-    assert 3.5 * (written_513 / "atlas_node0.json").stat().st_size <= 133_722
-    assert len(fk53[0].f.pieces) <= 10
-    for n, p in ((3, 2), (11, 7)):
-        assert len(construct.build_f_kappa(n, p, 0.099).f.pieces) <= 10
+def test_conewarp_certify_rejects_a_v2_warp(written_513, tmp_path, capsys):
+    """warpfn v2 stored spline pieces, which no longer exist: an atlas that
+    holds one is a usage error, not a certification failure."""
+    data = json.loads((written_513 / "atlas_node0.json").read_text())
+    edge = next(r for r in data["regions"] if r["id"] == "edge_body")
+    edge["warps"]["f"] = edge["warps"]["f"].replace("warpfn v1", "warpfn v2", 1)
+    path = tmp_path / "atlas_v2.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["certify", "--atlas", str(path)]) == 2
+    assert "unsupported warpfn version 'v2'" in capsys.readouterr().err
 
 
-def tree_warp(f):
-    """Reference: f with every cell its own expression-tree piece."""
-    cells = tree_cells(f)
-    return WarpFunction(f.a, f.b, [hi for (_, hi, _) in cells[:-1]], [e for (_, _, e) in cells])
+def test_atlas_meets_the_4x_size_goal(written_513):
+    """133,722 bytes was the atlas with f's descent as one tree per cell."""
+    assert 4 * (written_513 / "atlas_node0.json").stat().st_size <= 133_722
 
 
-def _jet_bytes(j):
-    return np.stack(j.as_tuple()).tobytes()
-
-
-@pytest.mark.parametrize("which", ["f_hat", "f"])
-def test_spline_node_evaluates_as_its_cell_trees(fk53, which):
-    """All four jet orders bit for bit on every cell and at every knot (the
-    right cell's value), one-sided at the junctions, and C^2 across the
-    spline's own knots."""
-    f = getattr(fk53[0], which)
-    ref = tree_warp(f)
-    assert ref.breakpoints == f.knots and len(ref.pieces) > 100 > len(f.pieces)
-    edges = [f.a, *f.knots, f.b]
-    xs = np.concatenate([_sample_open(lo, hi, 16) for lo, hi in zip(edges, edges[1:])]
-                        + [np.array(f.knots)])
-    assert _jet_bytes(f.jet(xs)) == _jet_bytes(ref.jet(xs))
-    for t in f.breakpoints:
-        for side in ("left", "right"):
-            assert (np.array(f.eval_jet_onesided(t, side).as_tuple()).tobytes()
-                    == np.array(ref.eval_jet_onesided(t, side).as_tuple()).tobytes())
-    mismatch = dict(zip(ref.breakpoints, ref.breakpoint_mismatch()))
-    inner = [t for t in f.knots if t not in f.breakpoints]
-    assert len(inner) > 100
-    assert all(np.all(mismatch[t] <= TOL_JOIN) for t in inner)
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 20])
+def test_mirror_side_is_few_c2_pieces_within_both_bounds(p):
+    """f is at most 10 closed-form pieces, C^2 at every join, and passes the
+    -2 bound before smoothing and the f_inequality_smoothed report after."""
+    fk = construct.build_f_kappa(p + 1, p, 0.099)
+    f = fk.f
+    assert len(f.pieces) <= 10 and f.continuity_class == 2 and f.check_joins()
+    assert fk.presmooth_worst <= -2.0
+    region = AtlasRegion("edge_body", "cone_over_berger", "", {"n": p + 1, "p": p}, {"f": f})
+    assert run_checks({"edge_body": region}, ["f_inequality_smoothed"])[
+        "f_inequality_smoothed"].passed
