@@ -286,12 +286,10 @@ def _mirror_side(p, beta, c_mid, tau, kappa_a=SEAL_KAPPA) -> _MirrorSide:
     if x1 * 1.5 >= xd:
         raise ConstructionFailure("seal phase leaves no room for the drift piece")
 
-    def rate_gap(s):                  # ramp rate minus the body's rate at the ramp's D
+    def rate_gap(s):   # ramp rate minus the body's rate at the ramp's D; < 0 at xd for beta < 1/E
         D = _ramp_drift(beta, s)
         return beta / xd ** 2 * (s / xd) ** RAMP_POWER - _K * (1.5 * D / s - 1.75 * D * D)
 
-    if not (rate_gap(xd) < 0 < rate_gap(2.0 * xd)):
-        raise ConstructionFailure("the drift ramp does not meet the descent rate")
     sh = _bisect(lambda s: rate_gap(s) < 0, xd, 2.0 * xd, 200)[1]
     C = (1.0 / _ramp_drift(beta, sh) - _E * sh) / sh ** _M
     if not C > 0:
