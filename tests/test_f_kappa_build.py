@@ -30,14 +30,17 @@ from conewarp.warpfn import WarpFunction, _sample_open
 
 @pytest.fixture(scope="module")
 def fk53():
-    """build_f_kappa(5, 3, 0.099) and the number of mirror sides it evaluated."""
-    calls = []
-    mirror_side = construct._mirror_side
+    """build_f_kappa(5, 3, 0.099), the number of mirror sides it evaluated and
+    the number of times it built the descent's pieces."""
+    calls, descents = [], []
+    mirror_side, mirror_pieces = construct._mirror_side, construct._mirror_pieces
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "_mirror_side",
                    lambda *a, **k: calls.append(a) or mirror_side(*a, **k))
+        mp.setattr(construct, "_mirror_pieces",
+                   lambda *a: descents.append(a) or mirror_pieces(*a))
         fk = construct.build_f_kappa(5, 3, 0.099)
-    return fk, len(calls)
+    return fk, len(calls), len(descents)
 
 
 def _reflect_expr(e):
@@ -94,9 +97,16 @@ def test_bilateral_sweep_equals_per_piece_loop(fk53, which):
 def test_beta_search_stops_when_the_bracket_stops_moving(fk53):
     """Two bracket ends, the bisection until its bracket stops moving, and
     the final side."""
-    fk, calls = fk53
+    fk, calls, _ = fk53
     assert fk.p == 3 and 0.0 < fk.beta < construct.BETA_MAX
     assert calls == 58
+
+
+def test_beta_search_builds_one_descent_grid(fk53):
+    """The search reads scalar residuals only: the descent's pieces (the
+    cells of f_hat past the round part) are built once, for the final beta."""
+    _, calls, descents = fk53
+    assert (calls, descents) == (58, 1)
 
 
 @pytest.mark.parametrize("n, p", [(40, 21), (64, 27)])
