@@ -27,6 +27,7 @@ from .curvature import (
     frame_project,
     link_family_jets,
     link_ricci_margins,
+    link_theta_jets,
     ricci_berger_general,
     ricci_cone_berger,
     ricci_fd_batch,
@@ -46,6 +47,7 @@ __all__ = [
     "certify_oracle_agreement",
     "certify_interface",
     "cap_block_margins",
+    "cap_block_min",
     "bound_report",
     "CHECKS",
     "run_checks",
@@ -396,14 +398,19 @@ def bound_report(target, value, bound, grid) -> CertificationReport:
 
 def cap_block_margins(part, n: int):
     """(grid, points, margins) of one cap family on its n x n grid over
-    ``part.box[0]`` x (0, pi/2): per point, the min of the (Y1,Y2)-block
-    eigenvalues and the Y3, Y4 diagonal Ricci entries.  The cap search and
-    the cap report both reduce through this function."""
+    ``part.box[0]`` x (0, pi/2), reduced by ``cap_block_min``."""
     grid = Grid([part.box[0], (0.0, PIH)], [n, n])
     pts = grid.points()
     e = ricci_torus_invariant(part.Phi, part.Psi, part.Ups, pts[:, 0], pts[:, 1]).entries
+    return grid, pts, cap_block_min(e)
+
+
+def cap_block_min(e: np.ndarray) -> np.ndarray:
+    """Per point of cap Ricci entries (N, 4, 4), the min of the (Y1,Y2)-block
+    eigenvalues and the Y3, Y4 diagonal entries.  The cap search and the cap
+    report both reduce through this function."""
     block = np.linalg.eigvalsh(e[:, :2, :2])[:, 0]
-    return grid, pts, np.minimum(np.minimum(block, e[:, 2, 2]), e[:, 3, 3])
+    return np.minimum(np.minimum(block, e[:, 2, 2]), e[:, 3, 3])
 
 
 def _identity_report(target, grid, pts, dev, bound, tol, t0) -> CertificationReport:
@@ -633,7 +640,9 @@ def _family(regions, n_1d, n_2d, tol):
     t0 = time.perf_counter()
     nf = 16385
     thf = np.linspace(1e-9, PIH - 1e-9, nf)
-    D = np.stack([jb.f * jc.f for jb, jc in (link_family_jets(*link, s, thf) for s in s_axis)])
+    shared = link_theta_jets(w["rho_cap"], d["sigma_link"], thf)
+    D = np.stack([jb.f * jc.f
+                  for jb, jc in (link_family_jets(*link, s, thf, shared) for s in s_axis)])
     vols = np.array([np.trapezoid(dens, thf) for dens in D])
     cs = (vols[-1] / vols) ** (2.0 / 3.0)
     vol_norm = cs ** 1.5 * vols

@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .certify import CellGrid, cap_block_margins
-from .curvature import KAPPA, LocalGlue, TorusInvariant, cap_parts
-from .curvature import cap_link_lower_bound, link_ricci_margins
+from .certify import CellGrid, Grid, cap_block_min
+from .certify import cap_block_margins  # noqa: F401  (kept importable from here)
+from .curvature import KAPPA, LocalGlue, TorusInvariant, cap_gamma_boxes, cap_parts
+from .curvature import cap_link_lower_bound, link_ricci_margins, ricci_torus_jets
 from .curvature import make_cap_families  # noqa: F401  (kept importable from here)
 from .errors import (
     ConstructionFailure,
@@ -43,7 +44,7 @@ from .errors import (
     ParameterError,
     UnderflowError_,
 )
-from .jets import Jet, jet_var
+from .jets import Jet, j2warp, jcos, jet2_var_x, jet2_var_y, jet_var, jsin, jsinc
 from .warpfn import (
     PIH,
     WarpFunction,
@@ -382,8 +383,9 @@ def build_f_kappa(n: int, p: int, tau: float) -> FKappa:
             except ConstructionFailure:
                 hi_b *= 0.95
         if r_hi is None or r_lo > 0 or r_hi < 0:
+            hi_text = "None" if r_hi is None else f"{r_hi:.3f}"
             raise ConstructionFailure(
-                f"drift budget cannot reach slope -{p} (residuals {r_lo:.3f}, {r_hi})")
+                f"drift budget cannot reach slope -{p} (residuals {r_lo:.3f}, {hi_text})")
         lo_b, hi_b = _bisect(lambda b: _mirror_side(p, b, C_MID, tau).resid < 0,
                              lo_b, hi_b, 80)
         beta = 0.5 * (lo_b + hi_b)
@@ -693,39 +695,88 @@ def _build_rho_cap(r0: float, mu: float, n: int, eps_target: float) -> WarpFunct
     return mollify_join(rho, mu_hat, mu_hat / 4, constraints=[("d2", -1), ("monotone", +1)])
 
 
-def _assemble_cap(r0, mu, zeta, n, eps_target):
-    sigma_hat = r0 / 20.0
-    delta = sigma_hat / 10.0
-    rho_cap = _build_rho_cap(r0, mu, n, eps_target)
-    phi1 = _build_phi1(r0, zeta)
-    eta_delta = _build_eta_delta(r0, sigma_hat, delta)
-    part1, part2 = cap_parts(phi1, eta_delta, rho_cap, n, zeta, r0)
-    return ConicalCap(part1=part1, part2=part2, phi1=phi1, eta_delta=eta_delta,
-                      rho_cap=rho_cap, n=n, r0=r0, mu=mu, zeta=zeta,
-                      sigma_hat=sigma_hat, delta=delta, sigma=sigma_hat - delta,
-                      sigma_link=sigma_hat - delta / 2, mu0=0.0, mu123=(0, 0, 0),
-                      eps_cap=1.0 - 999.0 * zeta / 1000.0)
-
-
 def cap_link_ricci_margin(cap: ConicalCap, n_grid: int = 256) -> float:
     """min eig of Ric_h - (2 + zeta/100)(1-zeta)^2 h for the frozen cap link."""
-    th = _sample_open(1e-4, PIH - 1e-4, n_grid)
-    m = link_ricci_margins(cap.rho_cap, cap.n, cap.sigma_link, 1.0, th)
+    m = _frozen_link_margins(cap.rho_cap, cap.n, cap.sigma_link, n_grid)
     return float(np.min(m - cap_link_lower_bound(cap.zeta)))
 
 
-def _cap_passes(r0, mu, zeta, n, parts, link_grid, eps_target) -> bool:
-    """Search predicate: the cap assembled at these constants has block
-    margins >= -1e-8 on 40 x 40 probe grids of the given parts (0: part 1,
-    1: part 2) and, when link_grid is set, a link margin >= -1e-8 on that
-    many points; a cap that cannot be assembled does not pass."""
-    try:
-        cap = _assemble_cap(r0, mu, zeta, n, eps_target)
-        return (all(np.min(cap_block_margins((cap.part1, cap.part2)[i], 40)[2]) >= -1e-8
-                    for i in parts)
-                and (not link_grid or cap_link_ricci_margin(cap, link_grid) >= -1e-8))
-    except (ConstructionFailure, ParameterError, UnderflowError_):
-        return False
+def _frozen_link_margins(rho_cap, n, sigma_link, n_grid) -> np.ndarray:
+    """Least Ricci eigenvalue of the frozen link (s = 1) at n_grid open points."""
+    th = _sample_open(1e-4, PIH - 1e-4, n_grid)
+    return link_ricci_margins(rho_cap, n, sigma_link, 1.0, th)
+
+
+CAP_PROBE_GRID = 40    # the cap search's n x n probe grid per part
+
+
+class _CapSearch:
+    """The probes of one ``build_conical_cap`` call.  A probe asks whether the
+    cap at (mu, zeta) has block margins >= -1e-8 on the 40 x 40 probe grids of
+    the given parts (0: part 1, 1: part 2) and, when link_grid is set, a link
+    margin >= -1e-8 on that many points; a cap that cannot be built does not
+    pass.  What the probes share (see ``build_conical_cap``) is kept for the
+    life of the search object, that is, one ``build_conical_cap`` call."""
+
+    def __init__(self, r0: float, n: int, eps_target: float):
+        self.r0, self.n, self.eps_target = r0, n, eps_target
+        self.sigma_hat = r0 / 20.0
+        self.delta = self.sigma_hat / 10.0
+        self.sigma_link = self.sigma_hat - self.delta / 2
+        self.eta_delta = _build_eta_delta(r0, self.sigma_hat, self.delta)
+        self._memo = {}
+
+    def _once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def phi1(self, zeta):
+        return self._once(("phi1", zeta), lambda: _build_phi1(self.r0, zeta))
+
+    def rho_cap(self, mu):
+        return self._once(("rho_cap", mu),
+                          lambda: _build_rho_cap(self.r0, mu, self.n, self.eps_target))
+
+    def _grid(self, part):
+        def build():
+            box = cap_gamma_boxes(self.r0)[part]
+            pts = Grid([box, (0.0, PIH)], [CAP_PROBE_GRID] * 2).points()
+            g, t = jet2_var_x(pts[:, 0], pts[:, 1]), jet2_var_y(pts[:, 0], pts[:, 1])
+            c = jcos(t)
+            arg = g if part == 0 else j2warp(self.eta_delta, g)
+            return g, c, jsinc(2.0 * arg * c), arg * jsin(t), float(self.n) * arg
+        return self._once(("grid", part), build)
+
+    def _part_passes(self, part, mu, zeta) -> bool:
+        g, c, sinc, arg_sin, n_arg = self._grid(part)
+        rho = self._once(("rho_on_grid", part, mu), lambda: j2warp(self.rho_cap(mu), arg_sin))
+        pref = (self._once(("phi1_on_grid", zeta), lambda: j2warp(self.phi1(zeta), g))
+                if part == 0 else (1.0 - zeta) * g)
+        # make_cap_families' products, in its order, so every margin is its own
+        e = ricci_torus_jets(pref, pref * c * sinc, pref * rho / n_arg).entries
+        return np.min(cap_block_min(e)) >= -1e-8
+
+    def passes(self, mu, zeta, parts, link_grid) -> bool:
+        try:
+            if not all(self._part_passes(i, mu, zeta) for i in parts):
+                return False
+            if not link_grid:
+                return True
+            m = self._once(("link", mu, link_grid), lambda: _frozen_link_margins(
+                self.rho_cap(mu), self.n, self.sigma_link, link_grid))
+            return np.min(m - cap_link_lower_bound(zeta)) >= -1e-8
+        except (ConstructionFailure, ParameterError, UnderflowError_):
+            return False
+
+    def cap(self, mu, zeta) -> ConicalCap:
+        phi1, rho_cap = self.phi1(zeta), self.rho_cap(mu)
+        part1, part2 = cap_parts(phi1, self.eta_delta, rho_cap, self.n, zeta, self.r0)
+        return ConicalCap(part1=part1, part2=part2, phi1=phi1, eta_delta=self.eta_delta,
+                          rho_cap=rho_cap, n=self.n, r0=self.r0, mu=mu, zeta=zeta,
+                          sigma_hat=self.sigma_hat, delta=self.delta,
+                          sigma=self.sigma_hat - self.delta, sigma_link=self.sigma_link,
+                          mu0=0.0, mu123=(0, 0, 0), eps_cap=1.0 - 999.0 * zeta / 1000.0)
 
 
 def build_conical_cap(r0: float, mu: float, n: int, eps_target: float,
@@ -738,6 +789,16 @@ def build_conical_cap(r0: float, mu: float, n: int, eps_target: float,
     mu passing each sub-certification (bisection, 40 x 40 probe grids), and
     the gate mu0 = min(mu1, mu2, mu3)/2 must exceed the input mu.
 
+    Each probe computes only what its searched constant changes
+    (``_CapSearch``).  eta_delta and the jets of each probe grid that no
+    searched constant moves (gamma, cos th, sinc(2 arg cos th), arg sin th and
+    n arg) are built once; phi1 and phi1(gamma) once per zeta; rho_cap,
+    rho_cap(arg sin th) and the frozen-link margins once per mu, the three mu
+    bisections sharing their midpoints.  A probe forms the two families from
+    these with make_cap_families' products, evaluates ``ricci_torus_jets`` and
+    reduces it with ``cap_block_min``, as ``cap_blocks_psd`` does; its outcome
+    is bit for bit that of a cap assembled from scratch.
+
     The returned cap is not re-checked here.  Its certificate is the atlas's
     ``cap_blocks_psd`` report (both parts at the atlas's 2-D grid) and its
     ``cap_link_bound`` report (the link at 256 points), so a cap that fails
@@ -745,28 +806,27 @@ def build_conical_cap(r0: float, mu: float, n: int, eps_target: float,
     """
     if not (0 < mu < 0.1):
         raise ParameterError("mu must lie in (0, 1/10)")
+    search = _CapSearch(r0, n, eps_target)
     if zeta is None:
         # find the largest zeta that still certifies with mu-headroom: the
         # gate mu0 halves the admissible-mu minimum, so searching at the
         # input mu itself would always leave mu0 below it
         mu_search = min(2.2 * mu, 0.095)
-        zeta = _bisect(lambda z: _cap_passes(r0, mu_search, z, n, (0, 1), 256,
-                                             eps_target),
+        zeta = _bisect(lambda z: search.passes(mu_search, z, (0, 1), 256),
                        0.0, min(0.1, r0 * r0 / 8.0), search_budget)[0]
         if zeta == 0.0:
             raise ConstructionFailure("no certifiable zeta found for this (r0, mu, n)")
 
     # the largest passing probe, or 0.0 when none passes
     mu1, mu2, mu3 = (
-        _bisect(lambda m: _cap_passes(r0, m, zeta, n, parts, link, eps_target),
-                0.0, 0.1, search_budget)[0]
+        _bisect(lambda m: search.passes(m, zeta, parts, link), 0.0, 0.1, search_budget)[0]
         for parts, link in (((0,), None), ((1,), None), ((), 96)))
     mu0 = 0.5 * min(mu1, mu2, mu3)
     if mu >= mu0:
         raise ParameterError(
             f"mu = {mu} is not below the certified gate mu0 = {mu0:.4f} "
             f"(mu1={mu1:.4f}, mu2={mu2:.4f}, mu3={mu3:.4f})")
-    cap = _assemble_cap(r0, mu, zeta, n, eps_target)
+    cap = search.cap(mu, zeta)
     cap.mu0 = mu0
     cap.mu123 = (mu1, mu2, mu3)
     cap.params.set("zeta", zeta, f"bisection on certification, budget {search_budget}")

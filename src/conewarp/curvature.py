@@ -49,7 +49,9 @@ __all__ = [
     "TorusInvariant",
     "BergerGeneral",
     "make_cap_families",
+    "cap_gamma_boxes",
     "cap_parts",
+    "link_theta_jets",
     "link_family_jets",
     "link_ricci_margins",
     "cap_link_lower_bound",
@@ -58,6 +60,7 @@ __all__ = [
     "ricci_cone_berger",
     "ricci_local_glue",
     "ricci_torus_invariant",
+    "ricci_torus_jets",
     "ricci_berger_general",
     "ricci_fd_batch",
     "frame_project",
@@ -78,7 +81,7 @@ class RicciFrame:
         e = np.asarray(self.entries, dtype=float)
         if not np.all(np.isfinite(e)):
             raise SingularityError("non-finite Ricci entry")
-        if not np.allclose(e, np.swapaxes(e, -1, -2), rtol=0, atol=0):
+        if not np.array_equal(e, np.swapaxes(e, -1, -2)):
             raise ChartError("Ricci frame matrix must be exactly symmetric")
         self.entries = e
 
@@ -403,50 +406,71 @@ class BergerGeneral:
 
 def make_cap_families(phi1: WarpFunction, eta_delta: WarpFunction | None,
                       rho_cap: WarpFunction, n: int, zeta: float):
-    """(Phi, Psi, Ups) for the cap; eta_delta = None gives the part-1 family."""
+    """(Phi, Psi, Ups) for the cap; eta_delta = None gives the part-1 family.
+
+    Both parts are pref * (1, cos th sinc(2 arg cos th), rho_cap(arg sin th) /
+    (n arg)) with (pref, arg) = (phi1, gamma) on part 1 and ((1 - zeta) gamma,
+    eta_delta) on part 2.  The cap search of ``construct.build_conical_cap``
+    forms the same products in the same order from jets it shares."""
+
+    def pref(g):
+        return j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
+
+    def arg(g):
+        return g if eta_delta is None else j2warp(eta_delta, g)
 
     def Phi_fn(g, t):
-        if eta_delta is None:
-            return j2warp(phi1, g)
-        return (1.0 - zeta) * g
+        return pref(g)
 
     def Psi_fn(g, t):
         c = jcos(t)
-        arg_base = j2warp(eta_delta, g) if eta_delta is not None else g
-        pref = j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
-        return pref * c * jsinc(2.0 * arg_base * c)
+        return pref(g) * c * jsinc(2.0 * arg(g) * c)
 
     def Ups_fn(g, t):
-        s = jsin(t)
-        arg_base = j2warp(eta_delta, g) if eta_delta is not None else g
-        pref = j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
-        return pref * j2warp(rho_cap, arg_base * s) / (float(n) * arg_base)
+        a = arg(g)
+        return pref(g) * j2warp(rho_cap, a * jsin(t)) / (float(n) * a)
 
     return BivariateFn(Phi_fn, "Phi"), BivariateFn(Psi_fn, "Psi"), BivariateFn(Ups_fn, "Ups")
 
 
+def cap_gamma_boxes(r0: float):
+    """The gamma intervals of the cap's parts: (r0/1000, r0) for part 1 and
+    (r0/1000, r0/2) for part 2."""
+    return (r0 * 1e-3, r0), (r0 * 1e-3, r0 / 2)
+
+
 def cap_parts(phi1: WarpFunction, eta_delta: WarpFunction, rho_cap: WarpFunction,
               n: int, zeta: float, r0: float):
-    """The cap's two families on their certified boxes: part 1 on gamma in
-    (r0/1000, r0), part 2 (with the frozen inner cone) on (r0/1000, r0/2)."""
+    """The cap's two families on their certified boxes (``cap_gamma_boxes``);
+    part 2 carries the frozen inner cone."""
     th_box = (1e-3, np.pi / 2 - 1e-3)
+    box1, box2 = cap_gamma_boxes(r0)
     return (TorusInvariant(*make_cap_families(phi1, None, rho_cap, n, zeta),
-                           box=[(r0 * 1e-3, r0), th_box]),
+                           box=[box1, th_box]),
             TorusInvariant(*make_cap_families(phi1, eta_delta, rho_cap, n, zeta),
-                           box=[(r0 * 1e-3, r0 / 2), th_box]))
+                           box=[box2, th_box]))
 
 
-def link_family_jets(rho_cap: WarpFunction, n: int, sigma_link: float, s, th):
-    """Jets in theta of the link family joining the round sphere (s = 0) to
-    the frozen cap link (s = 1): B_s = (1-s) cos th + s sin(2 sigma cos th)/(2 sigma)
-    and C_s = (1-s) sin th + s rho_cap(sigma sin th)/(n sigma), sigma = sigma_link."""
+def link_theta_jets(rho_cap: WarpFunction, sigma_link: float, th):
+    """The s-independent jets of ``link_family_jets`` at th: cos th, sin th,
+    sinc(2 sigma cos th) and rho_cap(sigma sin th), sigma = sigma_link."""
     t = jet_var(np.asarray(th, dtype=float))
     c = jcos(t)
     sn = jsin(t)
     inner = sigma_link * sn
     jr = rho_cap.jet(inner.f)
-    comp = inner.chain(jr.f, jr.f1, jr.f2)
-    return ((1.0 - s) * c + s * c * jsinc(2.0 * sigma_link * c),
+    return c, sn, jsinc(2.0 * sigma_link * c), inner.chain(jr.f, jr.f1, jr.f2)
+
+
+def link_family_jets(rho_cap: WarpFunction, n: int, sigma_link: float, s, th,
+                     theta_jets=None):
+    """Jets in theta of the link family joining the round sphere (s = 0) to
+    the frozen cap link (s = 1): B_s = (1-s) cos th + s sin(2 sigma cos th)/(2 sigma)
+    and C_s = (1-s) sin th + s rho_cap(sigma sin th)/(n sigma), sigma = sigma_link.
+    ``theta_jets``, ``link_theta_jets`` at the same th, spares their
+    recomputation when several s share one th."""
+    c, sn, sinc, comp = theta_jets or link_theta_jets(rho_cap, sigma_link, th)
+    return ((1.0 - s) * c + s * c * sinc,
             (1.0 - s) * sn + (s / (n * sigma_link)) * comp)
 
 
@@ -560,9 +584,12 @@ def ricci_torus_invariant(Phi: BivariateFn, Psi: BivariateFn, Ups: BivariateFn,
     gamma, theta = np.broadcast_arrays(gamma, theta)
     gx = jet2_var_x(gamma, theta)
     gy = jet2_var_y(gamma, theta)
-    P = Phi.jet2(gx, gy)
-    S = Psi.jet2(gx, gy)
-    U = Ups.jet2(gx, gy)
+    return ricci_torus_jets(Phi.jet2(gx, gy), Psi.jet2(gx, gy), Ups.jet2(gx, gy))
+
+
+def ricci_torus_jets(P: Jet2, S: Jet2, U: Jet2) -> RicciFrame:
+    """``ricci_torus_invariant`` from the Jet2s of Phi, Psi and Ups in
+    (gamma, theta)."""
     for J, nm in ((P, "Phi"), (S, "Psi"), (U, "Upsilon")):
         if np.any(J.f <= 0):
             raise SingularityError(f"{nm} must be positive on the sample (axis point?)")

@@ -1,6 +1,7 @@
 """Builders: profile properties, certified inequalities, and constants."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conewarp.certify import (
     AtlasRegion,
     CellGrid,
     Grid,
+    cap_block_margins,
     certify_inequality,
     run_checks,
     scalar_q_inequality,
@@ -29,6 +31,7 @@ from conewarp.construct import (
     _sample_open,
 )
 from conewarp.curvature import (
+    cap_parts,
     link_family_jets,
     ricci_berger_general,
     ricci_berger_sphere,
@@ -36,8 +39,9 @@ from conewarp.curvature import (
     ricci_local_glue,
     ricci_torus_invariant,
 )
-from conewarp.errors import ParameterError, UnderflowError_
-from conewarp.warpfn import _piece_jet, check_parity
+from conewarp.errors import ConstructionFailure, ParameterError, UnderflowError_
+from conewarp.pipeline import mu_floor
+from conewarp.warpfn import WarpFunction, _piece_jet, check_parity
 
 TAU = 0.099
 MU = 0.012
@@ -379,6 +383,73 @@ def test_cap_mu_gate_error():
     cap = cap_for()
     with pytest.raises(ParameterError):
         build_conical_cap(0.75, cap.mu0 * 1.5, 2, zeta=cap.zeta, eps_target=0.024)
+
+
+def _reference_cap_search(r0, mu, n, eps_target, budget=10):
+    """The cap search with every probe assembling its cap from the builders
+    and sweeping it with cap_block_margins at 40 x 40 and
+    cap_link_ricci_margin: (zeta, mu1, mu2, mu3, mu0, warp texts)."""
+    sigma_hat = r0 / 20.0
+    delta = sigma_hat / 10.0
+
+    def assemble(m, z):
+        rho = construct._build_rho_cap(r0, m, n, eps_target)
+        phi1 = construct._build_phi1(r0, z)
+        eta = construct._build_eta_delta(r0, sigma_hat, delta)
+        link = SimpleNamespace(rho_cap=rho, n=n, sigma_link=sigma_hat - delta / 2, zeta=z)
+        return (phi1, eta, rho), cap_parts(phi1, eta, rho, n, z, r0), link
+
+    def passes(m, z, parts, link_grid):
+        try:
+            _, two, link = assemble(m, z)
+            return (all(np.min(cap_block_margins(two[i], 40)[2]) >= -1e-8 for i in parts)
+                    and (not link_grid
+                         or construct.cap_link_ricci_margin(link, link_grid) >= -1e-8))
+        except (ConstructionFailure, ParameterError, UnderflowError_):
+            return False
+
+    zeta = _bisect(lambda z: passes(min(2.2 * mu, 0.095), z, (0, 1), 256),
+                   0.0, min(0.1, r0 * r0 / 8.0), budget)[0]
+    mus = [_bisect(lambda m: passes(m, zeta, parts, link), 0.0, 0.1, budget)[0]
+           for parts, link in (((0,), None), ((1,), None), ((), 96))]
+    warps = assemble(mu, zeta)[0]
+    return (zeta, *mus, 0.5 * min(mus), [w.serialize() for w in warps])
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (5, 3), (11, 7)])
+def test_cap_search_matches_the_per_probe_reference(n, p):
+    """Sharing the probes' builds and jets changes no probe outcome: zeta,
+    mu1..mu3, mu0 and the cap's warps equal those of the per-probe path."""
+    mu = mu_floor(n)
+    eps = build_edge_profile(mu, n, fk_for(n, p)).eps
+    cap = build_conical_cap(0.75, mu, n, eps_target=eps)
+    got = (cap.zeta, *cap.mu123, cap.mu0,
+           [w.serialize() for w in (cap.phi1, cap.eta_delta, cap.rho_cap)])
+    assert got == _reference_cap_search(0.75, mu, n, eps)
+
+
+def test_cap_search_builds_each_piece_once_per_constant(monkeypatch):
+    """eta_delta is built once per search, phi1 once per zeta and rho_cap
+    once per mu, and phi1 is evaluated on the probe grid once per zeta."""
+    counts = {"eta": 0, "phi1": 0, "rho": 0, "phi1_on_grid": 0}
+
+    def counted(key, fn):
+        return lambda *a: counts.__setitem__(key, counts[key] + 1) or fn(*a)
+
+    for key, name in (("eta", "_build_eta_delta"), ("phi1", "_build_phi1"),
+                      ("rho", "_build_rho_cap")):
+        monkeypatch.setattr(construct, name, counted(key, getattr(construct, name)))
+    jet = WarpFunction.jet
+
+    def counted_jet(self, x):
+        if self.name == "phi1" and np.size(x) == 40 * 40:
+            counts["phi1_on_grid"] += 1
+        return jet(self, x)
+
+    monkeypatch.setattr(WarpFunction, "jet", counted_jet)
+    build_conical_cap(0.75, MU, 5, eps_target=0.024)
+    assert counts["eta"] == 1
+    assert counts["phi1"] <= 11 and counts["rho"] <= 23 and counts["phi1_on_grid"] <= 11
 
 
 # ------------------------------------------------------------------ interpolation family

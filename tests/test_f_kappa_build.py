@@ -4,6 +4,7 @@ is not repeated by the atlas, and an atlas stores f once, as a few
 closed-form expression pieces."""
 
 import json
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -114,6 +115,15 @@ def test_failed_build_names_the_drift_budget(n, p):
     """Past p = 20 the seal cannot carry slope -p within BETA_MAX."""
     with pytest.raises(ConstructionFailure, match=f"drift budget cannot reach slope -{p}"):
         construct.build_f_kappa(n, p, 0.099)
+
+
+def test_drift_budget_message_rounds_both_residuals():
+    """Both residuals of the failed drift budget print to three decimals, so
+    the coverage table changes with the outcome, not with the descent's last
+    digits."""
+    with pytest.raises(ConstructionFailure) as err:
+        construct.build_f_kappa(22, 21, 0.099)
+    assert re.search(r"\(residuals -?\d+\.\d{3}, -?\d+\.\d{3}\)$", str(err.value))
 
 
 def test_record_only_kappa_prime_does_not_mask_the_cause():
