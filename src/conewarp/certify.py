@@ -20,10 +20,12 @@ import numpy as np
 
 from .curvature import (
     KAPPA,
+    CapFactors,
     ConeOverBerger,
     LocalGlue,
+    cap_family_jets,
+    cap_gamma_boxes,
     cap_link_lower_bound,
-    cap_parts,
     frame_project,
     link_family_jets,
     link_ricci_margins,
@@ -32,9 +34,10 @@ from .curvature import (
     ricci_cone_berger,
     ricci_fd_batch,
     ricci_local_glue,
-    ricci_torus_invariant,
+    ricci_torus_jets,
 )
 from .errors import DomainError, PipelineError, SingularityError
+from .jets import j2warp, jet2_var_x, jet2_var_y
 from .warpfn import WarpFunction, _sample_open
 
 __all__ = [
@@ -46,8 +49,8 @@ __all__ = [
     "certify_inequality",
     "certify_oracle_agreement",
     "certify_interface",
-    "cap_block_margins",
     "cap_block_min",
+    "cap_link_margins",
     "bound_report",
     "CHECKS",
     "run_checks",
@@ -396,21 +399,20 @@ def bound_report(target, value, bound, grid) -> CertificationReport:
     return rep
 
 
-def cap_block_margins(part, n: int):
-    """(grid, points, margins) of one cap family on its n x n grid over
-    ``part.box[0]`` x (0, pi/2), reduced by ``cap_block_min``."""
-    grid = Grid([part.box[0], (0.0, PIH)], [n, n])
-    pts = grid.points()
-    e = ricci_torus_invariant(part.Phi, part.Psi, part.Ups, pts[:, 0], pts[:, 1]).entries
-    return grid, pts, cap_block_min(e)
-
-
 def cap_block_min(e: np.ndarray) -> np.ndarray:
     """Per point of cap Ricci entries (N, 4, 4), the min of the (Y1,Y2)-block
     eigenvalues and the Y3, Y4 diagonal entries.  The cap search and the cap
     report both reduce through this function."""
     block = np.linalg.eigvalsh(e[:, :2, :2])[:, 0]
     return np.minimum(np.minimum(block, e[:, 2, 2]), e[:, 3, 3])
+
+
+def cap_link_margins(rho_cap: WarpFunction, n: int, sigma_link: float, n_grid: int):
+    """(grid, least Ricci eigenvalue) of the frozen cap link (s = 1) at the
+    n_grid open points of (1e-4, pi/2 - 1e-4).  The cap search and the
+    cap_link_bound report both sample the link through this function."""
+    grid = Grid([(1e-4, PIH - 1e-4)], [n_grid])
+    return grid, link_ricci_margins(rho_cap, n, sigma_link, 1.0, grid.axes()[0])
 
 
 def _identity_report(target, grid, pts, dev, bound, tol, t0) -> CertificationReport:
@@ -425,9 +427,14 @@ def _local_glue(region) -> LocalGlue:
                      sigma1=d["sigma1"], sigma2=d["sigma2"], xi0=d["xi0"])
 
 
-def _cap_parts(region):
-    d, w = region.data, region.warps
-    return cap_parts(w["phi1"], w["eta_delta"], w["rho_cap"], int(d["n"]), d["zeta"], d["r0"])
+def _cap_family(cap, part, pts):
+    """Phi, Psi and Ups of part 0 or 1 of the cap region as Jet2s at the
+    points (gamma, theta)."""
+    d, w = cap.data, cap.warps
+    fac = CapFactors(jet2_var_x(pts[:, 0], pts[:, 1]), jet2_var_y(pts[:, 0], pts[:, 1]),
+                     int(d["n"]), w["eta_delta"] if part else None)
+    return [form() for form in cap_family_jets(fac.pref(w["phi1"], d["zeta"]), fac,
+                                               lambda: j2warp(w["rho_cap"], fac.arg_sin))]
 
 
 def _cone_berger_psd(region, grid, tol, target) -> CertificationReport:
@@ -599,10 +606,14 @@ def _edge_glue_interface(regions, n_1d, n_2d, tol):
 
 
 def _cap_blocks(regions, n_1d, n_2d, tol):
+    """Both parts of the cap on n_2d x n_2d grids over ``cap_gamma_boxes`` x (0, pi/2)."""
     t0 = time.perf_counter()
-    grids, pts, margins = zip(*(cap_block_margins(p, n_2d)
-                                for p in _cap_parts(regions["conical_cap"])))
-    rep = _margin_report("cap (Y1,Y2)-block and Y3, Y4 diagonals >= 0", list(grids), tol,
+    c = regions["conical_cap"]
+    grids = [Grid([box, (0.0, PIH)], [n_2d, n_2d]) for box in cap_gamma_boxes(c.data["r0"])]
+    pts = [g.points() for g in grids]
+    margins = [cap_block_min(ricci_torus_jets(*_cap_family(c, part, x)).entries)
+               for part, x in enumerate(pts)]
+    rep = _margin_report("cap (Y1,Y2)-block and Y3, Y4 diagonals >= 0", grids, tol,
                          np.concatenate(margins), np.concatenate(pts), t0)
     rep.details["argmin_part"] = "part1" if margins[0].min() <= margins[1].min() else "part2"
     return {"cap_blocks_psd": rep}
@@ -612,8 +623,7 @@ def _cap_link(regions, n_1d, n_2d, tol):
     """The frozen link (s = 1) has Ric >= (2 + zeta/100)(1 - zeta)^2 g."""
     t0 = time.perf_counter()
     d, w = regions["conical_cap"].data, regions["conical_cap"].warps
-    grid = Grid([(1e-4, PIH - 1e-4)], [256])
-    m = link_ricci_margins(w["rho_cap"], int(d["n"]), d["sigma_link"], 1.0, grid.axes()[0])
+    grid, m = cap_link_margins(w["rho_cap"], int(d["n"]), d["sigma_link"], 256)
     return {"cap_link_bound": _margin_report("cap link Ric >= (2 + zeta/100) g", grid, tol,
                                              m - cap_link_lower_bound(d["zeta"]),
                                              grid.points(), t0)}
@@ -683,15 +693,15 @@ def _cap_collar(regions, n_1d, n_2d, tol):
     t0 = time.perf_counter()
     c = regions["conical_cap"]
     r0, n = c.data["r0"], c.data["n"]
-    part1 = _cap_parts(c)[0]
     grid = Grid([(0.985 * r0, 0.999 * r0), (0.0, PIH)], [16, 64], open_ends=(False, True))
     pts = grid.points()
     G, T = pts[:, 0], pts[:, 1]
+    P, S, U = (j.f for j in _cap_family(c, 0, pts))
     jr = c.warps["rho_cap"].jet(G * np.sin(T))
     dev = np.maximum.reduce([
-        np.abs(part1.Phi(G, T) / G - 1.0),
-        np.abs(part1.Psi(G, T) / (np.sin(2 * G * np.cos(T)) / 2) - 1.0),
-        np.abs(part1.Ups(G, T) / (jr.f / n) - 1.0),
+        np.abs(P / G - 1.0),
+        np.abs(S / (np.sin(2 * G * np.cos(T)) / 2) - 1.0),
+        np.abs(U / (jr.f / n) - 1.0),
     ])
     return {"iface_cap_collar": _identity_report(
         "cap collar equals the product model at gamma ~ r0", grid, pts, dev, 1e-8, 0.0, t0)}
@@ -702,18 +712,18 @@ def _cap_cone(regions, n_1d, n_2d, tol):
     t0 = time.perf_counter()
     c = regions["conical_cap"]
     d = c.data
-    part2 = _cap_parts(c)[1]
     grid = Grid([(0.02 * d["sigma"], 0.98 * d["sigma"]), (0.0, PIH)], [24, 48],
                 open_ends=(False, True))
     pts = grid.points()
     G, T = pts[:, 0], pts[:, 1]
+    P, S, U = (j.f for j in _cap_family(c, 1, pts))
     z = 1 - d["zeta"]
     sl = d["sigma_link"]
     jr = c.warps["rho_cap"].jet(sl * np.sin(T))
     dev = np.maximum.reduce([
-        np.abs(part2.Phi(G, T) / (z * G) - 1.0),
-        np.abs(part2.Psi(G, T) / (z * G * np.sin(2 * sl * np.cos(T)) / (2 * sl)) - 1.0),
-        np.abs(part2.Ups(G, T) / (z * G * jr.f / (int(d["n"]) * sl)) - 1.0),
+        np.abs(P / (z * G) - 1.0),
+        np.abs(S / (z * G * np.sin(2 * sl * np.cos(T)) / (2 * sl)) - 1.0),
+        np.abs(U / (z * G * jr.f / (int(d["n"]) * sl)) - 1.0),
     ])
     return {"iface_cap_cone": _identity_report("cap inner ball is the exact frozen cone",
                                                grid, pts, dev, 1e-12, 0.0, t0)}

@@ -33,23 +33,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .certify import CellGrid, Grid, cap_block_min
-from .certify import cap_block_margins  # noqa: F401  (kept importable from here)
-from .curvature import KAPPA, LocalGlue, TorusInvariant, cap_gamma_boxes, cap_parts
-from .curvature import cap_link_lower_bound, link_ricci_margins, ricci_torus_jets
-from .curvature import make_cap_families  # noqa: F401  (kept importable from here)
+from .certify import CellGrid, Grid, cap_block_min, cap_link_margins
+from .curvature import KAPPA, CapFactors, LocalGlue, cap_family_jets, cap_gamma_boxes
+from .curvature import cap_link_lower_bound, ricci_torus_jets
+from .curvature import make_cap_families  # noqa: F401  (the benchmark reads it from here)
 from .errors import (
     ConstructionFailure,
     DomainError,
     ParameterError,
     UnderflowError_,
 )
-from .jets import Jet, j2warp, jcos, jet2_var_x, jet2_var_y, jet_var, jsin, jsinc
+from .jets import Jet, j2warp, jet2_var_x, jet2_var_y, jet_var
 from .warpfn import (
     PIH,
     WarpFunction,
     _hermite_quintic,
-    _sample_open,
     build_cutoff,
     mollify_join,
     smoothstep_quintic,
@@ -489,7 +487,7 @@ def _dip_mu_hat(mu: float, eps_target: float) -> float:
     return math.asin(s) / KAPPA
 
 
-def build_edge_profile(mu: float, n: int, fk: FKappa,
+def build_edge_profile(mu: float, n: int, t_kappa: float, eps_kappa: float,
                        positions_kappa: float = KAPPA) -> EdgeProfile:
     """Radial profiles: rho dips to a thin cone, phi bends to a linear tail.
 
@@ -499,8 +497,9 @@ def build_edge_profile(mu: float, n: int, fk: FKappa,
     exact linear tail c1 (r + c3).  phi is 1, a quartic bump of size
     (eps_k mu_hat_bump)^20, then exactly c2 (r + c3).
 
-    ``positions_kappa`` rescales the phi-bump and tail junctions (the
-    round-base body uses the same shapes at unit scale).
+    t_kappa and eps_kappa are the infima that ``build_f_kappa`` records for
+    the base profile f.  ``positions_kappa`` rescales the phi-bump and tail
+    junctions (the round-base body uses the same shapes at unit scale).
     """
     if not (0 < mu < 0.1):
         raise ParameterError("mu must lie in (0, 1/10)")
@@ -512,11 +511,11 @@ def build_edge_profile(mu: float, n: int, fk: FKappa,
     # term stays inside the dip-curvature PSD band (the quartic cutoff
     # second derivative against sqrt(d22 d44); the glue_mixed_bound report)
     eps_target = min(2 * mu,
-                     0.8 * KAPPA * math.sqrt(fk.t_kappa) / (0.1987 * n),
+                     0.8 * KAPPA * math.sqrt(t_kappa) / (0.1987 * n),
                      29.5 * math.sqrt(mu) / n ** 3)
     mu_hat = _dip_mu_hat(mu, eps_target)
     eps = math.sin(KAPPA * mu_hat) ** (mu / 2)
-    mu_hat_strict_log10 = (2.0 / mu) * math.log10(fk.t_kappa / (100.0 * n * KAPPA))
+    mu_hat_strict_log10 = (2.0 / mu) * math.log10(t_kappa / (100.0 * n * KAPPA))
     params.set("eps", eps, "dip factor; desk-scale target recorded in ledger")
     params.set("mu_hat", mu_hat, "solves (sin kappa mu_hat)^(mu/2) = eps")
     params.set("mu_hat_strict_log10_sin", mu_hat_strict_log10,
@@ -532,7 +531,7 @@ def build_edge_profile(mu: float, n: int, fk: FKappa,
 
     # --- phi ---------------------------------------------------------------
     mu_hat_bump = max(mu_hat, BUMP_MU_FLOOR)
-    A = (fk.eps_kappa * mu_hat_bump) ** 20
+    A = (eps_kappa * mu_hat_bump) ** 20
     if A == 0.0 or not math.isfinite(A):
         raise UnderflowError_("quartic bump constant underflowed despite the floor")
     b_lo, b_hi = 1.0 / (8.0 * pk), 3.0 / (20.0 * pk)
@@ -642,8 +641,6 @@ def build_glue_field(xi0: float, n: int, rho_mu: WarpFunction) -> GlueField:
 
 @dataclass
 class ConicalCap:
-    part1: TorusInvariant
-    part2: TorusInvariant
     phi1: WarpFunction
     eta_delta: WarpFunction
     rho_cap: WarpFunction
@@ -696,15 +693,11 @@ def _build_rho_cap(r0: float, mu: float, n: int, eps_target: float) -> WarpFunct
 
 
 def cap_link_ricci_margin(cap: ConicalCap, n_grid: int = 256) -> float:
-    """min eig of Ric_h - (2 + zeta/100)(1-zeta)^2 h for the frozen cap link."""
-    m = _frozen_link_margins(cap.rho_cap, cap.n, cap.sigma_link, n_grid)
+    """min eig of Ric_h - (2 + zeta/100)(1-zeta)^2 h for the frozen cap link.
+    Nothing in the package calls it; it stays because the benchmark's span
+    table (bench/spans.py) wraps it."""
+    m = cap_link_margins(cap.rho_cap, cap.n, cap.sigma_link, n_grid)[1]
     return float(np.min(m - cap_link_lower_bound(cap.zeta)))
-
-
-def _frozen_link_margins(rho_cap, n, sigma_link, n_grid) -> np.ndarray:
-    """Least Ricci eigenvalue of the frozen link (s = 1) at n_grid open points."""
-    th = _sample_open(1e-4, PIH - 1e-4, n_grid)
-    return link_ricci_margins(rho_cap, n, sigma_link, 1.0, th)
 
 
 CAP_PROBE_GRID = 40    # the cap search's n x n probe grid per part
@@ -738,23 +731,20 @@ class _CapSearch:
         return self._once(("rho_cap", mu),
                           lambda: _build_rho_cap(self.r0, mu, self.n, self.eps_target))
 
-    def _grid(self, part):
-        def build():
-            box = cap_gamma_boxes(self.r0)[part]
-            pts = Grid([box, (0.0, PIH)], [CAP_PROBE_GRID] * 2).points()
-            g, t = jet2_var_x(pts[:, 0], pts[:, 1]), jet2_var_y(pts[:, 0], pts[:, 1])
-            c = jcos(t)
-            arg = g if part == 0 else j2warp(self.eta_delta, g)
-            return g, c, jsinc(2.0 * arg * c), arg * jsin(t), float(self.n) * arg
-        return self._once(("grid", part), build)
+    def _factors(self, part):
+        pts = Grid([cap_gamma_boxes(self.r0)[part], (0.0, PIH)], [CAP_PROBE_GRID] * 2).points()
+        return CapFactors(jet2_var_x(pts[:, 0], pts[:, 1]), jet2_var_y(pts[:, 0], pts[:, 1]),
+                          self.n, self.eta_delta if part else None)
 
     def _part_passes(self, part, mu, zeta) -> bool:
-        g, c, sinc, arg_sin, n_arg = self._grid(part)
-        rho = self._once(("rho_on_grid", part, mu), lambda: j2warp(self.rho_cap(mu), arg_sin))
-        pref = (self._once(("phi1_on_grid", zeta), lambda: j2warp(self.phi1(zeta), g))
-                if part == 0 else (1.0 - zeta) * g)
-        # make_cap_families' products, in its order, so every margin is its own
-        e = ricci_torus_jets(pref, pref * c * sinc, pref * rho / n_arg).entries
+        fac = self._once(("factors", part), lambda: self._factors(part))
+        pref = self._once(("pref", part, zeta), lambda: fac.pref(self.phi1(zeta), zeta))
+
+        def rho():
+            return self._once(("rho_on_grid", part, mu),
+                              lambda: j2warp(self.rho_cap(mu), fac.arg_sin))
+
+        e = ricci_torus_jets(*(form() for form in cap_family_jets(pref, fac, rho))).entries
         return np.min(cap_block_min(e)) >= -1e-8
 
     def passes(self, mu, zeta, parts, link_grid) -> bool:
@@ -763,17 +753,15 @@ class _CapSearch:
                 return False
             if not link_grid:
                 return True
-            m = self._once(("link", mu, link_grid), lambda: _frozen_link_margins(
-                self.rho_cap(mu), self.n, self.sigma_link, link_grid))
+            m = self._once(("link", mu, link_grid), lambda: cap_link_margins(
+                self.rho_cap(mu), self.n, self.sigma_link, link_grid)[1])
             return np.min(m - cap_link_lower_bound(zeta)) >= -1e-8
         except (ConstructionFailure, ParameterError, UnderflowError_):
             return False
 
     def cap(self, mu, zeta) -> ConicalCap:
-        phi1, rho_cap = self.phi1(zeta), self.rho_cap(mu)
-        part1, part2 = cap_parts(phi1, self.eta_delta, rho_cap, self.n, zeta, self.r0)
-        return ConicalCap(part1=part1, part2=part2, phi1=phi1, eta_delta=self.eta_delta,
-                          rho_cap=rho_cap, n=self.n, r0=self.r0, mu=mu, zeta=zeta,
+        return ConicalCap(phi1=self.phi1(zeta), eta_delta=self.eta_delta,
+                          rho_cap=self.rho_cap(mu), n=self.n, r0=self.r0, mu=mu, zeta=zeta,
                           sigma_hat=self.sigma_hat, delta=self.delta,
                           sigma=self.sigma_hat - self.delta, sigma_link=self.sigma_link,
                           mu0=0.0, mu123=(0, 0, 0), eps_cap=1.0 - 999.0 * zeta / 1000.0)
@@ -790,14 +778,14 @@ def build_conical_cap(r0: float, mu: float, n: int, eps_target: float,
     the gate mu0 = min(mu1, mu2, mu3)/2 must exceed the input mu.
 
     Each probe computes only what its searched constant changes
-    (``_CapSearch``).  eta_delta and the jets of each probe grid that no
-    searched constant moves (gamma, cos th, sinc(2 arg cos th), arg sin th and
-    n arg) are built once; phi1 and phi1(gamma) once per zeta; rho_cap,
-    rho_cap(arg sin th) and the frozen-link margins once per mu, the three mu
-    bisections sharing their midpoints.  A probe forms the two families from
-    these with make_cap_families' products, evaluates ``ricci_torus_jets`` and
-    reduces it with ``cap_block_min``, as ``cap_blocks_psd`` does; its outcome
-    is bit for bit that of a cap assembled from scratch.
+    (``_CapSearch``).  eta_delta and each probe grid's ``CapFactors`` (the
+    jets that no searched constant moves) are built once; phi1 and the
+    prefactor once per zeta; rho_cap, rho_cap(arg sin th) and the frozen-link
+    margins (``certify.cap_link_margins``) once per mu, the three mu
+    bisections sharing their midpoints.  A probe forms the two families with
+    ``cap_family_jets``, evaluates ``ricci_torus_jets`` and reduces it with
+    ``cap_block_min``, as ``cap_blocks_psd`` does; its outcome is bit for bit
+    that of a cap assembled from scratch.
 
     The returned cap is not re-checked here.  Its certificate is the atlas's
     ``cap_blocks_psd`` report (both parts at the atlas's 2-D grid) and its
@@ -874,8 +862,9 @@ def build_interpolation_family(cap: ConicalCap) -> InterpolationFamily:
 # ---------------------------------------------------------------------------
 
 
-def build_general_profiles(n: int, mu: float, fk: FKappa) -> EdgeProfile:
+def build_general_profiles(n: int, mu: float) -> EdgeProfile:
     """Profiles for the round-base Berger body: the edge shapes at unit
     positions, so phi = 1 on (0, 1/10) and both tails are exactly linear
-    (the atlas's body_phi_one and body_tail_exact reports)."""
-    return build_edge_profile(mu, n, fk, positions_kappa=1.0)
+    (the atlas's body_phi_one and body_tail_exact reports).  The round base
+    sin(2x)/2 has both infima exactly 1, so t_kappa = eps_kappa = 0.1."""
+    return build_edge_profile(mu, n, 0.1, 0.1, positions_kappa=1.0)

@@ -27,6 +27,7 @@ oracle, see tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +49,10 @@ __all__ = [
     "LocalGlue",
     "TorusInvariant",
     "BergerGeneral",
+    "CapFactors",
+    "cap_family_jets",
     "make_cap_families",
     "cap_gamma_boxes",
-    "cap_parts",
     "link_theta_jets",
     "link_family_jets",
     "link_ricci_margins",
@@ -404,51 +406,54 @@ class BergerGeneral:
         return _sym(4, {(i, i): v for i, v in enumerate(vals)})
 
 
+class CapFactors:
+    """The jets of a cap family that no searched constant moves, at the Jet2s
+    g = gamma and t = theta: cos th, sinc(2 arg cos th), arg sin th and n arg,
+    with arg = gamma on part 1 (eta_delta = None) and eta_delta(gamma) on
+    part 2.  Each is computed on first use and kept."""
+
+    def __init__(self, g: Jet2, t: Jet2, n: int, eta_delta: WarpFunction | None = None):
+        self.g, self.t, self.n, self.eta_delta = g, t, n, eta_delta
+
+    arg = cached_property(lambda s: s.g if s.eta_delta is None else j2warp(s.eta_delta, s.g))
+    cos = cached_property(lambda s: jcos(s.t))
+    sinc = cached_property(lambda s: jsinc(2.0 * s.arg * s.cos))
+    arg_sin = cached_property(lambda s: s.arg * jsin(s.t))
+    n_arg = cached_property(lambda s: float(s.n) * s.arg)
+
+    def pref(self, phi1: WarpFunction, zeta: float) -> Jet2:
+        """The family's prefactor: phi1(gamma) on part 1, (1 - zeta) gamma on part 2."""
+        return j2warp(phi1, self.g) if self.eta_delta is None else (1.0 - zeta) * self.g
+
+
+def cap_family_jets(pref: Jet2, fac: CapFactors, rho):
+    """Phi, Psi, Ups = pref * (1, cos th sinc(2 arg cos th), rho / (n arg)) of
+    a cap family from its prefactor, its factors ``fac`` and rho(), rho_cap at
+    ``fac.arg_sin``; each as a function of no arguments, so that a caller
+    forms only the families it reads."""
+    return (lambda: pref, lambda: pref * fac.cos * fac.sinc,
+            lambda: pref * rho() / fac.n_arg)
+
+
 def make_cap_families(phi1: WarpFunction, eta_delta: WarpFunction | None,
                       rho_cap: WarpFunction, n: int, zeta: float):
-    """(Phi, Psi, Ups) for the cap; eta_delta = None gives the part-1 family.
+    """(Phi, Psi, Ups) for the cap (``cap_family_jets``); eta_delta = None
+    gives the part-1 family.  Each evaluates only its own factors."""
 
-    Both parts are pref * (1, cos th sinc(2 arg cos th), rho_cap(arg sin th) /
-    (n arg)) with (pref, arg) = (phi1, gamma) on part 1 and ((1 - zeta) gamma,
-    eta_delta) on part 2.  The cap search of ``construct.build_conical_cap``
-    forms the same products in the same order from jets it shares."""
+    def family(k):
+        def jet2(g, t):
+            fac = CapFactors(g, t, n, eta_delta)
+            return cap_family_jets(fac.pref(phi1, zeta), fac,
+                                   lambda: j2warp(rho_cap, fac.arg_sin))[k]()
+        return BivariateFn(jet2, ("Phi", "Psi", "Ups")[k])
 
-    def pref(g):
-        return j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
-
-    def arg(g):
-        return g if eta_delta is None else j2warp(eta_delta, g)
-
-    def Phi_fn(g, t):
-        return pref(g)
-
-    def Psi_fn(g, t):
-        c = jcos(t)
-        return pref(g) * c * jsinc(2.0 * arg(g) * c)
-
-    def Ups_fn(g, t):
-        a = arg(g)
-        return pref(g) * j2warp(rho_cap, a * jsin(t)) / (float(n) * a)
-
-    return BivariateFn(Phi_fn, "Phi"), BivariateFn(Psi_fn, "Psi"), BivariateFn(Ups_fn, "Ups")
+    return tuple(family(k) for k in range(3))
 
 
 def cap_gamma_boxes(r0: float):
     """The gamma intervals of the cap's parts: (r0/1000, r0) for part 1 and
     (r0/1000, r0/2) for part 2."""
     return (r0 * 1e-3, r0), (r0 * 1e-3, r0 / 2)
-
-
-def cap_parts(phi1: WarpFunction, eta_delta: WarpFunction, rho_cap: WarpFunction,
-              n: int, zeta: float, r0: float):
-    """The cap's two families on their certified boxes (``cap_gamma_boxes``);
-    part 2 carries the frozen inner cone."""
-    th_box = (1e-3, np.pi / 2 - 1e-3)
-    box1, box2 = cap_gamma_boxes(r0)
-    return (TorusInvariant(*make_cap_families(phi1, None, rho_cap, n, zeta),
-                           box=[box1, th_box]),
-            TorusInvariant(*make_cap_families(phi1, eta_delta, rho_cap, n, zeta),
-                           box=[box2, th_box]))
 
 
 def link_theta_jets(rho_cap: WarpFunction, sigma_link: float, th):
@@ -622,11 +627,6 @@ def ricci_berger_general(rho: WarpFunction, phi: WarpFunction, r):
     d_x = (4.0 - 2.0 * jr.f ** 2 / jp.f ** 2 - jr.f1 * jp.f * jp.f1 / jr.f
            - jp.f * jp.f2 - jp.f1 ** 2)
     return d_r, d_u, d_x, d_x.copy()
-
-
-# ---------------------------------------------------------------------------
-# charts
-# ---------------------------------------------------------------------------
 
 
 # ---------------------------------------------------------------------------

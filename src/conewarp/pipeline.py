@@ -226,7 +226,7 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
         grid={"per_piece": 256, "conditioning": "bilateral"})
 
     # 2. edge body -----------------------------------------------------------
-    prof = cn.build_edge_profile(mu, n, fk)
+    prof = cn.build_edge_profile(mu, n, fk.t_kappa, fk.eps_kappa)
     atlas.params.merge(prof.params)
 
     # 3. glue collar -----------------------------------------------------------
@@ -322,8 +322,7 @@ def _noncyclic_atlas(group, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
     atlas = SurgeryAtlas(group=group, n=order, p=0, requested_epsilon=epsilon)
     mu = cfg.mu if cfg.mu is not None else mu_floor(order)
     # round-base Berger body over the projectivized quotient
-    fk = cn.build_f_kappa(2, 1, tau=cfg.tau)   # round base profile data
-    prof = cn.build_general_profiles(order, mu, fk)
+    prof = cn.build_general_profiles(order, mu)
     atlas.params.merge(prof.params)
     atlas.regions.append(AtlasRegion(
         "berger_body", "berger_general",

@@ -30,9 +30,9 @@ from conewarp.construct import (
     build_glue_field,
     build_interpolation_family,
     cap_link_ricci_margin,
-    _sample_open,
 )
 from conewarp.curvature import (
+    make_cap_families,
     ricci_berger_sphere,
     ricci_cone_berger,
     ricci_local_glue,
@@ -47,7 +47,7 @@ from conewarp.groups import (
     resolution_tree,
 )
 from conewarp.pipeline import PipelineConfig, run_full_resolution
-from conewarp.warpfn import WarpFunction
+from conewarp.warpfn import WarpFunction, _sample_open
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
 
@@ -74,7 +74,8 @@ def edge(n, p):
     key = ("edge", n, p)
     if key not in _built:
         from conewarp.pipeline import mu_floor
-        _built[key] = build_edge_profile(mu_floor(n, MU), n, fk(n, p))
+        f = fk(n, p)
+        _built[key] = build_edge_profile(mu_floor(n, MU), n, f.t_kappa, f.eps_kappa)
     return _built[key]
 
 
@@ -207,9 +208,10 @@ def test_criterion_6_cap_certification():
     """(Y1,Y2) block det and Y3, Y4 >= -1e-8 on 128x128; link >= (2+zeta/100)g."""
     c = cap()
     worst_det, worst_diag = math.inf, math.inf
-    for ti, hi in ((c.part1, c.r0), (c.part2, c.r0 / 2)):
+    for eta, hi in ((None, c.r0), (c.eta_delta, c.r0 / 2)):
         pts = Grid([(c.r0 * 1e-3, hi), (0.0, math.pi / 2)], [128, 128]).points()
-        E = ricci_torus_invariant(ti.Phi, ti.Psi, ti.Ups, pts[:, 0], pts[:, 1]).entries
+        fams = make_cap_families(c.phi1, eta, c.rho_cap, c.n, c.zeta)
+        E = ricci_torus_invariant(*fams, pts[:, 0], pts[:, 1]).entries
         det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] ** 2
         worst_det = min(worst_det, float(np.min(det)))
         worst_diag = min(worst_diag, float(np.min(E[:, 2, 2])), float(np.min(E[:, 3, 3])))

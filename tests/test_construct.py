@@ -1,18 +1,17 @@
 """Builders: profile properties, certified inequalities, and constants."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conewarp import certify, construct
+from conewarp import certify, construct, curvature
 from conewarp import expr as ex
 from conewarp.certify import (
     AtlasRegion,
     CellGrid,
     Grid,
-    cap_block_margins,
+    cap_block_min,
     certify_inequality,
     run_checks,
     scalar_q_inequality,
@@ -28,11 +27,14 @@ from conewarp.construct import (
     build_interpolation_family,
     solve_kappa_prime,
     _bisect,
-    _sample_open,
 )
 from conewarp.curvature import (
-    cap_parts,
+    BivariateFn,
+    cap_gamma_boxes,
+    cap_link_lower_bound,
     link_family_jets,
+    link_ricci_margins,
+    make_cap_families,
     ricci_berger_general,
     ricci_berger_sphere,
     ricci_cone_berger,
@@ -40,8 +42,9 @@ from conewarp.curvature import (
     ricci_torus_invariant,
 )
 from conewarp.errors import ConstructionFailure, ParameterError, UnderflowError_
+from conewarp.jets import j2warp, jcos, jsin, jsinc
 from conewarp.pipeline import mu_floor
-from conewarp.warpfn import WarpFunction, _piece_jet, check_parity
+from conewarp.warpfn import WarpFunction, _piece_jet, _sample_open, check_parity
 
 TAU = 0.099
 MU = 0.012
@@ -58,7 +61,8 @@ def fk_for(n, p):
 def edge_for(n, p, mu=MU):
     key = ("edge", n, p, mu)
     if key not in _cache:
-        _cache[key] = build_edge_profile(mu, n, fk_for(n, p))
+        fk = fk_for(n, p)
+        _cache[key] = build_edge_profile(mu, n, fk.t_kappa, fk.eps_kappa)
     return _cache[key]
 
 
@@ -210,7 +214,8 @@ def test_rho_out_of_its_bands_is_a_fail_report_not_a_build_failure(monkeypatch):
     build_edge_profile returns the profile, and the table's band report
     fails."""
     monkeypatch.setattr(construct, "_dip_mu_hat", lambda mu, eps: math.asin(0.02) / KAPPA)
-    prof = build_edge_profile(MU, 5, fk_for(5, 3))
+    fk = fk_for(5, 3)
+    prof = build_edge_profile(MU, 5, fk.t_kappa, fk.eps_kappa)
     region = AtlasRegion("edge_body", "cone_over_berger", "",
                          {"n": 5, "mu": MU, "band_hi": prof.band_hi}, {"rho": prof.rho})
     reports = run_checks({"edge_body": region}, ["edge_bands"])
@@ -258,7 +263,7 @@ def test_edge_rho_joins_at_its_dip_breakpoints():
 def test_edge_underflow_error():
     fk = fk_for(2, 1)
     with pytest.raises(UnderflowError_):
-        build_edge_profile(0.004, 2, fk)
+        build_edge_profile(0.004, 2, fk.t_kappa, fk.eps_kappa)
 
 
 # ------------------------------------------------------------------ glue field
@@ -335,8 +340,8 @@ def test_cap_gates_and_certification():
     # determinant + diagonal certificates on a 128x128 grid
     grid = Grid([(cap.r0 * 1e-3, cap.r0), (0.0, math.pi / 2)], [128, 128])
     pts = grid.points()
-    E = ricci_torus_invariant(cap.part1.Phi, cap.part1.Psi, cap.part1.Ups,
-                              pts[:, 0], pts[:, 1]).entries
+    part1 = make_cap_families(cap.phi1, None, cap.rho_cap, cap.n, cap.zeta)
+    E = ricci_torus_invariant(*part1, pts[:, 0], pts[:, 1]).entries
     det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] ** 2
     assert float(np.min(det)) >= -1e-8
     assert float(np.min(E[:, 2, 2])) >= -1e-8
@@ -361,9 +366,8 @@ def test_cap_exact_cone_region():
     g0 = np.linspace(cap.sigma * 0.05, cap.sigma * 0.98, 40)
     th = np.linspace(0.05, math.pi / 2 - 0.05, 40)
     G, T = np.meshgrid(g0, th, indexing="ij")
-    P = cap.part2.Phi(G.ravel(), T.ravel())
-    S = cap.part2.Psi(G.ravel(), T.ravel())
-    U = cap.part2.Ups(G.ravel(), T.ravel())
+    P, S, U = (fam(G.ravel(), T.ravel()) for fam in make_cap_families(
+        cap.phi1, cap.eta_delta, cap.rho_cap, cap.n, cap.zeta))
     z = 1 - cap.zeta
     sl = cap.sigma_link
     jr = cap.rho_cap.jet(sl * np.sin(T.ravel()))
@@ -371,6 +375,28 @@ def test_cap_exact_cone_region():
     np.testing.assert_allclose(
         S, z * G.ravel() * np.sin(2 * sl * np.cos(T.ravel())) / (2 * sl), rtol=1e-12)
     np.testing.assert_allclose(U, z * G.ravel() * jr.f / (cap.n * sl), rtol=1e-12)
+
+
+def test_each_cap_family_evaluates_only_its_own_factors(monkeypatch):
+    """The FD oracle's chart evaluates Phi, Psi and Ups one at a time, so
+    each family of ``make_cap_families`` composes only the warps (and the
+    sinc) that its own formula reads."""
+    cap = cap_for()
+    seen = []
+    jet, sinc = WarpFunction.jet, curvature.jsinc
+    monkeypatch.setattr(WarpFunction, "jet", lambda w, x: seen.append(w.name) or jet(w, x))
+    monkeypatch.setattr(curvature, "jsinc", lambda u: seen.append("sinc") or sinc(u))
+    g, th = np.full(8, 0.3 * cap.sigma), np.linspace(0.1, 1.4, 8)
+    reads = {}
+    for eta in (None, cap.eta_delta):
+        for fam in make_cap_families(cap.phi1, eta, cap.rho_cap, cap.n, cap.zeta):
+            seen.clear()
+            fam(g, th)
+            reads[(eta is None, fam.name)] = sorted(seen)
+    assert reads == {
+        (True, "Phi"): ["phi1"], (True, "Psi"): ["phi1", "sinc"],
+        (True, "Ups"): ["phi1", "rho_cap"], (False, "Phi"): [],
+        (False, "Psi"): ["eta_delta", "sinc"], (False, "Ups"): ["eta_delta", "rho_cap"]}
 
 
 def test_cap_link_lower_bound():
@@ -385,10 +411,43 @@ def test_cap_mu_gate_error():
         build_conical_cap(0.75, cap.mu0 * 1.5, 2, zeta=cap.zeta, eps_target=0.024)
 
 
+def _reference_cap_families(phi1, eta_delta, rho_cap, n, zeta):
+    """(Phi, Psi, Ups) of one cap part, each family a closure written out on
+    its own: pref * (1, cos th sinc(2 arg cos th), rho_cap(arg sin th) /
+    (n arg)), (pref, arg) = (phi1, gamma) on part 1 and ((1 - zeta) gamma,
+    eta_delta) on part 2."""
+
+    def pref(g):
+        return j2warp(phi1, g) if eta_delta is None else (1.0 - zeta) * g
+
+    def arg(g):
+        return g if eta_delta is None else j2warp(eta_delta, g)
+
+    def Phi_fn(g, t):
+        return pref(g)
+
+    def Psi_fn(g, t):
+        c = jcos(t)
+        return pref(g) * c * jsinc(2.0 * arg(g) * c)
+
+    def Ups_fn(g, t):
+        a = arg(g)
+        return pref(g) * j2warp(rho_cap, a * jsin(t)) / (float(n) * a)
+
+    return BivariateFn(Phi_fn), BivariateFn(Psi_fn), BivariateFn(Ups_fn)
+
+
+def _reference_block_margins(families, box, n):
+    """The families' block margins on the n x n grid over box x (0, pi/2)."""
+    pts = Grid([box, (0.0, math.pi / 2)], [n, n]).points()
+    return cap_block_min(ricci_torus_invariant(*families, pts[:, 0], pts[:, 1]).entries)
+
+
 def _reference_cap_search(r0, mu, n, eps_target, budget=10):
-    """The cap search with every probe assembling its cap from the builders
-    and sweeping it with cap_block_margins at 40 x 40 and
-    cap_link_ricci_margin: (zeta, mu1, mu2, mu3, mu0, warp texts)."""
+    """The cap search with every probe assembling its cap from the builders,
+    forming each family on its own (``_reference_cap_families``) and
+    sweeping it at 40 x 40, and the link on its own grid: (zeta, mu1, mu2,
+    mu3, mu0, warp texts)."""
     sigma_hat = r0 / 20.0
     delta = sigma_hat / 10.0
 
@@ -396,15 +455,20 @@ def _reference_cap_search(r0, mu, n, eps_target, budget=10):
         rho = construct._build_rho_cap(r0, m, n, eps_target)
         phi1 = construct._build_phi1(r0, z)
         eta = construct._build_eta_delta(r0, sigma_hat, delta)
-        link = SimpleNamespace(rho_cap=rho, n=n, sigma_link=sigma_hat - delta / 2, zeta=z)
-        return (phi1, eta, rho), cap_parts(phi1, eta, rho, n, z, r0), link
+        two = [_reference_cap_families(phi1, e, rho, n, z) for e in (None, eta)]
+        return (phi1, eta, rho), two
 
     def passes(m, z, parts, link_grid):
         try:
-            _, two, link = assemble(m, z)
-            return (all(np.min(cap_block_margins(two[i], 40)[2]) >= -1e-8 for i in parts)
-                    and (not link_grid
-                         or construct.cap_link_ricci_margin(link, link_grid) >= -1e-8))
+            (_, _, rho), two = assemble(m, z)
+            if not all(np.min(_reference_block_margins(two[i], cap_gamma_boxes(r0)[i], 40))
+                       >= -1e-8 for i in parts):
+                return False
+            if not link_grid:
+                return True
+            th = _sample_open(1e-4, math.pi / 2 - 1e-4, link_grid)
+            link = link_ricci_margins(rho, n, sigma_hat - delta / 2, 1.0, th)
+            return np.min(link - cap_link_lower_bound(z)) >= -1e-8
         except (ConstructionFailure, ParameterError, UnderflowError_):
             return False
 
@@ -421,7 +485,7 @@ def test_cap_search_matches_the_per_probe_reference(n, p):
     """Sharing the probes' builds and jets changes no probe outcome: zeta,
     mu1..mu3, mu0 and the cap's warps equal those of the per-probe path."""
     mu = mu_floor(n)
-    eps = build_edge_profile(mu, n, fk_for(n, p)).eps
+    eps = edge_for(n, p, mu).eps
     cap = build_conical_cap(0.75, mu, n, eps_target=eps)
     got = (cap.zeta, *cap.mu123, cap.mu0,
            [w.serialize() for w in (cap.phi1, cap.eta_delta, cap.rho_cap)])
@@ -506,8 +570,7 @@ def test_family_round_end():
 
 
 def test_general_profiles():
-    fk = fk_for(2, 1)
-    prof = build_general_profiles(3, MU, fk)
+    prof = build_general_profiles(3, MU)
     r = _sample_open(1e-6, 0.1, 400)
     np.testing.assert_array_equal(prof.phi(r), np.ones_like(r))
     rr = _sample_open(0.0, prof.r_out, 4096)

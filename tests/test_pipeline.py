@@ -1,6 +1,7 @@
 """Atlas assembly, resolution runs, serialization, and the CLI."""
 
 import json
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -212,41 +213,44 @@ def test_cli_plot_data_rejects_an_atlas_without_edge_body(bd8_resolve, tmp_path,
     assert not (tmp_path / "field.csv").exists()
 
 
+def _record_calls(monkeypatch, name, calls):
+    """Append the arguments of every call of ``certify.<name>`` to ``calls``,
+    in every conewarp module that binds the name."""
+    orig = getattr(certify, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("conewarp") and vars(mod).get(name) is orig:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
 def test_cap_is_certified_once(monkeypatch):
-    """The final cap's block sweep at the atlas grid runs once per part (the
-    cap_blocks_psd report), and its link is evaluated by the table alone:
-    once at 256 points (cap_link_bound) and once per family s value at the
-    2-D grid (family_ricci).  No builder repeats either."""
+    """The final cap's blocks are reduced at the atlas grid once per part
+    (the cap_blocks_psd report); every other reduction is a 40 x 40 search
+    probe.  Its link is sampled by the table alone: once at 256 points
+    (cap_link_bound), and its Ricci margins are evaluated besides once per
+    family s value at the 2-D grid (family_ricci).  No builder repeats
+    either."""
     cfg = fast_cfg()
-    sweeps, links, table_links, caps = [], [], [], []
-    margins, link, table_link, build = (
-        certify.cap_block_margins, construct.cap_link_ricci_margin,
-        certify.link_ricci_margins, construct.build_conical_cap)
-
-    def count_sweep(part, n):
-        sweeps.append(n)
-        return margins(part, n)
-
-    def count_link(cap, n_grid=256):
-        links.append((cap, n_grid))
-        return link(cap, n_grid)
-
-    def count_table_link(rho_cap, n, sigma_link, s, th):
-        table_links.append((rho_cap, len(th)))
-        return table_link(rho_cap, n, sigma_link, s, th)
-
-    monkeypatch.setattr(certify, "cap_block_margins", count_sweep)
-    monkeypatch.setattr(construct, "cap_block_margins", count_sweep)
-    monkeypatch.setattr(construct, "cap_link_ricci_margin", count_link)
-    monkeypatch.setattr(certify, "link_ricci_margins", count_table_link)
+    reductions, samples, links, caps = [], [], [], []
+    _record_calls(monkeypatch, "cap_block_min", reductions)
+    _record_calls(monkeypatch, "cap_link_margins", samples)
+    _record_calls(monkeypatch, "link_ricci_margins", links)
+    build = construct.build_conical_cap
     monkeypatch.setattr(construct, "build_conical_cap",
                         lambda *a, **k: caps.append(build(*a, **k)) or caps[-1])
     atlas = assemble_atlas(cyclic_group(3, 1, 2), 0.05, cfg)
     assert atlas.passed, atlas.summary()
     assert len(caps) == 1
-    assert sweeps.count(cfg.grid_2d) == 2
-    assert [n for cap, n in links if cap is caps[0]] == []
-    assert [n for rho, n in table_links if rho is caps[0].rho_cap] == [256] + [cfg.grid_2d] * 5
+    sizes = [len(e) for (e,) in reductions]
+    assert sizes.count(cfg.grid_2d ** 2) == 2
+    assert set(sizes) == {construct.CAP_PROBE_GRID ** 2, cfg.grid_2d ** 2}
+    rho = caps[0].rho_cap
+    assert [a[3] for a in samples if a[0] is rho] == [256]
+    assert [len(a[4]) for a in links if a[0] is rho] == [256] + [cfg.grid_2d] * 5
 
 
 def test_a_failed_moser_bound_is_a_fail_report(tmp_path, capsys):
