@@ -437,21 +437,6 @@ def _cap_family(cap, part, pts):
                                                lambda: j2warp(w["rho_cap"], fac.arg_sin))]
 
 
-def _cone_berger_psd(region, grid, tol, target) -> CertificationReport:
-    w = region.warps
-
-    def field_fn(pts):
-        return ricci_cone_berger(w["rho"], w["phi"], w["f"], pts[:, 0], pts[:, 1]).entries
-
-    return certify_psd(field_fn, grid, tol, target=target)
-
-
-def _leaf_flat(regions, n_1d, n_2d, tol):
-    return {"leaf_flat": _cone_berger_psd(regions["flat"],
-                                          Grid([(0.1, 2.0), (0.0, PIH)], [32, 32]),
-                                          tol, "flat leaf Ricci = 0")}
-
-
 def _f_inequality(regions, n_1d, n_2d, tol):
     """Every cell of f at max(192, n_1d / cells) midpoints, bilateral."""
     e = regions["edge_body"]
@@ -463,9 +448,14 @@ def _f_inequality(regions, n_1d, n_2d, tol):
 
 def _edge_ricci(regions, n_1d, n_2d, tol):
     e = regions["edge_body"]
-    return {"edge_ricci_psd": _cone_berger_psd(
-        e, Grid([(0.0, e.data["r_out"]), (0.0, PIH)], [n_2d, n_2d]), tol,
-        "edge body Ricci >= 0")}
+    w = e.warps
+
+    def field_fn(pts):
+        return ricci_cone_berger(w["rho"], w["phi"], w["f"], pts[:, 0], pts[:, 1]).entries
+
+    return {"edge_ricci_psd": certify_psd(
+        field_fn, Grid([(0.0, e.data["r_out"]), (0.0, PIH)], [n_2d, n_2d]), tol,
+        target="edge body Ricci >= 0")}
 
 
 def _exact_tail(tail, body):
@@ -746,7 +736,6 @@ def _body_ricci(regions, n_1d, n_2d, tol):
 # regions its atlas has; conewarp certify runs FILE_CHECKS on the atlas file
 # and certify_gluing runs GLUING_CHECKS on the built atlas.
 CHECKS = {
-    "leaf_flat": (("flat",), _leaf_flat),
     "f_inequality_smoothed": (("edge_body",), _f_inequality),
     "edge_ricci_psd": (("edge_body",), _edge_ricci),
     "tail_exact_linear": (("cone_tail", "edge_body"), _tail_exact_linear),

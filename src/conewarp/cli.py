@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    conewarp resolve   --group cyclic:n,k,l | --group-file F --epsilon E --out DIR
+    conewarp resolve   --group cyclic:n,k,l | --group-file F --out DIR [--config F]
     conewarp certify   --atlas FILE [--grid N] [--tol T]
     conewarp recursion --group ... | --group-file F
     conewarp plot-data --atlas FILE --field {ricci-min|warp|margin} --out CSV
@@ -65,7 +65,7 @@ def _load_config(path):
 def cmd_resolve(args) -> int:
     group = _parse_group(args)
     cfg = _load_config(args.config)
-    run = run_full_resolution(group, epsilon=args.epsilon, config=cfg)
+    run = run_full_resolution(group, config=cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     texts = {}     # first build's name -> (atlas JSON, ledger); shared atlases reuse it
@@ -158,7 +158,6 @@ def build_parser():
     p = sub.add_parser("resolve", help="full resolution run with certification")
     p.add_argument("--group")
     p.add_argument("--group-file")
-    p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.set_defaults(fn=cmd_resolve)

@@ -487,15 +487,31 @@ def _dip_mu_hat(mu: float, eps_target: float) -> float:
     return math.asin(s) / KAPPA
 
 
+def _build_dip(mu: float, n: int, eps_target: float, b: float, name: str) -> tuple:
+    """The dip both rho profiles start with, on [0, b]: n sin(kappa r)/kappa
+    below mu_hat, then the power law (n/kappa) eps (sin kappa r)^(1-mu/2)
+    with eps = (sin kappa mu_hat)^(mu/2), joined concave and monotone at
+    mu_hat.  Returns (rho, mu_hat, eps)."""
+    mu_hat = _dip_mu_hat(mu, eps_target)
+    eps = math.sin(KAPPA * mu_hat) ** (mu / 2)
+    kx = ex.Const(KAPPA) * ex.X
+    rho = WarpFunction(0.0, b, [mu_hat],
+                       [ex.Const(float(n)) * ex.sin(kx) / KAPPA,
+                        ex.Const(n / KAPPA * eps) * ex.sin(kx) ** (1.0 - mu / 2)],
+                       continuity_class=1,
+                       parity_left="even-derivatives-vanish-and-value-zero", name=name)
+    rho = mollify_join(rho, mu_hat, mu_hat / 4, constraints=[("d2", -1), ("monotone", +1)])
+    return rho, mu_hat, eps
+
+
 def build_edge_profile(mu: float, n: int, t_kappa: float, eps_kappa: float,
                        positions_kappa: float = KAPPA) -> EdgeProfile:
     """Radial profiles: rho dips to a thin cone, phi bends to a linear tail.
 
-    rho is n sin(kappa r)/kappa near 0, then the power-law
-    (n/kappa) eps (sin kappa r)^(1-mu/2) whose logarithmic derivative sits at
-    (1 - mu/2) kappa cot(kappa r), then a certified concave transition to the
-    exact linear tail c1 (r + c3).  phi is 1, a quartic bump of size
-    (eps_k mu_hat_bump)^20, then exactly c2 (r + c3).
+    rho is the dip of ``_build_dip``, whose power law has its logarithmic
+    derivative at (1 - mu/2) kappa cot(kappa r), then a certified concave
+    transition to the exact linear tail c1 (r + c3).  phi is 1, a quartic
+    bump of size (eps_k mu_hat_bump)^20, then exactly c2 (r + c3).
 
     t_kappa and eps_kappa are the infima that ``build_f_kappa`` records for
     the base profile f.  ``positions_kappa`` rescales the phi-bump and tail
@@ -505,6 +521,7 @@ def build_edge_profile(mu: float, n: int, t_kappa: float, eps_kappa: float,
         raise ParameterError("mu must lie in (0, 1/10)")
     pk = positions_kappa
     params = ConstructionParams()
+    tail_lo, tail_hi = 1.0 / (5.0 * pk), 1.0 / (4.0 * pk)
 
     # dip depth: at most 2 mu; below the Berger-parameter bound
     # rho/phi < sqrt(t_kappa); and small enough that the glue box mixed
@@ -513,21 +530,12 @@ def build_edge_profile(mu: float, n: int, t_kappa: float, eps_kappa: float,
     eps_target = min(2 * mu,
                      0.8 * KAPPA * math.sqrt(t_kappa) / (0.1987 * n),
                      29.5 * math.sqrt(mu) / n ** 3)
-    mu_hat = _dip_mu_hat(mu, eps_target)
-    eps = math.sin(KAPPA * mu_hat) ** (mu / 2)
+    rho_body, mu_hat, eps = _build_dip(mu, n, eps_target, tail_lo, f"rho_{KAPPA}_{mu}")
     mu_hat_strict_log10 = (2.0 / mu) * math.log10(t_kappa / (100.0 * n * KAPPA))
     params.set("eps", eps, "dip factor; desk-scale target recorded in ledger")
     params.set("mu_hat", mu_hat, "solves (sin kappa mu_hat)^(mu/2) = eps")
     params.set("mu_hat_strict_log10_sin", mu_hat_strict_log10,
                "faithful bound log10 sin(kappa mu_hat), kept in log space")
-
-    # --- rho ---------------------------------------------------------------
-    tail_lo, tail_hi = 1.0 / (5.0 * pk), 1.0 / (4.0 * pk)
-    kx = ex.Const(KAPPA) * ex.X
-    rho_pieces = [
-        (0.0, mu_hat, ex.Const(float(n)) * ex.sin(kx) / KAPPA),
-        (mu_hat, tail_lo, ex.Const(n / KAPPA * eps) * ex.sin(kx) ** (1.0 - mu / 2)),
-    ]
 
     # --- phi ---------------------------------------------------------------
     mu_hat_bump = max(mu_hat, BUMP_MU_FLOOR)
@@ -560,10 +568,6 @@ def build_edge_profile(mu: float, n: int, t_kappa: float, eps_kappa: float,
             phi = mollify_join(phi, t, w, constraints=[("monotone", +1)])
 
     # --- rho tail: concave transition to c1 (r + c3) ------------------------
-    rho_body = WarpFunction(0.0, tail_lo, [mu_hat], [e for (_, _, e) in rho_pieces],
-                            continuity_class=1,
-                            parity_left="even-derivatives-vanish-and-value-zero",
-                            name="rho_body")
     v = float(rho_body(np.array([tail_lo]))[0])
     jL = rho_body.eval_jet_onesided(tail_lo, "left")
     c1 = None
@@ -585,13 +589,9 @@ def build_edge_profile(mu: float, n: int, t_kappa: float, eps_kappa: float,
                          "transition stays concave and increasing")
     params.set("R_mu", tail_hi, "tail junction 1/(4 kappa-position)")
 
-    rho = WarpFunction(
-        0.0, R_out, [mu_hat, tail_lo, tail_hi],
-        [rho_pieces[0][2], rho_pieces[1][2], tail_piece,
-         ex.Const(c1) * (ex.X + ex.Const(c3))],
-        continuity_class=1, parity_left="even-derivatives-vanish-and-value-zero",
-        name=f"rho_{KAPPA}_{mu}")
-    rho = mollify_join(rho, mu_hat, mu_hat / 4, constraints=[("d2", -1), ("monotone", +1)])
+    rho = WarpFunction(0.0, R_out, [*rho_body.breakpoints, tail_lo, tail_hi],
+                       [*rho_body.pieces, tail_piece, ex.Const(c1) * (ex.X + ex.Const(c3))],
+                       parity_left=rho_body.parity_left, name=rho_body.name)
 
     prof = EdgeProfile(rho=rho, phi=phi, n=n, mu=mu, eps=eps,
                        mu_hat=mu_hat, mu_hat_strict_log10=mu_hat_strict_log10,
@@ -679,17 +679,8 @@ def _build_eta_delta(r0: float, sigma_hat: float, delta: float) -> WarpFunction:
 
 def _build_rho_cap(r0: float, mu: float, n: int, eps_target: float) -> WarpFunction:
     """Dip profile for the cap: no linear tail, power law through r0."""
-    mu_hat = _dip_mu_hat(mu, eps_target)
-    eps = math.sin(KAPPA * mu_hat) ** (mu / 2)
     top = min(1.12 * r0, 0.99 * math.pi / KAPPA)  # stay below sin(KAPPA r) zero
-    kx = ex.Const(KAPPA) * ex.X
-    rho = WarpFunction(0.0, top, [mu_hat],
-                       [ex.Const(float(n)) * ex.sin(kx) / KAPPA,
-                        ex.Const(n / KAPPA * eps) * ex.sin(kx) ** (1.0 - mu / 2)],
-                       continuity_class=1,
-                       parity_left="even-derivatives-vanish-and-value-zero",
-                       name="rho_cap")
-    return mollify_join(rho, mu_hat, mu_hat / 4, constraints=[("d2", -1), ("monotone", +1)])
+    return _build_dip(mu, n, eps_target, top, "rho_cap")[0]
 
 
 def cap_link_ricci_margin(cap: ConicalCap, n_grid: int = 256) -> float:

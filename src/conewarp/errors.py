@@ -50,4 +50,4 @@ class UnsupportedCaseError(ConewarpError):
 
 
 class PipelineError(ConewarpError):
-    """Resolution run could not complete (matching or aggregation failed)."""
+    """An atlas is inconsistent: a declared interface has no report."""

@@ -47,8 +47,7 @@ class GroupDescriptor:
     """Cyclic (n, k, l) or explicit-generator subgroup of U(2).
 
     Cyclic groups are generated by diag(e^{2 pi i k / n}, e^{2 pi i l / n}).
-    Non-cyclic descriptors carry explicit 2x2 unitary generators plus the
-    order of the central part (scalar matrices), which the recursion needs.
+    Non-cyclic descriptors carry explicit 2x2 unitary generators.
     """
 
     kind: str                       # "cyclic" | "noncyclic"
@@ -56,7 +55,6 @@ class GroupDescriptor:
     k: int = 0
     l: int = 0
     generators: list = field(default_factory=list)
-    central_order: int | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -90,15 +88,9 @@ def cyclic_group(n: int, k: int, l: int) -> GroupDescriptor:
     return GroupDescriptor("cyclic", n=n, k=k, l=l)
 
 
-def noncyclic_group(generators, central_order: int | None = None,
-                    label: str = "") -> GroupDescriptor:
+def noncyclic_group(generators, label: str = "") -> GroupDescriptor:
     gens = [np.asarray(g, dtype=complex) for g in generators]
-    desc = GroupDescriptor("noncyclic", generators=gens, label=label,
-                           central_order=central_order)
-    if desc.central_order is None:
-        elems = generate_elements(desc)
-        desc.central_order = sum(1 for e in elems if _is_scalar(e))
-    return desc
+    return GroupDescriptor("noncyclic", generators=gens, label=label)
 
 
 def _round_key(mat: np.ndarray) -> tuple:
@@ -423,7 +415,6 @@ def serialize_group(desc: GroupDescriptor) -> str:
     if desc.kind == "cyclic":
         lines.append(f"cyclic {desc.n} {desc.k} {desc.l}")
     else:
-        lines.append(f"central_order {desc.central_order}")
         for g in desc.generators:
             row = " ".join(f"{z.real:.12e},{z.imag:.12e}" for z in np.asarray(g).ravel())
             lines.append(f"gen {row}")
@@ -432,7 +423,7 @@ def serialize_group(desc: GroupDescriptor) -> str:
 
 def deserialize_group(text: str) -> GroupDescriptor:
     kind = None
-    gens, central = [], None
+    gens = []
     cyc = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -443,8 +434,6 @@ def deserialize_group(text: str) -> GroupDescriptor:
             kind = rest.strip()
         elif key == "cyclic":
             cyc = tuple(int(v) for v in rest.split())
-        elif key == "central_order":
-            central = int(rest)
         elif key == "gen":
             vals = [complex(float(a), float(b)) for a, b in
                     (tok.split(",") for tok in rest.split())]
@@ -452,5 +441,5 @@ def deserialize_group(text: str) -> GroupDescriptor:
     if kind == "cyclic" and cyc is not None:
         return cyclic_group(*cyc)
     if kind == "noncyclic":
-        return noncyclic_group(gens, central_order=central)
+        return noncyclic_group(gens)
     raise DomainError("malformed group text")

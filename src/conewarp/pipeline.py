@@ -5,9 +5,10 @@ over the warped Berger sphere), the glue collar (twist interpolation near
 the singular point), and the conical cap with its interpolation family.
 Interfaces between the first three are exact coordinate identifications and
 are certified as such; the cap is certified as a standalone scaled model of
-the product corner, and the scale transport (a one-parameter family rescale,
-like the parent/child homothety) is flagged in the reports rather than
-silently assumed.
+the product corner, and the scale transport (a one-parameter family rescale)
+is flagged in the notes rather than silently assumed.  So is the homothety
+from a parent's cap to its child's cone at infinity: each atlas records its
+own cap link and cone at infinity, and no edge between them is certified.
 
 Non-cyclic groups get the round-base Berger body plus one singular-orbit
 entry per cyclic stabilizer; each child is then resolved recursively.
@@ -20,12 +21,9 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import construct as cn
-from .certify import DEFAULT_TOL, AtlasRegion, bound_report, run_checks
-from .curvature import round_f
-from .errors import NotFreeError, ParameterError, PipelineError
+from .certify import DEFAULT_TOL, AtlasRegion, _jsonable, bound_report, run_checks
+from .errors import DomainError, NotFreeError, ParameterError
 from .groups import (
     GroupDescriptor,
     ResolutionNode,
@@ -38,7 +36,6 @@ from .groups import (
     resolution_tree,
     serialize_group,
 )
-from .warpfn import WarpFunction
 
 __all__ = ["PipelineConfig", "SurgeryAtlas", "ResolutionRun",
            "assemble_atlas", "run_full_resolution", "mu_floor"]
@@ -93,7 +90,6 @@ class Interface:
 class SingularPoint:
     location: str
     child: GroupDescriptor
-    epsilon: float
     note: str = ""
 
 
@@ -109,7 +105,6 @@ class SurgeryAtlas:
     reports: dict = field(default_factory=dict)
     params: cn.ConstructionParams = field(default_factory=cn.ConstructionParams)
     notes: list = field(default_factory=list)
-    requested_epsilon: float = 0.0
     wall_time: float = 0.0
 
     @property
@@ -131,37 +126,25 @@ class SurgeryAtlas:
         d = {
             "group": serialize_group(self.group),
             "n": self.n, "p": self.p,
-            "requested_epsilon": self.requested_epsilon,
             "regions": [
                 {"id": r.id, "kind": r.kind, "description": r.description,
-                 "data": _jsonable_dict(r.data),
+                 "data": r.data,
                  "warps": {k: w.serialize() for k, w in r.warps.items()}}
                 for r in self.regions
             ],
             "interfaces": [vars(i) for i in self.interfaces],
             "singular_points": [
                 {"location": s.location, "child": serialize_group(s.child),
-                 "epsilon": s.epsilon, "note": s.note}
+                 "note": s.note}
                 for s in self.singular_points
             ],
-            "cone_at_infinity": _jsonable_dict(self.cone_at_infinity),
+            "cone_at_infinity": self.cone_at_infinity,
             "reports": {k: json.loads(v.to_json()) for k, v in self.reports.items()},
-            "params": {"values": _jsonable_dict(self.params.values),
+            "params": {"values": self.params.values,
                        "provenance": self.params.provenance},
             "notes": self.notes,
         }
-        return json.dumps(d, separators=(",", ":"))
-
-
-def _jsonable_dict(d):
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, (np.floating, np.integer)):
-            v = float(v)
-        elif isinstance(v, np.ndarray):
-            v = v.tolist()
-        out[k] = v
-    return out
+        return json.dumps(d, separators=(",", ":"), default=_jsonable)
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +152,19 @@ def _jsonable_dict(d):
 # ---------------------------------------------------------------------------
 
 
-def assemble_atlas(group: GroupDescriptor, epsilon: float = 0.05,
+def assemble_atlas(group: GroupDescriptor,
                    config: PipelineConfig | None = None) -> SurgeryAtlas:
-    """Build and certify the full atlas for one resolution node."""
+    """Build and certify the full atlas for one non-trivial resolution node."""
     cfg = config or PipelineConfig()
+    if group.is_trivial:
+        raise DomainError("the trivial group needs no surgery: flat R^4 has no atlas")
     free, witness = acts_freely(group)
     if not free:
         raise NotFreeError(f"group does not act freely: {witness}")
     if group.kind == "cyclic":
-        if group.is_trivial:
-            return _trivial_atlas(group, epsilon, cfg)
         n, _, p = normalize_cyclic(group.n, group.k, group.l)
-        return _cyclic_atlas(cyclic_group(n, 1, p), n, p, epsilon, cfg)
-    return _noncyclic_atlas(group, epsilon, cfg)
+        return _cyclic_atlas(cyclic_group(n, 1, p), n, p, cfg)
+    return _noncyclic_atlas(group, cfg)
 
 
 def _certify_regions(atlas: SurgeryAtlas, cfg: PipelineConfig):
@@ -190,28 +173,9 @@ def _certify_regions(atlas: SurgeryAtlas, cfg: PipelineConfig):
                                     n_1d=cfg.grid_1d, n_2d=cfg.grid_2d, tol=cfg.tol))
 
 
-def _trivial_atlas(group, epsilon, cfg) -> SurgeryAtlas:
+def _cyclic_atlas(group, n, p, cfg: PipelineConfig) -> SurgeryAtlas:
     t0 = time.perf_counter()
-    atlas = SurgeryAtlas(group=group, n=1, p=1, requested_epsilon=epsilon)
-    lin = _linear_warp()
-    atlas.regions.append(AtlasRegion("flat", "euclidean",
-                                     "flat R^4; the resolution leaf",
-                                     warps={"rho": lin, "phi": lin, "f": round_f()}))
-    _certify_regions(atlas, cfg)
-    atlas.cone_at_infinity = {"link": "round S^3", "delta_cone": 1.0,
-                              "round": True}
-    atlas.wall_time = time.perf_counter() - t0
-    return atlas
-
-
-def _linear_warp():
-    from . import expr as ex
-    return WarpFunction(0.0, 4.0, [], [ex.X], name="r")
-
-
-def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
-    t0 = time.perf_counter()
-    atlas = SurgeryAtlas(group=group, n=n, p=p, requested_epsilon=epsilon)
+    atlas = SurgeryAtlas(group=group, n=n, p=p)
     mu = cfg.mu if cfg.mu is not None else mu_floor(n)
     atlas.params.set("mu", mu, "pipeline default via representability floor"
                      if cfg.mu is None else "config override")
@@ -290,7 +254,6 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
     atlas.singular_points.append(SingularPoint(
         location="cap center (the resolved singular point)",
         child=child,
-        epsilon=cap.eps_cap,
         note="cap round-link radius 1 - 999 zeta/1000; matched to the child "
              "cone at infinity by global homothety (flagged: the link rounding "
              "of the child tail is interpolation-certified, not flow-rounded)"))
@@ -315,11 +278,10 @@ def _cyclic_atlas(group, n, p, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
 # ---------------------------------------------------------------------------
 
 
-def _noncyclic_atlas(group, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
+def _noncyclic_atlas(group, cfg: PipelineConfig) -> SurgeryAtlas:
     t0 = time.perf_counter()
-    elems = generate_elements(group)
-    order = len(elems)
-    atlas = SurgeryAtlas(group=group, n=order, p=0, requested_epsilon=epsilon)
+    order = len(generate_elements(group))
+    atlas = SurgeryAtlas(group=group, n=order, p=0)
     mu = cfg.mu if cfg.mu is not None else mu_floor(order)
     # round-base Berger body over the projectivized quotient
     prof = cn.build_general_profiles(order, mu)
@@ -337,7 +299,6 @@ def _noncyclic_atlas(group, epsilon, cfg: PipelineConfig) -> SurgeryAtlas:
         atlas.singular_points.append(SingularPoint(
             location=f"singular orbit {i} ({child_node.note})",
             child=child_node.group,
-            epsilon=epsilon,
             note="cap per orbit via the cyclic machinery at the child's data"))
     atlas.cone_at_infinity = {
         "link": f"S^3/{group.name()} Berger-type",
@@ -362,13 +323,11 @@ class ResolutionRun:
     tree: ResolutionNode
     atlases: list = field(default_factory=list)      # (name, SurgeryAtlas)
     reused: dict = field(default_factory=dict)       # name -> name of its atlas's first build
-    matchings: list = field(default_factory=list)    # per-edge dicts
     wall_time: float = 0.0
 
     @property
     def passed(self):
-        return all(a.passed for _, a in self.atlases) and \
-            all(m["residual"] <= m["tolerance"] for m in self.matchings)
+        return all(a.passed for _, a in self.atlases)
 
     def summary(self) -> str:
         lines = [f"resolution run for {self.group.name()}: "
@@ -380,26 +339,22 @@ class ResolutionRun:
                 lines.append(f"{name}: same atlas as {self.reused[name]}")
             else:
                 lines.append(atlas.summary())
-        for m in self.matchings:
-            lines.append(f"  matching {m['edge']}: scale {m['scale']:.4e} "
-                         f"residual {m['residual']:.2e} [{m['note']}]")
         return "\n".join(lines)
 
 
-def run_full_resolution(group: GroupDescriptor, epsilon: float = 0.05,
+def run_full_resolution(group: GroupDescriptor,
                         config: PipelineConfig | None = None) -> ResolutionRun:
-    """Resolve the whole tree: one certified atlas per node, matched edges.
+    """Resolve the whole tree: one certified atlas per non-trivial node.
 
-    An atlas depends only on the canonical node (the normalized cyclic
-    exponents, or the element set), epsilon and the config, so identical
-    nodes of one run share the atlas of their first build; each name is
-    still listed, and ``run.reused`` names the first build.  Nothing is kept
-    past the call.
+    The run passes when every atlas's reports pass; the homothety from a
+    parent's cap to its child's cone at infinity is flagged in the atlases'
+    notes, not computed.  An atlas depends only on the canonical node (the
+    normalized cyclic exponents, or the element set) and the config, so
+    identical nodes of one run share the atlas of their first build; each
+    name is still listed, and ``run.reused`` names the first build.  Trivial
+    leaves need no surgery and get no atlas.  Nothing is kept past the call.
     """
     cfg = config or PipelineConfig()
-    free, witness = acts_freely(group)
-    if not free:
-        raise NotFreeError(f"group does not act freely: {witness}")
     t0 = time.perf_counter()
     tree = resolution_tree(group)
     run = ResolutionRun(group=group, tree=tree)
@@ -407,38 +362,18 @@ def run_full_resolution(group: GroupDescriptor, epsilon: float = 0.05,
 
     def visit(node: ResolutionNode, name: str):
         g = node.group
+        if g.is_trivial:
+            return
         key = (normalize_cyclic(g.n, g.k, g.l) if g.kind == "cyclic"
                else element_set_key(generate_elements(g)))
         if key not in built:
-            built[key] = (name, assemble_atlas(g, epsilon, cfg))
+            built[key] = (name, assemble_atlas(g, cfg))
         first, atlas = built[key]
-        if not g.is_trivial:
-            # trivial leaves need no surgery: their vacuous atlas is built for
-            # the matching data but not counted in the chain
-            run.atlases.append((name, atlas))
-            if first != name:
-                run.reused[name] = first
+        run.atlases.append((name, atlas))
+        if first != name:
+            run.reused[name] = first
         for i, child in enumerate(node.children):
-            child_name = f"{name}.{i}"
-            child_atlas = visit(child, child_name)
-            # epsilon/delta matching: the parent cap's sharpness against the
-            # child's cone at infinity, enforced by a global homothety
-            if atlas.singular_points:
-                eps_parent = atlas.singular_points[min(i, len(atlas.singular_points) - 1)].epsilon
-                delta_child = child_atlas.cone_at_infinity.get("delta_cone", 1.0)
-                scale = eps_parent / delta_child if delta_child else float("inf")
-                if not math.isfinite(scale) or scale <= 0:
-                    raise PipelineError(f"matching infeasible on edge {name}->{child_name}")
-                residual = abs(eps_parent - scale * delta_child) / max(eps_parent, 1e-300)
-                run.matchings.append({
-                    "edge": f"{name}->{child_name}",
-                    "scale": scale,
-                    "residual": residual,
-                    "tolerance": 1e-8,
-                    "note": "homothety matching; child link is Berger-type "
-                            "(interpolation-certified), rounding flagged",
-                })
-        return atlas
+            visit(child, f"{name}.{i}")
 
     visit(tree, "node0")
     run.wall_time = time.perf_counter() - t0

@@ -15,10 +15,9 @@ Rows:
   ``run_full_resolution`` of the whole tree.
 
 An outcome is ``PASS``, ``FAIL`` followed by the sorted names of the failing
-reports (and ``matching`` when an edge's homothety residual fails), or
-``<Exception>: <message>`` when the build raises.  No timings are stored, so
-the file changes exactly when an outcome does.  The sweep takes a few
-minutes; it is not part of the test suite.
+reports, or ``<Exception>: <message>`` when the build raises.  No timings
+are stored, so the file changes exactly when an outcome does.  The sweep
+takes a few minutes; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -60,12 +59,10 @@ def polyhedral_generators() -> dict:
 def outcome(build) -> str:
     """The row text of one build: PASS, FAIL <names> or <Exception>: <message>."""
     try:
-        reports, matchings_ok = build()
+        reports = build()
     except Exception as e:     # every cause is a row of the table
         return f"{type(e).__name__}: {e}"
     failed = sorted({name for name, rep in reports if not rep.passed})
-    if not matchings_ok:
-        failed.append("matching")
     return "PASS" if not failed else "FAIL " + " ".join(failed)
 
 
@@ -74,14 +71,11 @@ def rows():
     from conewarp.pipeline import assemble_atlas, run_full_resolution
 
     def atlas_of(group):
-        return lambda: (assemble_atlas(group).reports.items(), True)
+        return lambda: assemble_atlas(group).reports.items()
 
     def resolution_of(group):
-        def build():
-            run = run_full_resolution(group)
-            return ([kv for _, atlas in run.atlases for kv in atlas.reports.items()],
-                    all(m["residual"] <= m["tolerance"] for m in run.matchings))
-        return build
+        return lambda: [kv for _, atlas in run_full_resolution(group).atlases
+                        for kv in atlas.reports.items()]
 
     for n in range(2, N_MAX + 1):
         for p in range(1, n):

@@ -77,7 +77,7 @@ def cyclic_entries(run, spec) -> dict:
 def noncyclic_entry(config) -> dict:
     from conewarp.pipeline import assemble_atlas
     return {"binary-dihedral-12/root":
-            atlas_entry(assemble_atlas(binary_dihedral_12(), 0.05, config))}
+            atlas_entry(assemble_atlas(binary_dihedral_12(), config))}
 
 
 def _flat(d, prefix=""):
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
 
     atlases = {}
     for n, k, l in CYCLIC:
-        run = run_full_resolution(cyclic_group(n, k, l), 0.05, FAST)
+        run = run_full_resolution(cyclic_group(n, k, l), FAST)
         atlases.update(cyclic_entries(run, f"{n},{k},{l}"))
     atlases.update(noncyclic_entry(FAST))
     golden = {"environment": environment(), "atlases": atlases}

@@ -299,8 +299,8 @@ def test_criterion_9_end_to_end():
     """resolve cyclic:5,1,3: 2 atlases, all pass, deterministic, < 10 min."""
     t0 = time.perf_counter()
     cfg = PipelineConfig()
-    run1 = run_full_resolution(cyclic_group(5, 1, 3), 0.05, cfg)
-    run2 = run_full_resolution(cyclic_group(5, 1, 3), 0.05, cfg)
+    run1 = run_full_resolution(cyclic_group(5, 1, 3), cfg)
+    run2 = run_full_resolution(cyclic_group(5, 1, 3), cfg)
     same = len(run1.atlases) == len(run2.atlases)
     for (n1, a1), (n2, a2) in zip(run1.atlases, run2.atlases):
         same &= n1 == n2 and set(a1.reports) == set(a2.reports)

@@ -29,7 +29,7 @@ FAST = PipelineConfig(grid_1d=4096, grid_2d=64, cap_search_budget=8)
 
 @pytest.fixture(scope="module")
 def run_513():
-    return run_full_resolution(cyclic_group(5, 1, 3), 0.05, FAST)
+    return run_full_resolution(cyclic_group(5, 1, 3), FAST)
 
 
 def _json(x):
@@ -118,7 +118,7 @@ def test_margins_match_golden_file(run_513):
     if env != golden["environment"]:
         pytest.skip(f"golden margins recorded on {golden['environment']}, "
                     f"running on {env}")
-    atlases = gm.cyclic_entries(run_full_resolution(cyclic_group(2, 1, 1), 0.05, FAST),
+    atlases = gm.cyclic_entries(run_full_resolution(cyclic_group(2, 1, 1), FAST),
                                  "2,1,1")
     atlases.update(gm.cyclic_entries(run_513, "5,1,3"))
     atlases.update(gm.noncyclic_entry(FAST))

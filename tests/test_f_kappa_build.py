@@ -154,7 +154,7 @@ def test_atlas_reports_the_builds_presmoothing_sweep():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CellGrid, "q",
                    lambda grid, f: sweeps.append((grid.per_cell, sweep(grid, f))) or sweeps[-1][1])
-        atlas = assemble_atlas(cyclic_group(3, 1, 2), 0.05,
+        atlas = assemble_atlas(cyclic_group(3, 1, 2),
                                PipelineConfig(grid_1d=4096, grid_2d=64, cap_search_budget=8))
     assert [per_cell for per_cell, _ in sweeps] == [256, 456]     # 4096 / 9 cells
     rep = atlas.reports["f_inequality_presmooth"]

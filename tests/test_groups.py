@@ -79,7 +79,7 @@ def test_binary_dihedral_free_and_brute():
     assert len(elems) == 12
     free, _ = acts_freely(desc)
     assert free
-    assert desc.central_order == 2  # {+-I}
+    assert resolution_tree(desc).note == "central order 2"  # {+-I}
 
 
 def test_resolution_step_examples():
@@ -212,3 +212,17 @@ def test_group_serialization_roundtrip():
     nd = noncyclic_group(binary_dihedral_generators(2))
     nd2 = deserialize_group(serialize_group(nd))
     assert element_set_key(generate_elements(nd)) == element_set_key(generate_elements(nd2))
+    # a file of the older format, with its central_order line, still reads
+    legacy = deserialize_group(LEGACY_D8_TEXT)
+    assert element_set_key(generate_elements(legacy)) == element_set_key(generate_elements(nd))
+
+
+# The order-8 binary dihedral group as group files were written when they
+# carried a central_order line.
+LEGACY_D8_TEXT = """group noncyclic
+central_order 2
+gen 6.123233995737e-17,1.000000000000e+00 0.000000000000e+00,0.000000000000e+00 \
+0.000000000000e+00,0.000000000000e+00 6.123233995737e-17,-1.000000000000e+00
+gen 0.000000000000e+00,0.000000000000e+00 1.000000000000e+00,0.000000000000e+00 \
+-1.000000000000e+00,0.000000000000e+00 0.000000000000e+00,0.000000000000e+00
+"""

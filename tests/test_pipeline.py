@@ -12,7 +12,7 @@ from test_groups import GOLDEN_RATIO, binary_dihedral_generators, quaternion
 
 from conewarp import certify, cli, construct, pipeline
 from conewarp.cli import main as cli_main
-from conewarp.errors import NotFreeError
+from conewarp.errors import DomainError, NotFreeError
 from conewarp.groups import cyclic_group, noncyclic_group, serialize_group
 from conewarp.pipeline import (
     PipelineConfig,
@@ -33,13 +33,13 @@ def fast_cfg():
 
 def atlas_21():
     if "a21" not in _cache:
-        _cache["a21"] = assemble_atlas(cyclic_group(2, 1, 1), 0.05, fast_cfg())
+        _cache["a21"] = assemble_atlas(cyclic_group(2, 1, 1), fast_cfg())
     return _cache["a21"]
 
 
 def run_513():
     if "run" not in _cache:
-        _cache["run"] = run_full_resolution(cyclic_group(5, 1, 3), 0.05, fast_cfg())
+        _cache["run"] = run_full_resolution(cyclic_group(5, 1, 3), fast_cfg())
     return _cache["run"]
 
 
@@ -49,11 +49,10 @@ def test_mu_floor_monotone():
     assert vals == sorted(vals)
 
 
-def test_trivial_atlas():
-    atlas = assemble_atlas(cyclic_group(1, 0, 0), 0.05, fast_cfg())
-    assert atlas.passed
-    assert len(atlas.regions) == 1
-    assert atlas.cone_at_infinity["round"] is True
+def test_assemble_atlas_rejects_the_trivial_group():
+    """Flat R^4 needs no surgery: no atlas is built for it."""
+    with pytest.raises(DomainError, match="needs no surgery"):
+        assemble_atlas(cyclic_group(1, 0, 0), fast_cfg())
 
 
 def test_atlas_21_smooth_cap():
@@ -81,15 +80,22 @@ def test_atlas_53_child_group():
 def test_run_513_shape_and_pass():
     run = run_513()
     assert run.passed
-    assert len(run.atlases) == 2          # orders 5 and 3; trivial leaf uncounted
+    assert len(run.atlases) == 2          # orders 5 and 3; the trivial leaf gets none
     orders = [a.n for _, a in run.atlases]
     assert orders == [5, 3]
-    assert all(m["residual"] <= m["tolerance"] for m in run.matchings)
+
+
+def test_run_passes_exactly_when_every_report_passes(monkeypatch):
+    run = run_513()
+    assert run.passed
+    report = run.atlases[-1][1].reports["edge_ricci_psd"]
+    monkeypatch.setattr(report, "passed", False)
+    assert not run.passed
 
 
 def test_run_deterministic():
     run1 = run_513()
-    run2 = run_full_resolution(cyclic_group(5, 1, 3), 0.05, fast_cfg())
+    run2 = run_full_resolution(cyclic_group(5, 1, 3), fast_cfg())
     for (n1, a1), (n2, a2) in zip(run1.atlases, run2.atlases):
         assert n1 == n2
         assert set(a1.reports) == set(a2.reports)
@@ -116,16 +122,20 @@ def test_atlas_json_roundtrip(tmp_path):
             assert WarpFunction.deserialize(text).serialize() == text
 
 
-def test_not_free_rejected():
+def test_not_free_rejected(tmp_path, capsys):
     with pytest.raises(NotFreeError):
-        assemble_atlas(cyclic_group(4, 1, 2), 0.05, fast_cfg())
+        assemble_atlas(cyclic_group(4, 1, 2), fast_cfg())
+    with pytest.raises(NotFreeError, match="witness"):
+        run_full_resolution(cyclic_group(4, 1, 2), fast_cfg())
+    assert cli_main(["resolve", "--group", "cyclic:4,1,2", "--out", str(tmp_path)]) == 2
+    assert "does not act freely" in capsys.readouterr().err
 
 
 def test_noncyclic_atlas():
     a = np.diag([np.exp(1j * np.pi / 3), np.exp(-1j * np.pi / 3)])
     b = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     group = noncyclic_group([a, b])   # binary dihedral, order 12
-    atlas = assemble_atlas(group, 0.05, fast_cfg())
+    atlas = assemble_atlas(group, fast_cfg())
     assert atlas.passed, atlas.summary()
     assert atlas.regions[0].kind == "berger_general"
     assert len(atlas.singular_points) >= 1
@@ -144,7 +154,7 @@ def test_polyhedral_root_atlases_pass(gens):
     """The round-base body takes its band exponent from the full group
     order, whose dip target it meets; mu from min(order, 8) underflowed."""
     group = noncyclic_group(gens)
-    atlas = assemble_atlas(group, 0.05, fast_cfg())
+    atlas = assemble_atlas(group, fast_cfg())
     assert atlas.regions[0].data["mu"] == mu_floor(atlas.n)
     assert atlas.passed, atlas.summary()
 
@@ -154,8 +164,7 @@ def test_polyhedral_root_atlases_pass(gens):
 
 def test_cli_resolve_certify_plot(tmp_path):
     out = tmp_path / "run"
-    code = cli_main(["resolve", "--group", "cyclic:2,1,1", "--epsilon", "0.05",
-                     "--out", str(out),
+    code = cli_main(["resolve", "--group", "cyclic:2,1,1", "--out", str(out),
                      "--config", str(_write_cfg(tmp_path))])
     assert code == 0
     atlases = sorted(out.glob("atlas_*.json"))
@@ -186,6 +195,8 @@ def test_cli_recursion_and_errors(capsys):
     assert cli_main(["recursion", "--group", "cyclic:4,1,2"]) == 2  # not free
     assert cli_main(["recursion", "--group", "nonsense"]) == 2
     assert cli_main(["bogus-subcommand"]) == 2
+    assert cli_main(["resolve", "--group", "cyclic:2,1,1", "--epsilon", "0.05",
+                     "--out", "unused"]) == 2   # no such option
 
 
 def test_cli_resolve_rejects_kappa_config_key(tmp_path, capsys):
@@ -242,7 +253,7 @@ def test_cap_is_certified_once(monkeypatch):
     build = construct.build_conical_cap
     monkeypatch.setattr(construct, "build_conical_cap",
                         lambda *a, **k: caps.append(build(*a, **k)) or caps[-1])
-    atlas = assemble_atlas(cyclic_group(3, 1, 2), 0.05, cfg)
+    atlas = assemble_atlas(cyclic_group(3, 1, 2), cfg)
     assert atlas.passed, atlas.summary()
     assert len(caps) == 1
     sizes = [len(e) for (e,) in reductions]
@@ -306,8 +317,8 @@ def test_identical_nodes_share_one_atlas(bd8_resolve):
     assert len(run.atlases) == 10
     distinct = {id(a) for _, a in run.atlases}
     assert len(distinct) == 4
-    assert len([g for g in bd8_resolve.built if not g.is_trivial]) == 4
-    assert len(bd8_resolve.built) == 5                      # and one trivial leaf
+    assert len(bd8_resolve.built) == 4                      # no trivial leaf
+    assert not any(g.is_trivial for g in bd8_resolve.built)
     atlas_of = dict(run.atlases)
     assert len(run.reused) == 6
     for name, first in run.reused.items():
