@@ -779,11 +779,11 @@ def recertify(atlas_json: dict, n_2d: int = 128, tol: float = DEFAULT_TOL) -> di
     return run_checks(regions, FILE_CHECKS, n_2d=n_2d, tol=tol)
 
 
-def certify_gluing(atlas, tol: float = DEFAULT_TOL) -> dict:
+def certify_gluing(atlas) -> dict:
     """Recompute the tail and interface reports of a built atlas from its
     region data; every declared interface must resolve to a report or the
-    atlas is rejected."""
-    out = run_checks({r.id: r for r in atlas.regions}, GLUING_CHECKS, tol=tol)
+    atlas is rejected.  Each of these checks has its own fixed tolerance."""
+    out = run_checks({r.id: r for r in atlas.regions}, GLUING_CHECKS)
     for iface in atlas.interfaces:
         if iface.report_name not in out:
             raise PipelineError(f"unmatched interface: {iface.report_name}")

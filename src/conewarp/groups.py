@@ -26,6 +26,7 @@ __all__ = [
     "acts_freely",
     "resolution_step",
     "resolution_tree",
+    "singular_orbits",
     "hj_continued_fraction",
     "generate_elements",
     "element_set_key",
@@ -273,20 +274,46 @@ def _projective_point_key(v: np.ndarray) -> tuple:
     return (np.round(h.real, 7), np.round(h.imag, 7), np.round(abs(a) ** 2 - abs(b) ** 2, 7))
 
 
-def _stabilizer_descriptor(elems, point_vec) -> GroupDescriptor:
-    """Cyclic stabilizer of a projective point, as an explicit subgroup."""
-    stab = []
-    key = _projective_point_key(point_vec)
+def singular_orbits(desc: GroupDescriptor) -> tuple:
+    """Central order and the singular orbits of the projectivized action on CP^1.
+
+    Returns ``(central order, [(orbit size, Gamma_{m,1,l}), ...])``, the
+    orbits sorted by the key of their first line; ``desc`` must act freely.
+    A non-central unitary fixes exactly its two eigenlines, so the stabilizer
+    of a line is the centre plus the elements that have it as an eigenline.
+    In the basis (v, v-perp) such an element is diag(a, b), and a determines
+    it because the action is free: the stabilizer is cyclic of order m, and
+    the element with a = e^{2 pi i/m} generates it, with b = e^{2 pi i l/m}.
+    The child exponent is min(l, l^-1 mod m): Gamma_{m,1,l} and
+    Gamma_{m,1,l^-1} differ by the coordinate swap.
+    """
+    elems = generate_elements(desc)
+    n_central = sum(1 for e in elems if _is_scalar(e))
+    if n_central <= 1:
+        raise UnsupportedCaseError(
+            "non-cyclic group with trivial central part: the published reduction "
+            "assumes a nontrivial center; rejected by design")
+    lines = {}     # line key -> (a vector on it, [(a, b) of each non-central element fixing it])
     for e in elems:
         if _is_scalar(e):
-            stab.append(e)
             continue
         w, v = np.linalg.eig(e)
         for c in range(2):
-            if _projective_point_key(v[:, c]) == key:
-                stab.append(e)
-                break
-    return noncyclic_group(stab, label="stabilizer")
+            key = _projective_point_key(v[:, c])
+            lines.setdefault(key, (v[:, c], []))[1].append((w[c], w[1 - c]))
+    stacked = np.stack(elems)
+    orbits, seen = [], set()
+    for key in sorted(lines):
+        if key in seen:
+            continue
+        vec, diag = lines[key]
+        orbit = {_projective_point_key(u) for u in stacked @ vec}
+        seen |= orbit
+        m = n_central + len(diag)
+        _, b = min(diag, key=lambda ab: abs(ab[0] - np.exp(2j * np.pi / m)))
+        l = round(np.angle(b) * m / (2 * np.pi)) % m
+        orbits.append((len(orbit), cyclic_group(m, 1, min(l, pow(l, -1, m)))))
+    return n_central, orbits
 
 
 def resolution_tree(desc: GroupDescriptor) -> ResolutionNode:
@@ -294,8 +321,9 @@ def resolution_tree(desc: GroupDescriptor) -> ResolutionNode:
 
     Cyclic groups iterate the basic surgery until the child is trivial.
     Non-cyclic groups with nontrivial central part reduce to the cyclic
-    stabilizers of the singular orbits of the projectivized action on the
-    exceptional CP^1, found here by brute-force orbit analysis.
+    stabilizers Gamma_{m,1,l} of the singular orbits on the exceptional
+    CP^1 (``singular_orbits``), each read off in its line's own eigenbasis,
+    and each stabilizer then resolves as a cyclic chain.
     """
     free, witness = acts_freely(desc)
     if not free:
@@ -313,70 +341,13 @@ def resolution_tree(desc: GroupDescriptor) -> ResolutionNode:
         node.children = [resolution_tree(child)]
         return node
 
-    elems = generate_elements(desc)
-    n_central = sum(1 for e in elems if _is_scalar(e))
-    if n_central <= 1:
-        raise UnsupportedCaseError(
-            "non-cyclic group with trivial central part: the published reduction "
-            "assumes a nontrivial center; rejected by design")
+    n_central, orbits = singular_orbits(desc)
     node = ResolutionNode(desc, note=f"central order {n_central}")
-    # singular base points: eigen-directions of non-central elements
-    points = {}
-    for e in elems:
-        if _is_scalar(e):
-            continue
-        w, v = np.linalg.eig(e)
-        for c in range(2):
-            points.setdefault(_projective_point_key(v[:, c]), v[:, c])
-    # group the points into orbits under the projectivized action
-    seen = set()
-    for key, vec in sorted(points.items()):
-        if key in seen:
-            continue
-        orbit = set()
-        for e in elems:
-            orbit.add(_projective_point_key(e @ vec))
-        seen |= orbit
-        stab = _stabilizer_descriptor(elems, vec)
-        stab_elems = generate_elements(stab)
-        if len(stab_elems) <= n_central:
-            continue  # not actually singular beyond the global center
-        child_node = _cyclic_chain_from_stabilizer(stab, len(stab_elems))
-        child_node.note = f"orbit size {len(orbit)}"
+    for size, child in orbits:
+        child_node = resolution_tree(child)
+        child_node.note = f"orbit size {size}"
         node.children.append(child_node)
-    for c in node.children:
-        if c.order() > node.order():
-            raise DomainError("child order exceeds parent order")
     return node
-
-
-def _cyclic_chain_from_stabilizer(stab: GroupDescriptor, order: int) -> ResolutionNode:
-    """Express a cyclic stabilizer as Gamma_{m,1,p} and expand its chain."""
-    elems = generate_elements(stab)
-    # find a generator: element of maximal order
-    best, best_ord = None, 0
-    for e in elems:
-        o = _element_order(e, order)
-        if o > best_ord:
-            best, best_ord = e, o
-    if best_ord != len(elems):
-        raise UnsupportedCaseError("stabilizer is not cyclic")
-    # diagonalize: the stabilizer fixes two orthogonal eigen-directions
-    w, v = np.linalg.eig(best)
-    phases = np.angle(w) / (2 * np.pi) * best_ord
-    k = int(np.round(phases[0])) % best_ord
-    l = int(np.round(phases[1])) % best_ord
-    n, _, p = normalize_cyclic(best_ord, k, l)
-    return resolution_tree(cyclic_group(n, 1, p))
-
-
-def _element_order(e: np.ndarray, cap: int) -> int:
-    acc = np.array(e)
-    for m in range(1, cap + 1):
-        if np.max(np.abs(acc - np.eye(2))) < 1e-9:
-            return m
-        acc = acc @ e
-    return cap + 1
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +393,9 @@ def serialize_group(desc: GroupDescriptor) -> str:
 
 
 def deserialize_group(text: str) -> GroupDescriptor:
+    """Read ``serialize_group`` text.  Older files also carry a
+    ``central_order`` line, which is skipped; any other unknown key is a
+    DomainError, so a misspelled line is never dropped silently."""
     kind = None
     gens = []
     cyc = None
@@ -438,6 +412,8 @@ def deserialize_group(text: str) -> GroupDescriptor:
             vals = [complex(float(a), float(b)) for a, b in
                     (tok.split(",") for tok in rest.split())]
             gens.append(np.array(vals, dtype=complex).reshape(2, 2))
+        elif key != "central_order":
+            raise DomainError(f"unknown key {key!r} in group text")
     if kind == "cyclic" and cyc is not None:
         return cyclic_group(*cyc)
     if kind == "noncyclic":

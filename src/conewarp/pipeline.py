@@ -35,6 +35,7 @@ from .groups import (
     resolution_step,
     resolution_tree,
     serialize_group,
+    singular_orbits,
 )
 
 __all__ = ["PipelineConfig", "SurgeryAtlas", "ResolutionRun",
@@ -63,14 +64,14 @@ class PipelineConfig:
         return cfg
 
 
-def mu_floor(n: int, mu_min: float = 0.012) -> float:
+def mu_floor(n: int) -> float:
     """Smallest band exponent whose dip depth stays representable.
 
     The dip factor target is min(2 mu, 29.5 sqrt(mu)/n^3); it must satisfy
     (2/mu) |log10 eps| <= 280 for sin(kappa mu_hat) to stay inside double
-    range.  Returns the smallest admissible mu >= mu_min on a small ladder.
+    range.  Returns the smallest admissible mu on a small ladder.
     """
-    for mu in (mu_min, 0.015, 0.02, 0.03, 0.045, 0.06, 0.08):
+    for mu in (0.012, 0.015, 0.02, 0.03, 0.045, 0.06, 0.08):
         eps = min(2 * mu, 29.5 * math.sqrt(mu) / n ** 3)
         if (2.0 / mu) * abs(math.log10(eps)) <= 280.0:
             return mu
@@ -294,11 +295,11 @@ def _noncyclic_atlas(group, cfg: PipelineConfig) -> SurgeryAtlas:
         warps={"rho": prof.rho, "phi": prof.phi}))
     _certify_regions(atlas, cfg)
 
-    tree = resolution_tree(group)
-    for i, child_node in enumerate(tree.children):
+    _, orbits = singular_orbits(group)
+    for i, (size, child) in enumerate(orbits):
         atlas.singular_points.append(SingularPoint(
-            location=f"singular orbit {i} ({child_node.note})",
-            child=child_node.group,
+            location=f"singular orbit {i} (orbit size {size})",
+            child=child,
             note="cap per orbit via the cyclic machinery at the child's data"))
     atlas.cone_at_infinity = {
         "link": f"S^3/{group.name()} Berger-type",

@@ -75,7 +75,7 @@ def edge(n, p):
     if key not in _built:
         from conewarp.pipeline import mu_floor
         f = fk(n, p)
-        _built[key] = build_edge_profile(mu_floor(n, MU), n, f.t_kappa, f.eps_kappa)
+        _built[key] = build_edge_profile(mu_floor(n), n, f.t_kappa, f.eps_kappa)
     return _built[key]
 
 

@@ -1,14 +1,16 @@
 """Group layer: normalization, freeness, recursion, continued fractions."""
 
+import importlib.util
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conewarp.errors import NotFreeError, UnsupportedCaseError
+from conewarp.errors import DomainError, NotFreeError, UnsupportedCaseError
 from conewarp.groups import (
     acts_freely,
     cyclic_group,
@@ -159,22 +161,62 @@ def quaternion(a, b, c, d):
 GOLDEN_RATIO = (1 + 5 ** 0.5) / 2
 
 
+I_, J_ = quaternion(0, 1, 0, 0), quaternion(0, 0, 1, 0)
+ZETA5 = np.exp(2j * np.pi / 5)
+LAMBDA9 = np.exp(2j * np.pi / 9)
+
+
+def assert_orbit_identities(tree, orbits):
+    """Orbit-stabilizer, orbit size x |stab| = |Gamma|, for each singular
+    orbit, and Riemann-Hurwitz for the quotient S^2/Gamma-bar with
+    Gamma-bar = Gamma/centre: |Gamma-bar| (2 - sum(1 - 1/m_i)) = 2, where
+    m_i = |stab_i|/|centre| are its cone orders."""
+    elems = generate_elements(tree.group)
+    centre = sum(1 for e in elems if np.allclose(e, e[0, 0] * np.eye(2), atol=1e-9))
+    stabs = [c.order() for c in tree.children]
+    assert all(k * m == len(elems) for k, m in zip(orbits, stabs))
+    assert Fraction(len(elems), centre) * (2 - sum(1 - Fraction(centre, m) for m in stabs)) == 2
+
+
 @pytest.mark.parametrize("gens,orbits,children", [
     (binary_dihedral_generators(3), [3, 3, 2], [(4, 1, 3), (4, 1, 3), (6, 1, 5)]),
+    ([I_, quaternion(0.5, 0.5, 0.5, 0.5)], [6, 4, 4], [(4, 1, 3), (6, 1, 5), (6, 1, 5)]),
     ([quaternion(2 ** -0.5, 2 ** -0.5, 0, 0), quaternion(0.5, 0.5, 0.5, 0.5)],
      [6, 12, 8], [(8, 1, 7), (4, 1, 3), (6, 1, 5)]),
     ([quaternion(0.5, 0.5, 0.5, 0.5), quaternion(GOLDEN_RATIO / 2, 0.5, 0.5 / GOLDEN_RATIO, 0)],
      [30, 20, 12], [(4, 1, 3), (6, 1, 5), (10, 1, 9)]),
-], ids=["D12", "O48", "I120"])
+    ([np.diag([ZETA5, ZETA5.conjugate()]), np.array([[0, 1], [1j, 0]])],
+     [5, 5, 2], [(8, 1, 5), (8, 1, 5), (20, 1, 9)]),
+    ([I_, J_, -LAMBDA9 * quaternion(0.5, 0.5, 0.5, 0.5)],
+     [6, 4, 4], [(12, 1, 7), (18, 1, 7), (18, 1, 7)]),
+    ([I_, J_, ZETA5 * np.eye(2)], [2, 2, 2], [(20, 1, 11)] * 3),
+], ids=["D12", "T24", "O48", "I120", "D'40", "T'72", "Z5xQ8"])
 def test_singular_orbits_of_the_polyhedral_groups(gens, orbits, children):
-    """The singular orbits on CP^1 of the order-12 binary dihedral, binary
-    octahedral and binary icosahedral groups: each orbit size times its
-    stabilizer's order is the group order, and O48 has its order-8 vertex
-    stabilizer."""
+    """The singular orbits on CP^1 of binary polyhedral groups and of three
+    of Wolf's groups (D'40, T'72 and Z5 x Q8): O48 has its order-8 vertex
+    stabilizer, and T'72's size-4 orbits read Gamma_{18,1,7}, the smaller
+    of the exponents 7 and 7^-1 = 13 mod 18."""
     tree = resolution_tree(noncyclic_group(gens))
     assert [c.note for c in tree.children] == [f"orbit size {k}" for k in orbits]
     assert [(c.group.n, c.group.k, c.group.l) for c in tree.children] == children
-    assert all(k * c.order() == tree.order() for k, c in zip(orbits, tree.children))
+    assert_orbit_identities(tree, orbits)
+
+
+def _coverage_module():
+    """tests/golden/regen_coverage.py, loaded by path."""
+    path = Path(__file__).parent / "golden" / "regen_coverage.py"
+    spec = importlib.util.spec_from_file_location("regen_coverage", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("name,gens", sorted(_coverage_module().polyhedral_generators().items()))
+def test_orbit_identities_on_every_noncyclic_coverage_group(name, gens):
+    """Orbit-stabilizer and Riemann-Hurwitz on the tree of every non-cyclic
+    group of the coverage table; trees only, no atlas."""
+    tree = resolution_tree(noncyclic_group(gens))
+    assert_orbit_identities(tree, [int(c.note.split()[-1]) for c in tree.children])
 
 
 def test_resolution_tree_noncyclic_trivial_center_rejected():
@@ -215,6 +257,9 @@ def test_group_serialization_roundtrip():
     # a file of the older format, with its central_order line, still reads
     legacy = deserialize_group(LEGACY_D8_TEXT)
     assert element_set_key(generate_elements(legacy)) == element_set_key(generate_elements(nd))
+    # any other unknown key is an error naming it, not a line dropped
+    with pytest.raises(DomainError, match="'gne'"):
+        deserialize_group(LEGACY_D8_TEXT.replace("\ngen ", "\ngne ", 1))
 
 
 # The order-8 binary dihedral group as group files were written when they

@@ -10,7 +10,7 @@ import pytest
 from test_certification_layer import _golden_module
 from test_groups import GOLDEN_RATIO, binary_dihedral_generators, quaternion
 
-from conewarp import certify, cli, construct, pipeline
+from conewarp import certify, cli, construct, groups, pipeline
 from conewarp.cli import main as cli_main
 from conewarp.errors import DomainError, NotFreeError
 from conewarp.groups import cyclic_group, noncyclic_group, serialize_group
@@ -188,11 +188,16 @@ def _write_cfg(tmp_path):
     return cfg
 
 
-def test_cli_recursion_and_errors(capsys):
+def test_cli_recursion_and_errors(tmp_path, capsys):
     assert cli_main(["recursion", "--group", "cyclic:5,1,3"]) == 0
     out = capsys.readouterr().out
     assert "order 5" in out and "[2, 3]" in out
     assert cli_main(["recursion", "--group", "cyclic:4,1,2"]) == 2  # not free
+    misspelled = tmp_path / "group.txt"     # one gen line keyed "gne"
+    misspelled.write_text(serialize_group(noncyclic_group(binary_dihedral_generators(3)))
+                          .replace("\ngen ", "\ngne ", 1))
+    assert cli_main(["recursion", "--group-file", str(misspelled)]) == 2
+    assert "'gne'" in capsys.readouterr().err
     assert cli_main(["recursion", "--group", "nonsense"]) == 2
     assert cli_main(["bogus-subcommand"]) == 2
     assert cli_main(["resolve", "--group", "cyclic:2,1,1", "--epsilon", "0.05",
@@ -224,10 +229,10 @@ def test_cli_plot_data_rejects_an_atlas_without_edge_body(bd8_resolve, tmp_path,
     assert not (tmp_path / "field.csv").exists()
 
 
-def _record_calls(monkeypatch, name, calls):
-    """Append the arguments of every call of ``certify.<name>`` to ``calls``,
+def _record_calls(monkeypatch, owner, name, calls):
+    """Append the arguments of every call of ``<owner>.<name>`` to ``calls``,
     in every conewarp module that binds the name."""
-    orig = getattr(certify, name)
+    orig = getattr(owner, name)
 
     def wrapper(*args):
         calls.append(args)
@@ -247,9 +252,9 @@ def test_cap_is_certified_once(monkeypatch):
     either."""
     cfg = fast_cfg()
     reductions, samples, links, caps = [], [], [], []
-    _record_calls(monkeypatch, "cap_block_min", reductions)
-    _record_calls(monkeypatch, "cap_link_margins", samples)
-    _record_calls(monkeypatch, "link_ricci_margins", links)
+    _record_calls(monkeypatch, certify, "cap_block_min", reductions)
+    _record_calls(monkeypatch, certify, "cap_link_margins", samples)
+    _record_calls(monkeypatch, certify, "link_ricci_margins", links)
     build = construct.build_conical_cap
     monkeypatch.setattr(construct, "build_conical_cap",
                         lambda *a, **k: caps.append(build(*a, **k)) or caps[-1])
@@ -262,6 +267,23 @@ def test_cap_is_certified_once(monkeypatch):
     rho = caps[0].rho_cap
     assert [a[3] for a in samples if a[0] is rho] == [256]
     assert [len(a[4]) for a in links if a[0] is rho] == [256] + [cfg.grid_2d] * 5
+
+
+def test_a_run_builds_its_tree_once(monkeypatch):
+    """run_full_resolution of D12 calls resolution_tree once per node of its
+    tree (15), and the root atlas lists the tree's children as its singular
+    points."""
+    calls = []
+    _record_calls(monkeypatch, groups, "resolution_tree", calls)
+    run = run_full_resolution(noncyclic_group(binary_dihedral_generators(3)), fast_cfg())
+
+    def nodes(node):
+        return 1 + sum(nodes(c) for c in node.children)
+
+    assert len(calls) == nodes(run.tree) == 15
+    root = dict(run.atlases)["node0"]
+    assert ([serialize_group(s.child) for s in root.singular_points]
+            == [serialize_group(c.group) for c in run.tree.children])
 
 
 def test_a_failed_moser_bound_is_a_fail_report(tmp_path, capsys):
