@@ -57,9 +57,13 @@ __all__ = [
     "recertify",
     "certify_gluing",
     "DEFAULT_TOL",
+    "GRID_1D",
+    "GRID_2D",
 ]
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = 1e-8      # every table report that has no fixed tolerance of its own
+GRID_1D = 10_000        # default 1-D and 2-D grid counts of the table
+GRID_2D = 128
 PIH = math.pi / 2
 
 
@@ -437,16 +441,16 @@ def _cap_family(cap, part, pts):
                                                lambda: j2warp(w["rho_cap"], fac.arg_sin))]
 
 
-def _f_inequality(regions, n_1d, n_2d, tol):
+def _f_inequality(regions, n_1d, n_2d):
     """Every cell of f at max(192, n_1d / cells) midpoints, bilateral."""
     e = regions["edge_body"]
     f = e.warps["f"]
     grid = CellGrid(f, max(192, math.ceil(n_1d / (len(f.breakpoints) + 1))), bilateral=True)
     return {"f_inequality_smoothed": certify_inequality(
-        f, -1.0, grid, tol, target=f"f inequality <= -1 ({e.data['n']},{e.data['p']})")}
+        f, -1.0, grid, target=f"f inequality <= -1 ({e.data['n']},{e.data['p']})")}
 
 
-def _edge_ricci(regions, n_1d, n_2d, tol):
+def _edge_ricci(regions, n_1d, n_2d):
     e = regions["edge_body"]
     w = e.warps
 
@@ -454,7 +458,7 @@ def _edge_ricci(regions, n_1d, n_2d, tol):
         return ricci_cone_berger(w["rho"], w["phi"], w["f"], pts[:, 0], pts[:, 1]).entries
 
     return {"edge_ricci_psd": certify_psd(
-        field_fn, Grid([(0.0, e.data["r_out"]), (0.0, PIH)], [n_2d, n_2d]), tol,
+        field_fn, Grid([(0.0, e.data["r_out"]), (0.0, PIH)], [n_2d, n_2d]),
         target="edge body Ricci >= 0")}
 
 
@@ -474,15 +478,15 @@ def _exact_tail(tail, body):
                             dev, 1e-12, 0.0, t0)
 
 
-def _tail_exact_linear(regions, n_1d, n_2d, tol):
+def _tail_exact_linear(regions, n_1d, n_2d):
     return {"tail_exact_linear": _exact_tail(regions["cone_tail"], regions["edge_body"])}
 
 
-def _body_tail_exact(regions, n_1d, n_2d, tol):
+def _body_tail_exact(regions, n_1d, n_2d):
     return {"body_tail_exact": _exact_tail(regions["berger_body"], regions["berger_body"])}
 
 
-def _rho_bands(body, regions, n_1d, n_2d, tol):
+def _rho_bands(body, regions, n_1d, n_2d):
     """rho below band_hi of ``body``, the edge body or the round-base body
     (whose rho is built at n = the group order), on 4096 uniform points and
     64 per piece (the dip corner is below the uniform spacing): at tol 1e-9
@@ -515,7 +519,7 @@ def _rho_bands(body, regions, n_1d, n_2d, tol):
     return out
 
 
-def _glue_ricci(regions, n_1d, n_2d, tol):
+def _glue_ricci(regions, n_1d, n_2d):
     g = regions["glue_collar"]
     glue = _local_glue(g)
     half = g.data["xi0"] / 2
@@ -527,11 +531,11 @@ def _glue_ricci(regions, n_1d, n_2d, tol):
     def field_fn(pts):
         return ricci_local_glue(glue, pts[:, 0], pts[:, 1]).entries
 
-    return {"glue_ricci_psd": certify_psd(field_fn, grid, tol,
+    return {"glue_ricci_psd": certify_psd(field_fn, grid,
                                           target="glue collar Ricci >= 0 (refined cutoff bands)")}
 
 
-def _glue_bounds(regions, n_1d, n_2d, tol):
+def _glue_bounds(regions, n_1d, n_2d):
     """|psi_r / sin 2xi| <= 2 n sigma2/sigma1 and the mixed term
     |3 rho' psi_r / (n sin 2xi)| <= 1/100, from one sweep of psi."""
     t0 = time.perf_counter()
@@ -553,7 +557,7 @@ def _glue_bounds(regions, n_1d, n_2d, tol):
                                                  mixed, 0.01, 0.0, t0)}
 
 
-def _glue_product(regions, n_1d, n_2d, tol):
+def _glue_product(regions, n_1d, n_2d):
     """In the corner the glue metric is exactly the surface product."""
     t0 = time.perf_counter()
     g = regions["glue_collar"]
@@ -565,7 +569,7 @@ def _glue_product(regions, n_1d, n_2d, tol):
         1e-15, t0)}
 
 
-def _edge_glue_interface(regions, n_1d, n_2d, tol):
+def _edge_glue_interface(regions, n_1d, n_2d):
     """Exact identification on the overlap where the twist is fully on."""
     e, g = regions["edge_body"], regions["glue_collar"]
     glue = _local_glue(g)
@@ -595,7 +599,7 @@ def _edge_glue_interface(regions, n_1d, n_2d, tol):
         lambda Xp: glue.metric(Xp[:, 0], Xp[:, 1]), jac, (dr, dr), tol=1e-9)}
 
 
-def _cap_blocks(regions, n_1d, n_2d, tol):
+def _cap_blocks(regions, n_1d, n_2d):
     """Both parts of the cap on n_2d x n_2d grids over ``cap_gamma_boxes`` x (0, pi/2)."""
     t0 = time.perf_counter()
     c = regions["conical_cap"]
@@ -603,23 +607,23 @@ def _cap_blocks(regions, n_1d, n_2d, tol):
     pts = [g.points() for g in grids]
     margins = [cap_block_min(ricci_torus_jets(*_cap_family(c, part, x)).entries)
                for part, x in enumerate(pts)]
-    rep = _margin_report("cap (Y1,Y2)-block and Y3, Y4 diagonals >= 0", grids, tol,
+    rep = _margin_report("cap (Y1,Y2)-block and Y3, Y4 diagonals >= 0", grids, DEFAULT_TOL,
                          np.concatenate(margins), np.concatenate(pts), t0)
     rep.details["argmin_part"] = "part1" if margins[0].min() <= margins[1].min() else "part2"
     return {"cap_blocks_psd": rep}
 
 
-def _cap_link(regions, n_1d, n_2d, tol):
+def _cap_link(regions, n_1d, n_2d):
     """The frozen link (s = 1) has Ric >= (2 + zeta/100)(1 - zeta)^2 g."""
     t0 = time.perf_counter()
     d, w = regions["conical_cap"].data, regions["conical_cap"].warps
     grid, m = cap_link_margins(w["rho_cap"], int(d["n"]), d["sigma_link"], 256)
-    return {"cap_link_bound": _margin_report("cap link Ric >= (2 + zeta/100) g", grid, tol,
+    return {"cap_link_bound": _margin_report("cap link Ric >= (2 + zeta/100) g", grid, DEFAULT_TOL,
                                              m - cap_link_lower_bound(d["zeta"]),
                                              grid.points(), t0)}
 
 
-def _family(regions, n_1d, n_2d, tol):
+def _family(regions, n_1d, n_2d):
     """The link family at s = 0, 1/4, .., 1 (``link_family_jets``): Ric >=
     2 ghat, ghat's round end having radius 1 - 999 zeta/1000; volumes and
     volume densities nonincreasing in s; equal volumes after the
@@ -634,7 +638,7 @@ def _family(regions, n_1d, n_2d, tol):
     s_axis, th = grid.axes()
     margins = np.concatenate([link_ricci_margins(*link, s, th) - 2.0 * lam * lam
                               for s in s_axis])
-    out = {"family_ricci": _margin_report("interpolation family Ric >= 2 ghat", grid, tol,
+    out = {"family_ricci": _margin_report("interpolation family Ric >= 2 ghat", grid, DEFAULT_TOL,
                                           margins, grid.points(), t0)}
 
     t0 = time.perf_counter()
@@ -678,7 +682,7 @@ def _family(regions, n_1d, n_2d, tol):
     return out
 
 
-def _cap_collar(regions, n_1d, n_2d, tol):
+def _cap_collar(regions, n_1d, n_2d):
     """Near gamma = r0 the cap families equal the unmodified product metric."""
     t0 = time.perf_counter()
     c = regions["conical_cap"]
@@ -697,7 +701,7 @@ def _cap_collar(regions, n_1d, n_2d, tol):
         "cap collar equals the product model at gamma ~ r0", grid, pts, dev, 1e-8, 0.0, t0)}
 
 
-def _cap_cone(regions, n_1d, n_2d, tol):
+def _cap_cone(regions, n_1d, n_2d):
     """Inside gamma <= sigma the part-2 family is the exact frozen cone."""
     t0 = time.perf_counter()
     c = regions["conical_cap"]
@@ -719,18 +723,18 @@ def _cap_cone(regions, n_1d, n_2d, tol):
                                                grid, pts, dev, 1e-12, 0.0, t0)}
 
 
-def _body_ricci(regions, n_1d, n_2d, tol):
+def _body_ricci(regions, n_1d, n_2d):
     t0 = time.perf_counter()
     b = regions["berger_body"]
     grid = Grid([(0.0, b.data["r_out"])], [4096])
     pts = grid.points()
     vals = ricci_berger_general(b.warps["rho"], b.warps["phi"], pts[:, 0])
     return {"body_ricci_psd": _margin_report("round-base body: four diagonal Ricci values >= 0",
-                                             grid, tol, np.min(vals, axis=0), pts, t0)}
+                                             grid, DEFAULT_TOL, np.min(vals, axis=0), pts, t0)}
 
 
 # Every check computable from atlas region data: check name -> (ids of the
-# regions it reads, check(regions, n_1d, n_2d, tol)), where n_1d and n_2d are
+# regions it reads, check(regions, n_1d, n_2d)), where n_1d and n_2d are
 # the 1-D and 2-D grid counts and a check returns {report name: report}; a
 # check of one report shares its name.  resolve runs every entry whose
 # regions its atlas has; conewarp certify runs FILE_CHECKS on the atlas file
@@ -759,24 +763,23 @@ GLUING_CHECKS = ("tail_exact_linear", "iface_edge_glue", "iface_glue_product",
                  "iface_cap_collar", "iface_cap_cone")
 
 
-def run_checks(regions: dict, names=None, n_1d: int = 10_000, n_2d: int = 128,
-               tol: float = DEFAULT_TOL) -> dict:
+def run_checks(regions: dict, names=None, n_1d: int = GRID_1D, n_2d: int = GRID_2D) -> dict:
     """Reports of the named checks (all by default) whose regions are present
     in ``regions`` (region id -> AtlasRegion)."""
     out = {}
     for name, (needs, check) in CHECKS.items():
         if (names is None or name in names) and all(r in regions for r in needs):
-            out.update(check(regions, n_1d, n_2d, tol))
+            out.update(check(regions, n_1d, n_2d))
     return out
 
 
-def recertify(atlas_json: dict, n_2d: int = 128, tol: float = DEFAULT_TOL) -> dict:
+def recertify(atlas_json: dict, n_2d: int = GRID_2D) -> dict:
     """Run FILE_CHECKS on a written atlas; only the regions they read are
     deserialized."""
     needed = {r for name in FILE_CHECKS for r in CHECKS[name][0]}
     regions = {d["id"]: AtlasRegion.from_json(d) for d in atlas_json["regions"]
                if d["id"] in needed}
-    return run_checks(regions, FILE_CHECKS, n_2d=n_2d, tol=tol)
+    return run_checks(regions, FILE_CHECKS, n_2d=n_2d)
 
 
 def certify_gluing(atlas) -> dict:

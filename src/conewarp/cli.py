@@ -3,13 +3,13 @@
 Subcommands::
 
     conewarp resolve   --group cyclic:n,k,l | --group-file F --out DIR [--config F]
-    conewarp certify   --atlas FILE [--grid N] [--tol T]
+    conewarp certify   --atlas FILE [--grid N]
     conewarp recursion --group ... | --group-file F
     conewarp plot-data --atlas FILE --field {ricci-min|warp|margin} --out CSV
 
-Config files are plain ``key = value`` lines (grid sizes, tolerances, search
-budgets).  Exit codes: 0 pass, 1 certification failure, 2 usage/parameter
-error.
+Config files are plain ``key = value`` lines naming ``PipelineConfig`` fields
+(``grid_1d``, ``grid_2d``, ``cap_search_budget``); tolerances are fixed per
+report.  Exit codes: 0 pass, 1 certification failure, 2 usage/parameter error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import AtlasRegion, CellGrid, Grid, recertify
+from .certify import GRID_2D, AtlasRegion, CellGrid, Grid, recertify
 from .curvature import ricci_cone_berger
 from .errors import ConewarpError, DomainError
 from .groups import (
@@ -107,7 +107,7 @@ def _load_atlas(path):
 
 def cmd_certify(args) -> int:
     """Re-run resolve's file checks (``certify.FILE_CHECKS``) on a written atlas file."""
-    reports = recertify(_load_atlas(args.atlas), n_2d=args.grid, tol=args.tol)
+    reports = recertify(_load_atlas(args.atlas), n_2d=args.grid)
     if not reports:
         print("no recertifiable regions found in atlas", file=sys.stderr)
         return 2
@@ -164,8 +164,7 @@ def build_parser():
 
     p = sub.add_parser("certify", help="re-certify a written atlas file")
     p.add_argument("--atlas", required=True)
-    p.add_argument("--grid", type=int, default=128)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--grid", type=int, default=GRID_2D)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("recursion", help="print the resolution tree and oracle data")

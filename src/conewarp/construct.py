@@ -198,6 +198,8 @@ class FKappa:
     params: ConstructionParams = field(default_factory=ConstructionParams)
 
 
+TAU = 0.099            # the base profile's tau < 1/10
+R0_CAP = 0.75          # the cap's own model scale r0
 BETA_MAX = 0.30        # pure-power drift budget; the inequality allows 3/7
 SEAL_KAPPA = 1.0e7     # end-piece frequency carrying the slope -p
 C_MID = 0.5            # sin(2x)/2 on the middle region, slope 1 at 0

@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import construct as cn
-from .certify import DEFAULT_TOL, AtlasRegion, _jsonable, bound_report, run_checks
+from .certify import GRID_1D, GRID_2D, AtlasRegion, _jsonable, bound_report, run_checks
 from .errors import DomainError, NotFreeError, ParameterError
 from .groups import (
     GroupDescriptor,
@@ -44,24 +44,21 @@ __all__ = ["PipelineConfig", "SurgeryAtlas", "ResolutionRun",
 
 @dataclass
 class PipelineConfig:
-    tau: float = 0.099
-    mu: float | None = None          # default chosen per group order
-    r0_cap: float = 0.75
-    grid_1d: int = 10_000
-    grid_2d: int = 128
-    tol: float = DEFAULT_TOL
+    """The settable grid counts and cap search budget; every other value of
+    the construction is a constant (``construct.TAU``, ``construct.R0_CAP``,
+    mu from ``mu_floor``, ``certify.DEFAULT_TOL``)."""
+
+    grid_1d: int = GRID_1D
+    grid_2d: int = GRID_2D
     cap_search_budget: int = 10
 
     @classmethod
     def from_mapping(cls, mapping):
-        cfg = cls()
-        casts = {"tau": float, "mu": float, "r0_cap": float, "grid_1d": int,
-                 "grid_2d": int, "tol": float, "cap_search_budget": int}
-        for k, v in mapping.items():
-            if k not in casts:
+        keys = {f.name for f in fields(cls)}
+        for k in mapping:
+            if k not in keys:
                 raise ParameterError(f"unknown config key {k!r}")
-            setattr(cfg, k, casts[k](v))
-        return cfg
+        return cls(**{k: int(v) for k, v in mapping.items()})
 
 
 def mu_floor(n: int) -> float:
@@ -171,20 +168,19 @@ def assemble_atlas(group: GroupDescriptor,
 def _certify_regions(atlas: SurgeryAtlas, cfg: PipelineConfig):
     """Run every region check of the certification table on the atlas."""
     atlas.reports.update(run_checks({r.id: r for r in atlas.regions},
-                                    n_1d=cfg.grid_1d, n_2d=cfg.grid_2d, tol=cfg.tol))
+                                    n_1d=cfg.grid_1d, n_2d=cfg.grid_2d))
 
 
 def _cyclic_atlas(group, n, p, cfg: PipelineConfig) -> SurgeryAtlas:
     t0 = time.perf_counter()
     atlas = SurgeryAtlas(group=group, n=n, p=p)
-    mu = cfg.mu if cfg.mu is not None else mu_floor(n)
-    atlas.params.set("mu", mu, "pipeline default via representability floor"
-                     if cfg.mu is None else "config override")
-    atlas.params.set("tau", cfg.tau, "config")
+    mu = mu_floor(n)
+    atlas.params.set("mu", mu, "representability floor mu_floor(n)")
+    atlas.params.set("tau", cn.TAU, "construction constant (< 1/10)")
 
     # 1. base-sphere profile; f_hat is not stored, so the report carries the
     # build's own per-piece sweep of its inequality ----------------------------
-    fk = cn.build_f_kappa(n, p, tau=cfg.tau)
+    fk = cn.build_f_kappa(n, p, tau=cn.TAU)
     atlas.params.merge(fk.params)
     atlas.reports["f_inequality_presmooth"] = bound_report(
         f"f_hat inequality <= -2 ({n},{p})", fk.presmooth_worst, -2.0,
@@ -199,7 +195,7 @@ def _cyclic_atlas(group, n, p, cfg: PipelineConfig) -> SurgeryAtlas:
     atlas.params.merge(glue.params)
 
     # 4. conical cap and interpolation family --------------------------------
-    cap = cn.build_conical_cap(cfg.r0_cap, mu, n, eps_target=prof.eps,
+    cap = cn.build_conical_cap(cn.R0_CAP, mu, n, eps_target=prof.eps,
                                search_budget=cfg.cap_search_budget)
     atlas.params.merge(cap.params)
     fam = cn.build_interpolation_family(cap)
@@ -283,7 +279,7 @@ def _noncyclic_atlas(group, cfg: PipelineConfig) -> SurgeryAtlas:
     t0 = time.perf_counter()
     order = len(generate_elements(group))
     atlas = SurgeryAtlas(group=group, n=order, p=0)
-    mu = cfg.mu if cfg.mu is not None else mu_floor(order)
+    mu = mu_floor(order)
     # round-base Berger body over the projectivized quotient
     prof = cn.build_general_profiles(order, mu)
     atlas.params.merge(prof.params)

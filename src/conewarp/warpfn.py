@@ -286,14 +286,11 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> Wa
 
     lj = f.eval_jet_onesided(x0, "left")
     rj = f.eval_jet_onesided(x0, "right")
-    for c in constraints:
-        if c[0] == "d2" and c[1] < 0 and rj.f1 - lj.f1 > 1e-9 * max(1.0, abs(lj.f1)):
-            raise JoinFailure(
-                "derivative jump has the wrong sign for a concave join "
-                f"(left d1={lj.f1}, right d1={rj.f1})"
-            )
-        if c[0] == "d2" and c[1] > 0 and lj.f1 - rj.f1 > 1e-9 * max(1.0, abs(lj.f1)):
-            raise JoinFailure("derivative jump has the wrong sign for a convex join")
+    if ("d2", -1) in constraints and rj.f1 - lj.f1 > 1e-9 * max(1.0, abs(lj.f1)):
+        raise JoinFailure(
+            "derivative jump has the wrong sign for a concave join "
+            f"(left d1={lj.f1}, right d1={rj.f1})"
+        )
 
     e0, e1 = x0 - w, x0 + w
     blended = _hermite_quintic(_piece_jet(left, e0), _piece_jet(right, e1), e0, e1)
@@ -322,21 +319,20 @@ def mollify_join(f: WarpFunction, x0: float, width: float, constraints=()) -> Wa
 # -- cutoffs -------------------------------------------------------------------
 
 
-def build_cutoff(a: float, b: float, domain_end: float | None = None,
+def build_cutoff(a: float, b: float, domain_end: float,
                  name: str = "eta") -> WarpFunction:
-    """Cutoff eta with eta=1 on [0, a], eta=0 on [b, end], |eta'| <= 2/(b-a).
+    """Cutoff eta with eta=1 on [0, a], eta=0 on [b, domain_end], |eta'| <= 2/(b-a).
 
     Realized with the quintic smoothstep, whose maximal slope 15/8 stays under
     the required bound 2/(b-a).
     """
     if not (0 < a < b):
         raise DomainError("cutoff needs 0 < a < b")
-    end = float(domain_end) if domain_end is not None else 2.0 * b
-    if end <= b:
+    if domain_end <= b:
         raise DomainError("domain end must exceed b")
     u = (ex.X - ex.Const(a)) / ex.Const(b - a)
     falling = ex.Const(1.0) - smoothstep_quintic(u)
-    return WarpFunction(0.0, end, [a, b],
+    return WarpFunction(0.0, float(domain_end), [a, b],
                         [ex.Const(1.0), falling, ex.Const(0.0)],
                         continuity_class=2, name=name)
 

@@ -13,6 +13,7 @@ from math import gcd
 import numpy as np
 import pytest
 from test_construct import cap_region
+from test_groups import groups_equal_mod_swap
 
 from conewarp import expr as ex
 from conewarp.certify import (
@@ -41,7 +42,6 @@ from conewarp.curvature import (
 from conewarp.groups import (
     cyclic_group,
     generate_elements,
-    groups_equal_mod_swap,
     hj_continued_fraction,
     hj_reconstruct,
     resolution_tree,

@@ -5,12 +5,15 @@ and not only the traced runs of ``python -m pytest -q bench``.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from functools import reduce
 from pathlib import Path
 
 import pytest
+
+from conewarp.pipeline import PipelineConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -56,3 +59,12 @@ def test_every_conewarp_name_the_benchmark_reads_resolves():
     assert ("conewarp.construct", "make_cap_families") in reads
     missing = [(m, a) for m, a in reads if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+def test_every_config_key_the_benchmark_sets_is_a_pipeline_config_field():
+    """``TINY`` of bench/test_smoke.py, read without importing the file."""
+    tree = ast.parse((BENCH / "test_smoke.py").read_text())
+    tiny = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TINY" for t in node.targets))
+    assert tiny and set(tiny) <= {f.name for f in dataclasses.fields(PipelineConfig)}

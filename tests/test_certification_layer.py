@@ -41,7 +41,7 @@ def test_conewarp_certify_reproduces_resolve_reports(run_513, tmp_path):
         path = tmp_path / f"atlas_{name}.json"
         path.write_text(atlas.to_json())
         data = json.loads(path.read_text())
-        reports = recertify(data, n_2d=FAST.grid_2d, tol=FAST.tol)
+        reports = recertify(data, n_2d=FAST.grid_2d)
         # exactly FILE_CHECKS' reports: glue_bounds and family stay out for cost;
         # the band check's reports are named edge_rho_*, not edge_bands
         assert set(reports) == {"f_inequality_smoothed", "edge_ricci_psd", "glue_ricci_psd",
@@ -59,6 +59,25 @@ def test_conewarp_certify_reproduces_resolve_reports(run_513, tmp_path):
             assert rep.passed and stored["passed"]
         code = cli_main(["certify", "--atlas", str(path), "--grid", str(FAST.grid_2d)])
         assert code == 0
+
+
+def test_conewarp_certify_fails_a_cap_with_zeta_set_to_zero(run_513, tmp_path, capsys):
+    """An atlas file whose cap claims zeta = 0 fails exactly the two cap
+    reports, at the fixed table tolerance."""
+    for name, atlas in run_513.atlases:
+        data = json.loads(atlas.to_json())
+        cap = next(r for r in data["regions"] if r["id"] == "conical_cap")
+        assert cap["data"]["zeta"] > 0
+        cap["data"]["zeta"] = 0.0
+        path = tmp_path / f"atlas_{name}.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["certify", "--atlas", str(path), "--grid", str(FAST.grid_2d)]) == 1
+        failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+        assert [ln.split(":")[0] for ln in failed] == [
+            "[FAIL] cap (Y1,Y2)-block and Y3, Y4 diagonals >= 0",
+            "[FAIL] cap link Ric >= (2 + zeta/100) g"], name
+        assert "min margin -1.138e+03 (tol 1.0e-08" in failed[0], name
 
 
 def test_certify_gluing_recomputes_every_report(run_513):

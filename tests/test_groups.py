@@ -27,6 +27,23 @@ from conewarp.groups import (
 )
 
 
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def groups_equal_mod_swap(elems_a, elems_b) -> bool:
+    """Element-set equality, allowing conjugation by the coordinate swap.
+
+    The two published descriptions of the recursion child live in charts
+    whose local coordinates are interchanged; as subgroups of the fixed U(2)
+    they agree only after conjugating by the (unitary) swap matrix, which is
+    the isometry z1 <-> z2 of C^2.
+    """
+    ka = element_set_key(elems_a)
+    if ka == element_set_key(elems_b):
+        return True
+    return ka == element_set_key([_SWAP @ e @ _SWAP for e in elems_b])
+
+
 def binary_dihedral_generators(m: int):
     """Binary dihedral group of order 4m inside SU(2)."""
     a = np.diag([np.exp(1j * np.pi / m), np.exp(-1j * np.pi / m)])
@@ -97,12 +114,17 @@ def test_resolution_step_examples():
     assert leaf.is_trivial
 
 
-@pytest.mark.parametrize("n", range(2, 51))
+@pytest.mark.parametrize("n", range(2, 61))
 def test_resolution_step_two_descriptions_agree(n):
-    for p in range(1, n):
+    """The child is Gamma_{p, n mod p, p-1} (the chart computation), and that
+    group equals Gamma_{p,-1,n} (the surgery statement) up to the swap."""
+    for p in range(2, n):
         if gcd(n, p) != 1:
             continue
-        resolution_step(n, p)  # raises if the two descriptions disagree
+        child = generate_elements(resolution_step(n, p))
+        chart = generate_elements(cyclic_group(p, n % p, p - 1))
+        assert element_set_key(child) == element_set_key(chart), (n, p)
+        assert groups_equal_mod_swap(chart, generate_elements(cyclic_group(p, -1, n))), (n, p)
 
 
 def test_resolution_tree_chain():

@@ -173,6 +173,8 @@ def test_cli_resolve_certify_plot(tmp_path):
     assert (out / "reports.json").exists()
     code = cli_main(["certify", "--atlas", str(atlases[0]), "--grid", "48"])
     assert code == 0
+    # the table tolerance is fixed: there is no option to loosen it
+    assert cli_main(["certify", "--atlas", str(atlases[0]), "--tol", "1e4"]) == 2
     csv = tmp_path / "field.csv"
     code = cli_main(["plot-data", "--atlas", str(atlases[0]),
                      "--field", "ricci-min", "--out", str(csv)])
@@ -204,13 +206,16 @@ def test_cli_recursion_and_errors(tmp_path, capsys):
                      "--out", "unused"]) == 2   # no such option
 
 
-def test_cli_resolve_rejects_kappa_config_key(tmp_path, capsys):
-    """kappa is fixed at 2, as in the cap and the round-base body."""
+@pytest.mark.parametrize("key", ["kappa", "tau", "mu", "r0_cap", "tol"])
+def test_cli_resolve_rejects_kappa_config_key(key, tmp_path, capsys):
+    """kappa is fixed at 2, as in the cap and the round-base body; tau, the
+    cap scale r0, mu (read off the group order) and the table tolerance are
+    constants too."""
     cfg = tmp_path / "conf.txt"
-    cfg.write_text("kappa = 3.0\n")
+    cfg.write_text(f"{key} = 3.0\n")
     assert cli_main(["resolve", "--group", "cyclic:2,1,1", "--out", str(tmp_path / "run"),
                      "--config", str(cfg)]) == 2
-    assert "unknown config key 'kappa'" in capsys.readouterr().err
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_certify_rejects_json_without_regions(tmp_path, capsys):
@@ -271,11 +276,15 @@ def test_cap_is_certified_once(monkeypatch):
 
 def test_a_run_builds_its_tree_once(monkeypatch):
     """run_full_resolution of D12 calls resolution_tree once per node of its
-    tree (15), and the root atlas lists the tree's children as its singular
+    tree (15), generates the root's elements at most 7 times and no cyclic
+    group's, and the root atlas lists the tree's children as its singular
     points."""
-    calls = []
+    calls, closures = [], []
     _record_calls(monkeypatch, groups, "resolution_tree", calls)
+    _record_calls(monkeypatch, groups, "generate_elements", closures)
     run = run_full_resolution(noncyclic_group(binary_dihedral_generators(3)), fast_cfg())
+    assert len(closures) <= 7
+    assert {c[0].kind for c in closures} == {"noncyclic"}
 
     def nodes(node):
         return 1 + sum(nodes(c) for c in node.children)

@@ -203,7 +203,9 @@ def test_build_cutoff_bounds():
 
 def test_build_cutoff_domain_error():
     with pytest.raises(DomainError):
-        build_cutoff(0.5, 0.2)
+        build_cutoff(0.5, 0.2, domain_end=1.0)
+    with pytest.raises(DomainError):
+        build_cutoff(0.1, 0.2, domain_end=0.2)
 
 
 def test_check_parity_round():
